@@ -106,10 +106,7 @@ class RankHOperator:
 
     def dot(self, other: Resultant) -> float:
         """Trace scalar product with a unit-norm resultant."""
-        if not self.weights.same_as(other.weights):
-            raise ValidationError("operands live on different weight systems")
-        a = self.weights.w[:, None] * other.op
-        return float(np.sum((self.U.T @ a @ self.U).diagonal() * self.lam))
+        return float(cosines([other], [self])[0, 0])
 
     def to_resultant(self, label: str = "") -> Resultant:
         return Resultant(self.operator(), self.weights, normed=True, label=label)
@@ -139,13 +136,18 @@ def _gather(resultants: list[Resultant]) -> Weights:
     return weights
 
 
-def weighted_average(resultants: list[Resultant], omega=None) -> Resultant:
-    """Convex combination sum_k omega_k R_k; stays in the unit ball."""
+def _mean_op(resultants: list[Resultant], omega) -> tuple[np.ndarray, Weights]:
     weights = _gather(resultants)
     omega = as_weight_system(omega, len(resultants))
     op = np.zeros((weights.n, weights.n))
     for share, r in zip(omega, resultants):
         op += share * r.op
+    return op, weights
+
+
+def weighted_average(resultants: list[Resultant], omega=None) -> Resultant:
+    """Convex combination sum_k omega_k R_k; stays in the unit ball."""
+    op, weights = _mean_op(resultants, omega)
     return Resultant(op, weights, normed=False, label="average")
 
 
@@ -158,16 +160,25 @@ def sphere_average(resultants: list[Resultant], omega=None) -> Resultant:
     return Resultant(mean.op / nrm, mean.weights, normed=True, label="average")
 
 
-def rank_h_average_euclidean(resultants: list[Resultant], h: int, omega=None) -> RankHOperator:
+def rank_h_average_euclidean(
+    resultants: list[Resultant], h: int | RankCriterion, omega=None
+) -> RankHOperator:
     """Chord-optimal rank-h average: top-h eigenpairs of the weighted average,
-    with the retained eigenvalues rescaled to a unit vector."""
-    mean = weighted_average(resultants, omega)
-    u, lam = w_spsd_eigen(mean.op, mean.weights)
+    with the retained eigenvalues rescaled to a unit vector.
+
+    `h` is either the rank itself, which must lie in [1, numerical rank of the
+    average], or a RankCriterion applied to the average's spectrum.  One
+    eigendecomposition both certifies the average as weighted-spsd and
+    supplies the eigenpairs."""
+    mean, weights = _mean_op(resultants, omega)
+    u, lam = w_spsd_eigen(mean, weights)
+    if isinstance(h, RankCriterion):
+        h = choose_rank(lam, h)
     r = numerical_rank(lam, RANK_TOL)
     if not 1 <= h <= r:
         raise ValidationError(f"rank {h} is outside the numerical rank {r} of the average")
     kept = lam[:h]
-    return RankHOperator(u[:, :h], kept / np.linalg.norm(kept), mean.weights)
+    return RankHOperator(u[:, :h], kept / np.linalg.norm(kept), weights)
 
 
 def choose_rank(eigenvalues, criterion: RankCriterion) -> int:
@@ -200,24 +211,28 @@ def choose_rank(eigenvalues, criterion: RankCriterion) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _amats(resultants: list[Resultant]) -> list[np.ndarray]:
-    """Symmetric matrices A_k = W R_k driving the geodesic objective."""
-    return [r.weights.w[:, None] * r.op for r in resultants]
+def _loadings(
+    resultants: list[Resultant], u: np.ndarray, weights: Weights
+) -> tuple[np.ndarray, np.ndarray]:
+    """Products R_k U (K x n x H) and loadings eta_kj = u_j' W R_k u_j (K x H)."""
+    ru = np.stack([r.op @ u for r in resultants])
+    return ru, np.sum((weights.w[:, None] * u) * ru, axis=1)
+
+
+def cosines(resultants: list[Resultant], centroids: list[RankHOperator]) -> np.ndarray:
+    """Scalar products [R_k | C_l] = sum_j lam_lj u_lj' W R_k u_lj, K x L."""
+    weights = centroids[0].weights
+    if not all(x.weights.same_as(weights) for x in (*resultants, *centroids)):
+        raise ValidationError("operands live on different weight systems")
+    _, eta = _loadings(resultants, np.hstack([c.U for c in centroids]), weights)
+    starts = np.cumsum([0] + [c.rank for c in centroids[:-1]])
+    return np.add.reduceat(eta * np.concatenate([c.lam for c in centroids]), starts, axis=1)
 
 
 def _cos_to_sq_arc(c: float) -> float:
     c = min(max(c, -1.0), 1.0)
     a = float(np.arccos(c))
     return a * a
-
-
-def _objective_terms(u: np.ndarray, lam: np.ndarray, amats) -> tuple[np.ndarray, np.ndarray]:
-    """Cosines h_k and per-direction loadings eta_k = diag(U' A_k U)."""
-    k = len(amats)
-    eta = np.empty((k, lam.size))
-    for i, a in enumerate(amats):
-        eta[i] = np.einsum("nh,nm,mh->h", u, a, u)
-    return eta @ lam, eta
 
 
 def _objective_value(h: np.ndarray, omega: np.ndarray) -> float:
@@ -238,12 +253,9 @@ def _grad_factor(h: float) -> float:
 
 def geodesic_objective(avg: RankHOperator, resultants: list[Resultant], omega=None) -> float:
     """g = - sum_k omega_k arccos([R_k | avg])^2 (non-positive, 0 when all equal)."""
-    weights = _gather(resultants)
-    if not weights.same_as(avg.weights):
-        raise ValidationError("average and resultants live on different weight systems")
+    _gather(resultants)
     omega = as_weight_system(omega, len(resultants))
-    h, _ = _objective_terms(avg.U, avg.lam, _amats(resultants))
-    return _objective_value(h, omega)
+    return _objective_value(cosines(resultants, [avg])[:, 0], omega)
 
 
 def geodesic_gradients(
@@ -253,21 +265,17 @@ def geodesic_gradients(
 
     Returns (gamma, Gamma) with
         gamma = sum_k omega_k [2 arccos(h_k)/sqrt(1-h_k^2)] eta_k,
-        Gamma = sum_k omega_k [2 arccos(h_k)/sqrt(1-h_k^2)] 2 A_k U Lam,
+        Gamma = sum_k omega_k [2 arccos(h_k)/sqrt(1-h_k^2)] 2 W R_k U Lam,
     the partial derivatives with respect to lam and U respectively.
     """
     weights = _gather(resultants)
     omega = as_weight_system(omega, len(resultants))
     u = np.asarray(u, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    amats = _amats(resultants)
-    h, eta = _objective_terms(u, lam, amats)
-    factors = np.array([o * _grad_factor(c) for o, c in zip(omega, h)])
+    ru, eta = _loadings(resultants, u, weights)
+    factors = np.array([o * _grad_factor(c) for o, c in zip(omega, eta @ lam)])
     gamma = factors @ eta
-    acc = np.zeros((weights.n, weights.n))
-    for f, a in zip(factors, amats):
-        acc += f * a
-    gamma_u = 2.0 * acc @ (u * lam[None, :])
+    gamma_u = 2.0 * weights.w[:, None] * np.tensordot(factors, ru, axes=1) * lam[None, :]
     return gamma, gamma_u
 
 
@@ -402,14 +410,15 @@ def fixed_point_residual(
 
 def rank_h_average_geodesic(
     resultants: list[Resultant],
-    h: int,
+    h: int | RankCriterion,
     omega=None,
     max_iter: int = 500,
     tol: float = 1e-10,
 ) -> RankHOperator:
     """Geodesic rank-h average of unit-norm resultants.
 
-    Starts from the chord-optimal rank-h average and ascends g by fixed-point
+    Starts from the chord-optimal rank-h average (`h` is a rank or a
+    RankCriterion, as for rank_h_average_euclidean) and ascends g by fixed-point
     steps safeguarded with a line search along the chord arc between
     consecutive iterates (re-truncated to rank h when an interior arc point
     wins).  When progress per round falls under 1e-6 the iteration probes
@@ -424,12 +433,10 @@ def rank_h_average_geodesic(
     weights = _gather(resultants)
     omega_v = as_weight_system(omega, len(resultants))
     start = rank_h_average_euclidean(resultants, h, omega_v)
-    u, lam = start.U, start.lam
-    amats = _amats(resultants)
+    u, lam, h = start.U, start.lam, start.rank
 
     def value(u_, lam_) -> float:
-        hvals, _ = _objective_terms(u_, lam_, amats)
-        return _objective_value(hvals, omega_v)
+        return _objective_value(_loadings(resultants, u_, weights)[1] @ lam_, omega_v)
 
     g_cur = value(u, lam)
     converged = False

@@ -24,14 +24,15 @@ import numpy as np
 
 from .averaging import (
     RankCriterion,
-    choose_rank,
     geodesic_objective,
     rank_h_average_euclidean,
     rank_h_average_geodesic,
     weighted_average,
 )
 from .clustering import (
+    DISTANCES,
     ClusteringConfig,
+    _sq_dist_from_cos,
     centroid_separation,
     classical_mds,
     cluster_summary,
@@ -186,16 +187,15 @@ def _cmd_cluster(args) -> None:
 
 def _cmd_average(args) -> None:
     resultants, weights = _load_resultants(args)
-    mean = weighted_average(resultants)
-    _, spectrum = w_spsd_eigen(mean.op, weights)
+    _, spectrum = w_spsd_eigen(weighted_average(resultants).op, weights)
     criterion = _criterion(args)
-    h = choose_rank(spectrum, criterion)
     if args.distance == "geodesic":
-        avg = rank_h_average_geodesic(resultants, h)
+        avg = rank_h_average_geodesic(resultants, criterion)
         objective = geodesic_objective(avg, resultants)
     else:
-        avg = rank_h_average_euclidean(resultants, h)
+        avg = rank_h_average_euclidean(resultants, criterion)
         objective = sum(avg.dot(r) for r in resultants) / len(resultants)
+    h = avg.rank
     out = _out_dir(args)
     _write_csv(
         os.path.join(out, "scree.csv"),
@@ -278,15 +278,13 @@ def _cmd_mds(args) -> None:
         raise ValidationError(f"cannot read model file {args.model}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"model file {args.model} is not valid JSON: {exc}") from exc
-    if "centroid_cos" not in model or "distance" not in model:
-        raise ValidationError("model file must carry 'centroid_cos' and 'distance'")
+    if "centroid_cos" not in model or model.get("distance") not in DISTANCES:
+        raise ValidationError("model file must carry 'centroid_cos' and a 'distance' "
+                              f"among {DISTANCES}")
     cos = np.asarray(model["centroid_cos"], dtype=float)
     if cos.ndim != 2 or cos.shape[0] != cos.shape[1] or cos.shape[0] < 2:
         raise ValidationError("mds needs a square cosine matrix over at least 2 centroids")
-    if model["distance"] == "geodesic":
-        d = np.arccos(np.clip(cos, -1.0, 1.0))
-    else:
-        d = np.sqrt(np.maximum(2.0 * (1.0 - cos), 0.0))
+    d = np.sqrt(_sq_dist_from_cos(cos, model["distance"]))
     np.fill_diagonal(d, 0.0)
     coords = classical_mds(d, args.dims)
     out = _out_dir(args)

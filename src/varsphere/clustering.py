@@ -18,10 +18,9 @@ import numpy as np
 from .averaging import (
     RankCriterion,
     RankHOperator,
-    choose_rank,
+    cosines,
     rank_h_average_euclidean,
     rank_h_average_geodesic,
-    weighted_average,
 )
 from .encoding import Resultant
 from .errors import ConvergenceWarning, ValidationError
@@ -72,16 +71,6 @@ def _sq_dist_from_cos(cos: np.ndarray, distance: str) -> np.ndarray:
     return np.arccos(np.clip(cos, -1.0, 1.0)) ** 2
 
 
-def _cosine_matrix(resultants: list[Resultant], centroid_ops: list[np.ndarray]) -> np.ndarray:
-    """Scalar products [R_k | centroid_l], K x L."""
-    cos = np.empty((len(resultants), len(centroid_ops)))
-    for l, op in enumerate(centroid_ops):
-        opt = op.T
-        for k, r in enumerate(resultants):
-            cos[k, l] = np.sum(r.op * opt)
-    return cos
-
-
 def _assign_from_cos(cos: np.ndarray, distance: str) -> np.ndarray:
     if distance == "chord":
         return np.argmax(cos, axis=1)
@@ -94,25 +83,24 @@ def assign(resultant: Resultant, centroids: list[RankHOperator], distance: str) 
         raise ValidationError(f"distance must be one of {DISTANCES}")
     if not centroids:
         raise ValidationError("need at least one centroid")
-    cos = _cosine_matrix([resultant], [c.operator() for c in centroids])
-    return int(_assign_from_cos(cos, distance)[0])
+    return int(_assign_from_cos(cosines([resultant], centroids), distance)[0])
+
+
+def _fit(members: list[Resultant], distance: str, criterion: RankCriterion) -> RankHOperator:
+    """Rank-H average of the members in the given distance."""
+    fit = rank_h_average_euclidean if distance == "chord" else rank_h_average_geodesic
+    return fit(members, criterion)
 
 
 def _update_centroids(
     resultants: list[Resultant], assignment: np.ndarray, config: ClusteringConfig
 ) -> tuple[list[RankHOperator], list[int]]:
-    centroids, ranks = [], []
-    for l in range(config.n_clusters):
-        members = [r for r, a in zip(resultants, assignment) if a == l]
-        mean = weighted_average(members)
-        _, lam = mean.eigen()
-        h = choose_rank(lam, config.criterion)
-        if config.distance == "chord":
-            centroids.append(rank_h_average_euclidean(members, h))
-        else:
-            centroids.append(rank_h_average_geodesic(members, h))
-        ranks.append(h)
-    return centroids, ranks
+    centroids = [
+        _fit([r for r, a in zip(resultants, assignment) if a == l], config.distance,
+             config.criterion)
+        for l in range(config.n_clusters)
+    ]
+    return centroids, [c.rank for c in centroids]
 
 
 def _within(cos: np.ndarray, assignment: np.ndarray, distance: str) -> float:
@@ -152,8 +140,7 @@ def _single_start(
     ranks: list[int] = []
     for n_iter in range(1, config.max_iter + 1):
         centroids, ranks = _update_centroids(resultants, assignment, config)
-        ops = [c.operator() for c in centroids]
-        cos = _cosine_matrix(resultants, ops)
+        cos = cosines(resultants, centroids)
         trace.append(_within(cos, assignment, config.distance))
         proposal = _assign_from_cos(cos, config.distance)
         proposal = _repair_empty(proposal, cos, config.n_clusters, config.distance)
@@ -168,8 +155,7 @@ def _single_start(
         seen.add(key)
     if not converged:
         centroids, ranks = _update_centroids(resultants, assignment, config)
-    cos = _cosine_matrix(resultants, [c.operator() for c in centroids])
-    within = _within(cos, assignment, config.distance)
+    within = _within(cosines(resultants, centroids), assignment, config.distance)
     return assignment, centroids, ranks, within, converged, n_iter, trace
 
 
@@ -218,25 +204,14 @@ def kmeans(resultants: list[Resultant], config: ClusteringConfig) -> ClusterMode
     return model
 
 
-def _global_centroid(
-    resultants: list[Resultant], distance: str, criterion: RankCriterion
-) -> RankHOperator:
-    mean = weighted_average(resultants)
-    _, lam = mean.eigen()
-    h = choose_rank(lam, criterion)
-    if distance == "chord":
-        return rank_h_average_euclidean(resultants, h)
-    return rank_h_average_geodesic(resultants, h)
-
-
 def inertia_ratio(model: ClusterModel, resultants: list[Resultant]) -> float:
     """Share of inertia explained: (total - within) / total.
 
     Total inertia is measured from the global rank-H average computed with
     the model's own distance and rank criterion.
     """
-    overall = _global_centroid(resultants, model.distance, model.config.criterion)
-    cos = _cosine_matrix(resultants, [overall.operator()])[:, 0]
+    overall = _fit(resultants, model.distance, model.config.criterion)
+    cos = cosines(resultants, [overall])[:, 0]
     total = float(np.sum(_sq_dist_from_cos(cos, model.distance)))
     if total <= 1e-300:
         raise ValidationError("total inertia is zero: all resultants are identical")
@@ -251,20 +226,20 @@ def geodesic_inertia_profile(resultants: list[Resultant], h_max: int) -> np.ndar
     profile = np.empty(h_max)
     for h in range(1, h_max + 1):
         avg = rank_h_average_geodesic(resultants, h)
-        cos = _cosine_matrix(resultants, [avg.operator()])[:, 0]
+        cos = cosines(resultants, [avg])[:, 0]
         profile[h - 1] = float(np.sum(_sq_dist_from_cos(cos, "geodesic")))
     return profile
 
 
 def centroid_separation(model: ClusterModel) -> np.ndarray:
-    """Pairwise scalar products between centroids (unit diagonal)."""
-    ops = [c.operator() for c in model.centroids]
-    n = len(ops)
-    cos = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            cos[i, j] = cos[j, i] = float(np.sum(ops[i] * ops[j].T))
-    np.fill_diagonal(cos, 1.0)
+    """Pairwise scalar products between centroids (unit diagonal):
+    [C_a | C_b] = sum_ij lam_i mu_j ((U_a' W U_b)_ij)^2."""
+    cs = model.centroids
+    cos = np.eye(len(cs))
+    for i, a in enumerate(cs):
+        for j in range(i + 1, len(cs)):
+            g = a.U.T @ (a.weights.w[:, None] * cs[j].U)
+            cos[i, j] = cos[j, i] = float(a.lam @ (g * g) @ cs[j].lam)
     return cos
 
 
@@ -277,21 +252,14 @@ def cluster_summary(
         labels = [r.label or f"var{k}" for k, r in enumerate(resultants)]
     if len(labels) != len(resultants):
         raise ValidationError("need one label per resultant")
-    cos = _cosine_matrix(resultants, [c.operator() for c in model.centroids])
-    rows = []
-    for k, lab in enumerate(labels):
-        l = int(model.assignments[k])
-        c = float(cos[k, l])
-        rows.append(
-            {
-                "variable": lab,
-                "cluster": l,
-                "cos": c,
-                "chord_dist": float(np.sqrt(max(2.0 * (1.0 - c), 0.0))),
-                "geodesic_dist": float(np.arccos(min(max(c, -1.0), 1.0))),
-            }
-        )
-    return rows
+    cos = cosines(resultants, model.centroids)[np.arange(len(labels)), model.assignments]
+    chord = np.sqrt(_sq_dist_from_cos(cos, "chord"))
+    geodesic = np.sqrt(_sq_dist_from_cos(cos, "geodesic"))
+    return [
+        {"variable": lab, "cluster": int(l), "cos": float(c),
+         "chord_dist": float(dc), "geodesic_dist": float(dg)}
+        for lab, l, c, dc, dg in zip(labels, model.assignments, cos, chord, geodesic)
+    ]
 
 
 def classical_mds(distances: np.ndarray, dims: int) -> np.ndarray:

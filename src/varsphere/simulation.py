@@ -19,7 +19,7 @@ import numpy as np
 from .clustering import ClusteringConfig, kmeans
 from .averaging import RankCriterion
 from .encoding import Resultant, encode_categorical, encode_numeric, resultant
-from .errors import ValidationError
+from .errors import ValidationError, VarsphereError
 from .geometry import Weights
 
 N_NUMERIC = 17
@@ -200,9 +200,10 @@ def run_benchmark(
     Each replication draws one sample, encodes it once, and clusters it at
     every theta of the cell's grid (the rank criterion is trace_ratio(theta))
     so scores across theta are paired.  Replication seeds derive from the
-    cell seed by counter, so results do not depend on grid order.  Failed
-    replications are counted, reported with a warning, and excluded from the
-    cell statistics.
+    cell seed by counter, so results do not depend on grid order.  A
+    replication that raises a VarsphereError is counted as failed, reported
+    with a warning naming the reason, and excluded from the cell statistics;
+    any other exception is a defect and propagates.
     """
     rows: list[BenchmarkRow] = []
     for config in grid:
@@ -228,7 +229,7 @@ def run_benchmark(
                         ),
                     )
                     scores[theta].append(rand_discrepancy(sample.truth, model.assignments))
-            except Exception as exc:  # noqa: BLE001 - a bad draw must not sink the grid
+            except VarsphereError as exc:  # a bad draw must not sink the grid
                 failures += 1
                 warnings.warn(f"replication {rep} failed and was excluded: {exc}")
         for theta in config.theta_grid:

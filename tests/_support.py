@@ -4,6 +4,7 @@ and unit-norm operators on the weighted sphere."""
 import numpy as np
 
 from varsphere import (
+    RankHOperator,
     Resultant,
     Weights,
     encode_block,
@@ -58,6 +59,12 @@ def random_normed_resultant(rng, weights, rank=None):
 def random_w_orthonormal(rng, weights, h):
     """An n x h basis with U'WU = I."""
     return w_orthonormal_polar(rng.standard_normal((weights.n, h)), weights)
+
+
+def random_rank_h(rng, weights, h):
+    """A rank-h point U diag(lam) U' W of the sphere with random eigenpairs."""
+    lam = np.sort(rng.uniform(0.1, 1.0, size=h))[::-1]
+    return RankHOperator(random_w_orthonormal(rng, weights, h), lam / np.linalg.norm(lam), weights)
 
 
 def align_signs(u, ref):

@@ -283,7 +283,9 @@ def test_criterion_6_benchmark_reproduces_the_reference_cells():
     b45 = by_key[(30, round(math.pi / 4, 6), 1.0)]
     b60 = by_key[(30, round(math.pi / 3, 6), 1.0)]
     b90 = by_key[(30, round(math.pi / 2, 6), 1.0)]
+    failures = sum(r.failures for r in rows)
     checks = [
+        failures == 0,
         t1 <= 0.05,
         t1 < t0,
         abs(t0 - 0.075) <= 0.05,
@@ -295,7 +297,7 @@ def test_criterion_6_benchmark_reproduces_the_reference_cells():
     detail = (
         f"n=40 pi/2: theta1={t1:.3f} (<=0.05, < theta0={t0:.3f}); "
         f"n=30 theta=1 across beta: {b45:.3f} > {b60:.3f} > {b90:.3f} "
-        "(targets 0.134, 0.046, 0.008 +/- 0.05)"
+        f"(targets 0.134, 0.046, 0.008 +/- 0.05); {failures} failed replications"
     )
     _check(6, all(checks), detail)
 

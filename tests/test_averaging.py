@@ -1,5 +1,7 @@
 """Weighted, sphere-scaled, and rank-constrained chord averages; rank rules."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,18 @@ from varsphere import (
     operator_dot,
     operator_norm,
     rank_h_average_euclidean,
+    rank_h_average_geodesic,
     sphere_average,
     weighted_average,
 )
+from varsphere.averaging import cosines
 
-from _support import random_normed_resultant, random_w_orthonormal, random_weights
+from _support import (
+    random_normed_resultant,
+    random_rank_h,
+    random_w_orthonormal,
+    random_weights,
+)
 
 
 def test_weighted_average_is_the_convex_combination():
@@ -198,3 +207,42 @@ def test_rank_h_average_eigenstructure_matches_an_oracle():
     op = avg.operator()
     assert np.allclose(proj @ op, op, atol=1e-8)
     assert np.linalg.norm(avg.lam) == pytest.approx(1.0)
+
+
+def test_cosines_match_the_dense_oracle():
+    rng = np.random.default_rng(31)
+    ranks_seen = set()
+    for trial in range(40):
+        w = random_weights(rng, int(rng.integers(5, 10)))
+        rs = [random_normed_resultant(rng, w) for _ in range(int(rng.integers(1, 6)))]
+        cs = [random_rank_h(rng, w, int(rng.integers(1, 4))) for _ in range(1 + trial % 4)]
+        ranks_seen.update(c.rank for c in cs)
+        dense = np.array([[np.sum(r.op * c.operator().T) for c in cs] for r in rs])
+        got = cosines(rs, cs)
+        assert got.shape == (len(rs), len(cs))
+        assert np.allclose(got, dense, rtol=0.0, atol=1e-12)
+        assert cs[0].dot(rs[0]) == pytest.approx(got[0, 0], abs=1e-12)
+    assert ranks_seen == {1, 2, 3}
+    stranger = random_normed_resultant(rng, random_weights(rng, w.n))
+    with pytest.raises(ValidationError):
+        cosines([stranger], cs)
+
+
+@pytest.mark.parametrize("fit", [rank_h_average_euclidean, rank_h_average_geodesic])
+def test_rank_criterion_average_equals_the_average_at_the_chosen_rank(fit):
+    # the criterion is applied to the spectrum the fit computes anyway, so
+    # the result must be the very same floats as choosing the rank first
+    rng = np.random.default_rng(37)
+    w = random_weights(rng, 7)
+    rs = [random_normed_resultant(rng, w) for _ in range(5)]
+    _, spectrum = weighted_average(rs).eigen()
+    criteria = (RankCriterion.trace_ratio(0.6), RankCriterion.cattell(), RankCriterion.fixed(2))
+    for criterion in criteria:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            given = fit(rs, criterion)
+            chosen = fit(rs, choose_rank(spectrum, criterion))
+        assert given.rank == choose_rank(spectrum, criterion)
+        assert np.array_equal(given.U, chosen.U)
+        assert np.array_equal(given.lam, chosen.lam)
+        assert given.converged == chosen.converged

@@ -225,6 +225,10 @@ def test_mds_input_validation(tmp_path):
     single = tmp_path / "single.json"
     single.write_text(json.dumps({"distance": "chord", "centroid_cos": [[1.0]]}))
     assert main(["mds", str(single), "--out-dir", str(tmp_path)]) == 2
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text(json.dumps({"distance": "manhattan",
+                                   "centroid_cos": [[1.0, 0.5], [0.5, 1.0]]}))
+    assert main(["mds", str(unknown), "--out-dir", str(tmp_path)]) == 2
 
 
 def test_missing_cell_is_reported_with_location(tmp_path, capsys):

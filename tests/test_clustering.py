@@ -1,6 +1,7 @@
 """K-means on the operator sphere, inertia diagnostics, and classical MDS."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from varsphere import (
     resultant,
 )
 
-from _support import random_normed_resultant, random_weights
+from _support import random_normed_resultant, random_rank_h, random_weights
 
 
 def bundle_resultants(rng, n, spreads):
@@ -158,6 +159,18 @@ def test_cluster_summary_and_centroid_separation():
     assert sep.shape == (2, 2)
     assert np.allclose(np.diag(sep), 1.0, atol=1e-9)
     assert sep[0, 1] == pytest.approx(sep[1, 0])
+
+
+def test_centroid_separation_matches_the_dense_oracle():
+    rng = np.random.default_rng(41)
+    for trial in range(20):
+        w = random_weights(rng, int(rng.integers(5, 10)))
+        cs = [random_rank_h(rng, w, int(rng.integers(1, 4))) for _ in range(1 + trial % 4)]
+        sep = centroid_separation(SimpleNamespace(centroids=cs))
+        dense = np.array([[np.sum(a.operator() * b.operator().T) for b in cs] for a in cs])
+        assert np.allclose(sep, dense, rtol=0.0, atol=1e-12)
+        assert np.array_equal(sep, sep.T)
+        assert np.all(np.diag(sep) == 1.0)
 
 
 def test_geodesic_inertia_profile_decreases_with_rank():
