@@ -9,8 +9,10 @@ The geodesic counterpart maximizes
     g(lam, U) = - sum_k omega_k arccos(h_k)^2,   h_k = tr(U' A_k U Lam),
 over W-orthonormal U and unit-length lam, where A_k = W R_k.  It is computed
 by a fixed-point ascent (rescaled gradient for lam, weighted polar factor for
-U) safeguarded by a line search along the chord arc between consecutive
-iterates.
+U) safeguarded by one line search per round along the normed line through
+the current point and its step.  Along that line every cosine is a scalar
+function of the line parameter, so the search needs no n x n operator, and
+its winner is truncated back to rank H by a 2H x 2H eigenproblem.
 """
 
 from __future__ import annotations
@@ -23,16 +25,21 @@ import numpy as np
 from .encoding import Resultant
 from .errors import ConvergenceWarning, NumericalError, ValidationError
 from .geometry import (
+    EIGEN_DROP_TOL,
     RANK_TOL,
     Weights,
     numerical_rank,
-    operator_norm,
     w_orthonormal_polar,
     w_spsd_eigen,
 )
 
 # h values this close to 1 switch the gradient factor to its analytic limit.
 H_SINGULAR = 1e-9
+# Reach of the line search (the fixed-point step is tau = 1), its first grid
+# and the number of zooms into the best bracket.
+TAU_MAX = 513.0
+_TAU_GRID = np.concatenate(([0.0], np.geomspace(1.0 / 64.0, TAU_MAX, 61)))
+LINE_ZOOMS = 8
 
 
 @dataclass(frozen=True)
@@ -229,14 +236,9 @@ def cosines(resultants: list[Resultant], centroids: list[RankHOperator]) -> np.n
     return np.add.reduceat(eta * np.concatenate([c.lam for c in centroids]), starts, axis=1)
 
 
-def _cos_to_sq_arc(c: float) -> float:
-    c = min(max(c, -1.0), 1.0)
-    a = float(np.arccos(c))
-    return a * a
-
-
-def _objective_value(h: np.ndarray, omega: np.ndarray) -> float:
-    return -float(sum(o * _cos_to_sq_arc(c) for o, c in zip(omega, h)))
+def _objective_value(h: np.ndarray, omega: np.ndarray):
+    """g = - sum_k omega_k arccos(h_k)^2 over the last axis of the cosines h."""
+    return -(np.arccos(np.clip(h, -1.0, 1.0)) ** 2) @ omega
 
 
 def _grad_factor(h: float) -> float:
@@ -255,7 +257,7 @@ def geodesic_objective(avg: RankHOperator, resultants: list[Resultant], omega=No
     """g = - sum_k omega_k arccos([R_k | avg])^2 (non-positive, 0 when all equal)."""
     _gather(resultants)
     omega = as_weight_system(omega, len(resultants))
-    return _objective_value(cosines(resultants, [avg])[:, 0], omega)
+    return float(_objective_value(cosines(resultants, [avg])[:, 0], omega))
 
 
 def geodesic_gradients(
@@ -296,58 +298,64 @@ def geodesic_step(
     return w_orthonormal_polar(gamma_u, weights), gamma / nrm
 
 
-def _materialize(u: np.ndarray, lam: np.ndarray, weights: Weights) -> np.ndarray:
-    return (u * lam[None, :]) @ u.T * weights.w[None, :]
+def _span_forms(
+    u_p: np.ndarray, lam: np.ndarray, u_s: np.ndarray, mu: np.ndarray, weights: Weights
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Q, M_P, M_S) with W^1/2 (P + tau (S - P)) W^-1/2 = Q (M_P + tau (M_S - M_P)) Q'.
+
+    From a thin QR W^1/2 [U_P, U_S] = Q R: M_P = R diag(lam, 0) R' and
+    M_S = R diag(0, mu) R' are 2H x 2H.  Householder QR keeps Q orthonormal
+    when the spans (nearly) coincide, and ||S - P||^2 = ||M_S - M_P||_F^2
+    keeps its relative accuracy as S approaches P."""
+    q, r = np.linalg.qr(np.sqrt(weights.w)[:, None] * np.hstack([u_p, u_s]))
+    h = lam.size
+    return q, (r[:, :h] * lam) @ r[:, :h].T, (r[:, h:] * mu) @ r[:, h:].T
 
 
-def _objective_on_op(op: np.ndarray, resultants, omega: np.ndarray) -> float:
-    cosines = np.array([float(np.sum(r.op * op.T)) for r in resultants])
-    return _objective_value(cosines, omega)
+def _line_cosines(a: np.ndarray, s: np.ndarray, d2: float, tau) -> np.ndarray:
+    """Cosines [R_k | C/||C||] on the line C(tau) = P + tau (S - P), one row per tau.
+
+    With a_k = [R_k|P], s_k = [R_k|S] and d2 = ||S - P||^2 for unit-norm P
+    and S, ||C(tau)||^2 = 1 + tau (tau - 1) d2.  For weighted-spsd P and S,
+    [P|S] >= 0 gives d2 <= 2, so the norm never falls below sqrt(1/2)."""
+    tau = np.asarray(tau, dtype=float)[..., None]
+    return ((1.0 - tau) * a + tau * s) / np.sqrt(1.0 + tau * (tau - 1.0) * d2)
 
 
-def _arc_search(
-    op_prev: np.ndarray,
-    op_next: np.ndarray,
-    resultants,
-    omega: np.ndarray,
-    weights: Weights,
-    iters: int = 60,
-) -> tuple[float, np.ndarray, float]:
-    """Golden-section maximization of g along the normed chord arc."""
-    delta = op_next - op_prev
+def _line_search(
+    a: np.ndarray, s: np.ndarray, d2: float, omega: np.ndarray, tau_max: float
+) -> tuple[float, float]:
+    """(tau, g) maximizing g along the normed line C(tau), tau in [0, tau_max].
 
-    def at(tau: float) -> tuple[np.ndarray, float]:
-        c = op_prev + tau * delta
-        nrm = operator_norm(c, weights)
-        if nrm <= 1e-12:
-            raise NumericalError("degenerate arc: the interpolated operator vanishes")
-        c = c / nrm
-        return c, _objective_on_op(c, resultants, omega)
+    Each probe costs O(K).  The best node of a grid (0, then geometric up to
+    tau_max, a node too) is refined by zooming into its bracket, so g is
+    never below its value at either end."""
+    taus = np.append(_TAU_GRID[_TAU_GRID < tau_max], tau_max)
+    best_tau, best_g = 0.0, -np.inf
+    for _ in range(LINE_ZOOMS):
+        values = _objective_value(_line_cosines(a, s, d2, taus), omega)
+        i = int(np.argmax(values))
+        if values[i] > best_g:
+            best_tau, best_g = float(taus[i]), float(values[i])
+        taus = np.linspace(taus[max(i - 1, 0)], taus[min(i + 1, taus.size - 1)], 33)
+    return best_tau, best_g
 
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    seen: list[tuple[float, np.ndarray, float]] = []
-    for tau in (0.0, 1.0):
-        op, val = at(tau)
-        seen.append((tau, op, val))
-    a, b = 0.0, 1.0
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    op1, f1 = at(c1)
-    op2, f2 = at(c2)
-    seen.append((c1, op1, f1))
-    seen.append((c2, op2, f2))
-    for _ in range(iters):
-        if f1 >= f2:
-            b, c2, f2, op2 = c2, c1, f1, op1
-            c1 = b - invphi * (b - a)
-            op1, f1 = at(c1)
-            seen.append((c1, op1, f1))
-        else:
-            a, c1, f1, op1 = c1, c2, f2, op2
-            c2 = a + invphi * (b - a)
-            op2, f2 = at(c2)
-            seen.append((c2, op2, f2))
-    return max(seen, key=lambda t: t[2])
+
+def _truncate(
+    q: np.ndarray, m: np.ndarray, u_ref: np.ndarray, weights: Weights
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Rank-H truncation of W^-1/2 Q m Q' W^1/2 for a form m from _span_forms.
+
+    Returns the top H = u_ref.shape[1] eigenpairs of m lifted by Q (columns
+    signed like u_ref, eigenvalues of unit norm), or None when fewer than H
+    eigenvalues are meaningfully positive."""
+    vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
+    h = u_ref.shape[1]
+    vals, vecs = vals[::-1][:h], vecs[:, ::-1][:, :h]
+    if vals[-1] <= EIGEN_DROP_TOL * vals[0]:
+        return None
+    u = (q @ vecs) / np.sqrt(weights.w)[:, None]
+    return _align_columns(u, u_ref), vals / np.linalg.norm(vals)
 
 
 def arc_line_search(
@@ -358,23 +366,16 @@ def arc_line_search(
     Returns (tau, op) where op = (R_prev + tau (R_next - R_prev)) / ||.||
     maximizes the geodesic objective among the arc points probed; the
     endpoints are always probed, so g(op) is never below either of them.
+    The search runs on closed-form cosines; op is built only for the caller.
     """
-    weights = _gather(resultants)
+    _gather(resultants)
     omega = as_weight_system(omega, len(resultants))
-    tau, op, _ = _arc_search(
-        r_prev.operator(), r_next.operator(), resultants, omega, weights
-    )
-    return tau, op
-
-
-def _truncate_op(
-    op: np.ndarray, h: int, weights: Weights
-) -> tuple[np.ndarray, np.ndarray] | None:
-    u, lam = w_spsd_eigen(op, weights)
-    if lam.size < h or lam[h - 1] <= 0.0:
-        return None
-    kept = lam[:h]
-    return u[:, :h], kept / np.linalg.norm(kept)
+    ends = cosines(resultants, [r_prev, r_next])
+    _, m_p, m_s = _span_forms(r_prev.U, r_prev.lam, r_next.U, r_next.lam, r_prev.weights)
+    d2 = float(np.sum((m_s - m_p) ** 2))
+    tau, _ = _line_search(ends[:, 0], ends[:, 1], d2, omega, 1.0)
+    op = (1.0 - tau) * r_prev.operator() + tau * r_next.operator()
+    return tau, op / np.sqrt(1.0 + tau * (tau - 1.0) * d2)
 
 
 def _align_columns(v: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -408,6 +409,46 @@ def fixed_point_residual(
     return _residual(avg.U, avg.lam, resultants, omega_v, weights)
 
 
+def _ascend(
+    resultants: list[Resultant], omega_v: np.ndarray, weights: Weights,
+    u: np.ndarray, lam: np.ndarray, max_iter: int, tol: float,
+) -> tuple[np.ndarray, np.ndarray, int, str | None]:
+    """Safeguarded ascent from (U, lam): (U, lam, rounds, why it stopped or None)."""
+
+    def point(u_, lam_) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        c = _loadings(resultants, u_, weights)[1] @ lam_
+        return u_, lam_, c, _objective_value(c, omega_v)
+
+    u, lam, a, g_cur = point(u, lam)
+    for rounds in range(1, max_iter + 1):
+        try:
+            u_s, lam_s = geodesic_step(u, lam, resultants, omega_v)
+        except NumericalError:
+            return u, lam, rounds, "the gradient vanished"
+        best = point(u_s, lam_s)
+        q, m_p, m_s = _span_forms(u, lam, u_s, lam_s, weights)
+        d2 = float(np.sum((m_s - m_p) ** 2))
+        tau, g_line = _line_search(a, best[2], d2, omega_v, TAU_MAX)
+        if g_line > best[3] + 1e-13:
+            trunc = _truncate(q, m_p + tau * (m_s - m_p), u, weights)
+            if trunc is not None and (cand := point(*trunc))[3] > best[3] + 1e-13:
+                best = cand
+        stuck = best[3] < g_cur - 1e-13
+        if not stuck:
+            small = abs(best[3] - g_cur) < tol
+            u, lam, a, g_cur = best
+        if stuck or small:
+            try:
+                res = _residual(u, lam, resultants, omega_v, weights)
+            except NumericalError:
+                return u, lam, rounds, "the fixed-point residual is undefined"
+            if res <= 1e-6:
+                return u, lam, rounds, None
+            if stuck:
+                return u, lam, rounds, f"no ascent with residual {res:.2e} > 1e-6"
+    return u, lam, max_iter, "the iteration cap was reached"
+
+
 def rank_h_average_geodesic(
     resultants: list[Resultant],
     h: int | RankCriterion,
@@ -418,92 +459,29 @@ def rank_h_average_geodesic(
     """Geodesic rank-h average of unit-norm resultants.
 
     Starts from the chord-optimal rank-h average (`h` is a rank or a
-    RankCriterion, as for rank_h_average_euclidean) and ascends g by fixed-point
-    steps safeguarded with a line search along the chord arc between
-    consecutive iterates (re-truncated to rank h when an interior arc point
-    wins).  When progress per round falls under 1e-6 the iteration probes
-    extrapolated points further along the line of consecutive iterates,
-    accepting one only if it improves g; this collapses the slow linear
-    tail of the plain fixed-point map while keeping the objective sequence
-    non-decreasing.  Iteration stops once the objective change falls under
-    `tol` and the fixed-point residual is at most 1e-6, or after `max_iter`
-    rounds, in which case the last iterate is returned with converged=False
-    and a ConvergenceWarning is emitted.
+    RankCriterion, as for rank_h_average_euclidean).  Each round searches
+    the normed line P + tau (S - P), tau in [0, TAU_MAX], from the current
+    point P through its fixed-point step S; tau > 1 collapses the slow
+    linear tail of the fixed-point map.  The best line point, truncated to
+    rank h, replaces S only if it beats it by 1e-13, and a round that cannot
+    ascend stops, so g never decreases.  Iteration converges once the
+    change in g is under `tol` and the fixed-point residual at most 1e-6.
+    Otherwise the last iterate comes back with converged=False and a
+    ConvergenceWarning naming the round count and the reason: the iteration
+    cap, a vanished gradient, no ascent with residual above 1e-6, or an
+    undefined residual.
     """
     weights = _gather(resultants)
     omega_v = as_weight_system(omega, len(resultants))
     start = rank_h_average_euclidean(resultants, h, omega_v)
-    u, lam, h = start.U, start.lam, start.rank
-
-    def value(u_, lam_) -> float:
-        return _objective_value(_loadings(resultants, u_, weights)[1] @ lam_, omega_v)
-
-    g_cur = value(u, lam)
-    converged = False
-    for _ in range(max_iter):
-        try:
-            u_step, lam_step = geodesic_step(u, lam, resultants, omega_v)
-        except NumericalError:
-            break
-        g_step = value(u_step, lam_step)
-        op_prev = _materialize(u, lam, weights)
-        op_step = _materialize(u_step, lam_step, weights)
-        try:
-            tau, op_star, g_star = _arc_search(op_prev, op_step, resultants, omega_v, weights)
-        except NumericalError:
-            break
-        best_u, best_lam, best_g = u_step, lam_step, g_step
-        if g_star > g_step + 1e-13 and 0.0 < tau < 1.0:
-            trunc = _truncate_op(op_star, h, weights)
-            if trunc is not None:
-                g_trunc = value(*trunc)
-                if g_trunc > best_g + 1e-13:
-                    best_u, best_lam, best_g = trunc[0], trunc[1], g_trunc
-        if best_g < g_cur - 1e-13:
-            # no ascent available: stop where we stand
-            try:
-                converged = _residual(u, lam, resultants, omega_v, weights) <= 1e-6
-            except NumericalError:
-                converged = False
-            break
-        g_round_start = g_cur
-        u, lam, g_cur = best_u, best_lam, best_g
-        if best_g - g_round_start < 1e-6:
-            # slow linear tail: leap along the line of consecutive iterates,
-            # keeping only a strictly better (hence still monotone) point
-            op_cur = _materialize(u, lam, weights)
-            direction = op_cur - op_prev
-            leap, g_leap = None, g_cur + 1e-13
-            for scale in (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0):
-                cand_op = op_cur + scale * direction
-                nrm = operator_norm(cand_op, weights)
-                if nrm <= 1e-12:
-                    break
-                try:
-                    trunc = _truncate_op(cand_op / nrm, h, weights)
-                except NumericalError:
-                    break
-                if trunc is None:
-                    break
-                g_t = value(*trunc)
-                if g_t > g_leap:
-                    leap, g_leap = trunc, g_t
-            if leap is not None:
-                u, lam, g_cur = leap[0], leap[1], g_leap
-        delta = g_cur - g_round_start
-        if abs(delta) < tol:
-            try:
-                res = _residual(u, lam, resultants, omega_v, weights)
-            except NumericalError:
-                break
-            if res <= 1e-6:
-                converged = True
-                break
-    if not converged:
+    u, lam, rounds, reason = _ascend(
+        resultants, omega_v, weights, start.U, start.lam, max_iter, tol
+    )
+    if reason is not None:
         warnings.warn(
-            "geodesic average stopped before reaching its target tolerance",
+            f"geodesic average did not converge after {rounds} rounds: {reason}",
             ConvergenceWarning,
             stacklevel=2,
         )
     order = np.argsort(-lam, kind="stable")
-    return RankHOperator(u[:, order], lam[order], weights, converged=converged)
+    return RankHOperator(u[:, order], lam[order], weights, converged=reason is None)

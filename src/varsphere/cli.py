@@ -32,6 +32,7 @@ from .averaging import (
 from .clustering import (
     DISTANCES,
     ClusteringConfig,
+    _geodesic_inertia,
     _sq_dist_from_cos,
     centroid_separation,
     classical_mds,
@@ -213,7 +214,9 @@ def _cmd_average(args) -> None:
         [(i + 1, *avg.U[i]) for i in range(weights.n)],
     )
     if args.distance == "geodesic":
-        profile = geodesic_inertia_profile(resultants, h)
+        # ranks below h are refitted; rank h is the average just fitted
+        lower = geodesic_inertia_profile(resultants, h - 1) if h > 1 else []
+        profile = [*lower, _geodesic_inertia(resultants, avg)]
         _write_csv(
             os.path.join(out, "geodesic_inertia.csv"),
             ["h", "inertia"],

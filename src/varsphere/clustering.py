@@ -223,12 +223,16 @@ def geodesic_inertia_profile(resultants: list[Resultant], h_max: int) -> np.ndar
     where avg_H is the uniform geodesic rank-H average of the resultants."""
     if h_max < 1:
         raise ValidationError("h_max must be at least 1")
-    profile = np.empty(h_max)
-    for h in range(1, h_max + 1):
-        avg = rank_h_average_geodesic(resultants, h)
-        cos = cosines(resultants, [avg])[:, 0]
-        profile[h - 1] = float(np.sum(_sq_dist_from_cos(cos, "geodesic")))
-    return profile
+    return np.array(
+        [_geodesic_inertia(resultants, rank_h_average_geodesic(resultants, h))
+         for h in range(1, h_max + 1)]
+    )
+
+
+def _geodesic_inertia(resultants: list[Resultant], avg: RankHOperator) -> float:
+    """Geodesic inertia sum_k arccos([R_k | avg])^2 of the resultants about avg."""
+    cos = cosines(resultants, [avg])[:, 0]
+    return float(np.sum(_sq_dist_from_cos(cos, "geodesic")))
 
 
 def centroid_separation(model: ClusterModel) -> np.ndarray:

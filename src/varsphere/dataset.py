@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,8 @@ def load_manifest(path: str) -> DatasetManifest:
     Keys: data (CSV path, relative to the manifest), weights (column name),
     numeric / categorical (comma-separated column lists, may repeat),
     block.<name> (column list) and block.<name>.metric (one of
-    standardized-diagonal, projector).
+    standardized-diagonal, projector).  A `#` starts a comment only at the
+    start of a line or after whitespace, so `numeric = a#1` names column a#1.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -79,7 +81,7 @@ def load_manifest(path: str) -> DatasetManifest:
     block_cols: dict[str, tuple[str, ...]] = {}
     block_metric: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -171,9 +173,9 @@ def infer_manifest(csv_path: str) -> DatasetManifest:
 def ingest(manifest: DatasetManifest) -> Dataset:
     """Read and type-check the CSV named by a manifest.
 
-    Rows with missing values are rejected with the row and column named;
-    the weight column, when present, must be positive and is normalized to
-    sum to one.
+    Rows with missing or non-finite values are rejected with the row and
+    column named; the weight column, when present, must be positive and is
+    normalized to sum to one.
     """
     header, data = _read_csv(manifest.data_path)
     positions = {name: j for j, name in enumerate(header)}
@@ -212,6 +214,10 @@ def ingest(manifest: DatasetManifest) -> Dataset:
                 raise ValidationError(
                     f"{manifest.data_path}:{i + 2}: column {name!r}: cannot parse {v!r}"
                 ) from exc
+            if not np.isfinite(out[i]):
+                raise ValidationError(
+                    f"{manifest.data_path}:{i + 2}: column {name!r}: non-finite value"
+                )
         return out
 
     if manifest.weight_column:

@@ -1,5 +1,6 @@
 """The command-line interface: outputs, determinism, and exit codes."""
 
+import argparse
 import csv
 import json
 import math
@@ -239,3 +240,37 @@ def test_missing_cell_is_reported_with_location(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "holes.csv:3" in err
     assert "'a'" in err
+
+
+def test_non_finite_cell_is_reported_with_location(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text("a,b\n1,2\n3,nan\n4,5\n")
+    code = main(["average", "--data", str(path), "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "nan.csv:3: column 'b': non-finite value" in capsys.readouterr().err
+
+
+def test_geodesic_profile_ends_at_the_reported_average(data_csv, tmp_path, monkeypatch):
+    # the profile refits only the ranks below the chosen one; its last entry
+    # is the inertia of the average written to factors_*.csv, bit for bit
+    import varsphere.clustering as clustering
+    from varsphere import RankHOperator
+    from varsphere.cli import _load_resultants
+
+    refits = []
+    fit = clustering.rank_h_average_geodesic
+    monkeypatch.setattr(clustering, "rank_h_average_geodesic",
+                        lambda rs, h, *a, **k: refits.append(h) or fit(rs, h, *a, **k))
+    out = tmp_path / "avg"
+    code = main(["average", "--data", data_csv, "--out-dir", str(out),
+                 "--distance", "geodesic", "--criterion", "fixed", "--H", "2"])
+    assert code in (0, 4)
+    assert refits == [1]
+    resultants, weights = _load_resultants(
+        argparse.Namespace(data=data_csv, manifest=None)
+    )
+    lam = np.array([float(r[1]) for r in read_rows(out / "factors_lambda.csv")[1:]])
+    u = np.array([[float(v) for v in r[1:]] for r in read_rows(out / "factors_u.csv")[1:]])
+    inertia = clustering._geodesic_inertia(resultants, RankHOperator(u, lam, weights))
+    profile = read_rows(out / "geodesic_inertia.csv")
+    assert float(profile[-1][1]) == inertia

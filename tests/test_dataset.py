@@ -246,3 +246,22 @@ def test_encode_dataset_requires_variables(tmp_path):
     ds = ingest(DatasetManifest(data_path=str(data)))
     with pytest.raises(ValidationError, match="declares no variables"):
         encode_dataset(ds)
+
+
+def test_manifest_hash_is_a_comment_only_after_whitespace(tmp_path):
+    text = (
+        "data = toy.csv\n"
+        "numeric = a#1, b  # inline comment\n"
+        "categorical = c#\t# tab-separated comment\n"
+    )
+    _, path = write_toy(tmp_path, manifest_text=text)
+    m = load_manifest(str(path))
+    assert m.numeric == ("a#1", "b")
+    assert m.categorical == ("c#",)
+
+
+def test_ingest_names_a_non_finite_weight_cell(tmp_path):
+    (tmp_path / "w.csv").write_text("x,wt\n1,1\n2,1\n3,inf\n")
+    _, path = write_toy(tmp_path, manifest_text="data = w.csv\nnumeric = x\nweights = wt\n")
+    with pytest.raises(ValidationError, match=r"w\.csv:4: column 'wt': non-finite value"):
+        ingest(load_manifest(str(path)))

@@ -16,9 +16,17 @@ from varsphere import (
     operator_norm,
     rank_h_average_euclidean,
     rank_h_average_geodesic,
+    w_spsd_eigen,
 )
+from varsphere.averaging import _line_cosines, _span_forms, _truncate, cosines
 
-from _support import random_normed_resultant, random_w_orthonormal, random_weights
+from _support import (
+    align_signs,
+    random_normed_resultant,
+    random_rank_h,
+    random_w_orthonormal,
+    random_weights,
+)
 
 
 def reference_objective(u, lam, resultants, omega):
@@ -145,6 +153,49 @@ def test_arc_line_search_matches_a_dense_grid():
         assert found >= g_of(b.operator()) - 1e-12
 
 
+def line_ends(rng, w, h):
+    """A rank-h point P and three partners S: random, nearly P, and P itself."""
+    a = random_rank_h(rng, w, h)
+    near = random_w_orthonormal(rng, w, h)
+    near = np.linalg.qr(np.sqrt(w.w)[:, None] * (a.U + 1e-9 * near))[0] / np.sqrt(w.w)[:, None]
+    return a, [random_rank_h(rng, w, h), RankHOperator(near, a.lam, w), a]
+
+
+def test_line_cosines_match_the_dense_interpolated_operator():
+    rng = np.random.default_rng(37)
+    taus = np.array([0.0, 0.3, 1.0, 2.5, 100.0])
+    for h in (1, 2, 3):
+        w = random_weights(rng, 7)
+        rs = [random_normed_resultant(rng, w, rank=int(rng.integers(1, 4))) for _ in range(5)]
+        a, partners = line_ends(rng, w, h)
+        for b in partners:
+            ends = cosines(rs, [a, b])
+            _, m_p, m_s = _span_forms(a.U, a.lam, b.U, b.lam, w)
+            fast = _line_cosines(ends[:, 0], ends[:, 1], np.sum((m_s - m_p) ** 2), taus)
+            for tau, row in zip(taus, fast):
+                x = a.operator() + tau * (b.operator() - a.operator())
+                x /= operator_norm(x, w)
+                dense = np.array([float(np.sum(r.op * x.T)) for r in rs])
+                assert np.allclose(row, dense, rtol=0.0, atol=1e-12)
+
+
+def test_truncation_matches_the_dense_eigensolver():
+    # the 2H x 2H eigenproblem in span[U_P, U_S] against w_spsd_eigen of the
+    # dense interpolated operator, also when the two spans (nearly) coincide
+    rng = np.random.default_rng(41)
+    for h in (1, 2, 3):
+        w = random_weights(rng, 8)
+        a, partners = line_ends(rng, w, h)
+        for b in partners:
+            q, m_p, m_s = _span_forms(a.U, a.lam, b.U, b.lam, w)
+            for tau in (0.0, 0.3, 0.7, 1.0):
+                u, lam = _truncate(q, m_p + tau * (m_s - m_p), a.U, w)
+                vecs, vals = w_spsd_eigen((1 - tau) * a.operator() + tau * b.operator(), w)
+                assert np.allclose(lam, vals[:h] / np.linalg.norm(vals[:h]), rtol=0.0, atol=1e-10)
+                assert np.allclose(align_signs(u, vecs[:, :h]), vecs[:, :h], atol=1e-8)
+                assert np.allclose(u.T @ (w.w[:, None] * u), np.eye(h), atol=1e-12)
+
+
 def test_geodesic_average_of_one_or_identical_inputs_is_exact():
     rng = np.random.default_rng(13)
     w = random_weights(rng, 6)
@@ -199,7 +250,7 @@ def test_iteration_cap_warns_and_reports_non_convergence():
     rng = np.random.default_rng(23)
     w = random_weights(rng, 7)
     rs = [random_normed_resultant(rng, w, rank=3) for _ in range(5)]
-    with pytest.warns(ConvergenceWarning):
+    with pytest.warns(ConvergenceWarning, match="after 1 rounds: the iteration cap"):
         avg = rank_h_average_geodesic(rs, 2, max_iter=1)
     assert not avg.converged
 
