@@ -5,6 +5,11 @@ scaling it back to the sphere gives the chord-optimal average, and keeping
 only its leading H eigendirections (with the eigenvalue vector rescaled to
 unit length) gives the best rank-H point of the sphere in the chord sense.
 
+All of it runs on the factors R_k = Z_k Z_k' W and on rank-H points (U, lam),
+never on an n x n operator: with Z = [Z_1 ... Z_K] and T = Z' W U, the loadings
+u_j' W R_k u_j are block sums of T^2, and the chord average's eigenpairs come
+from a thin SVD of W^1/2 [sqrt(omega_k) Z_k]; costs are O(n sum q H) to O(n (sum q)^2).
+
 The geodesic counterpart maximizes
     g(lam, U) = - sum_k omega_k arccos(h_k)^2,   h_k = tr(U' A_k U Lam),
 over W-orthonormal U and unit-length lam, where A_k = W R_k.  It is computed
@@ -30,7 +35,6 @@ from .geometry import (
     Weights,
     numerical_rank,
     w_orthonormal_polar,
-    w_spsd_eigen,
 )
 
 # h values this close to 1 switch the gradient factor to its analytic limit.
@@ -91,7 +95,7 @@ class RankHOperator:
     converged: bool = True
 
     def __post_init__(self):
-        self.U = np.asarray(self.U, dtype=float)
+        self.U = np.ascontiguousarray(self.U, dtype=float)
         self.lam = np.asarray(self.lam, dtype=float)
         n, h = self.U.shape if self.U.ndim == 2 else (0, 0)
         if self.U.ndim != 2 or n != self.weights.n or h < 1 or self.lam.shape != (h,):
@@ -116,7 +120,7 @@ class RankHOperator:
         return float(cosines([other], [self])[0, 0])
 
     def to_resultant(self, label: str = "") -> Resultant:
-        return Resultant(self.operator(), self.weights, normed=True, label=label)
+        return Resultant.from_factor(self.U * np.sqrt(self.lam), self.weights, True, label)
 
 
 def as_weight_system(omega, k: int) -> np.ndarray:
@@ -143,19 +147,12 @@ def _gather(resultants: list[Resultant]) -> Weights:
     return weights
 
 
-def _mean_op(resultants: list[Resultant], omega) -> tuple[np.ndarray, Weights]:
+def weighted_average(resultants: list[Resultant], omega=None) -> Resultant:
+    """Convex combination sum_k omega_k R_k, factor [sqrt(omega_k) Z_k]; inside the ball."""
     weights = _gather(resultants)
     omega = as_weight_system(omega, len(resultants))
-    op = np.zeros((weights.n, weights.n))
-    for share, r in zip(omega, resultants):
-        op += share * r.op
-    return op, weights
-
-
-def weighted_average(resultants: list[Resultant], omega=None) -> Resultant:
-    """Convex combination sum_k omega_k R_k; stays in the unit ball."""
-    op, weights = _mean_op(resultants, omega)
-    return Resultant(op, weights, normed=False, label="average")
+    z = np.hstack([np.sqrt(share) * r.factor for share, r in zip(omega, resultants)])
+    return Resultant.from_factor(z, weights, normed=False, label="average")
 
 
 def sphere_average(resultants: list[Resultant], omega=None) -> Resultant:
@@ -164,7 +161,8 @@ def sphere_average(resultants: list[Resultant], omega=None) -> Resultant:
     nrm = mean.norm()
     if nrm <= 1e-300:
         raise NumericalError("the average operator is zero and cannot be normed")
-    return Resultant(mean.op / nrm, mean.weights, normed=True, label="average")
+    return Resultant.from_factor(mean.factor / np.sqrt(nrm), mean.weights, normed=True,
+                                 label="average")
 
 
 def rank_h_average_euclidean(
@@ -174,18 +172,17 @@ def rank_h_average_euclidean(
     with the retained eigenvalues rescaled to a unit vector.
 
     `h` is either the rank itself, which must lie in [1, numerical rank of the
-    average], or a RankCriterion applied to the average's spectrum.  One
-    eigendecomposition both certifies the average as weighted-spsd and
-    supplies the eigenpairs."""
-    mean, weights = _mean_op(resultants, omega)
-    u, lam = w_spsd_eigen(mean, weights)
+    average], or a RankCriterion applied to the average's spectrum.  The
+    eigenpairs come from one thin SVD of the average's factor."""
+    mean = weighted_average(resultants, omega)
+    u, lam = mean.eigen()
     if isinstance(h, RankCriterion):
         h = choose_rank(lam, h)
     r = numerical_rank(lam, RANK_TOL)
     if not 1 <= h <= r:
         raise ValidationError(f"rank {h} is outside the numerical rank {r} of the average")
     kept = lam[:h]
-    return RankHOperator(u[:, :h], kept / np.linalg.norm(kept), weights)
+    return RankHOperator(u[:, :h], kept / np.linalg.norm(kept), mean.weights)
 
 
 def choose_rank(eigenvalues, criterion: RankCriterion) -> int:
@@ -218,12 +215,17 @@ def choose_rank(eigenvalues, criterion: RankCriterion) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _loadings(
-    resultants: list[Resultant], u: np.ndarray, weights: Weights
-) -> tuple[np.ndarray, np.ndarray]:
-    """Products R_k U (K x n x H) and loadings eta_kj = u_j' W R_k u_j (K x H)."""
-    ru = np.stack([r.op @ u for r in resultants])
-    return ru, np.sum((weights.w[:, None] * u) * ru, axis=1)
+def _stack(resultants: list[Resultant]) -> tuple[np.ndarray, np.ndarray]:
+    """The factors side by side, Z = [Z_1 ... Z_K], and the width q_k of each."""
+    return (np.hstack([r.factor for r in resultants]),
+            np.array([r.factor.shape[1] for r in resultants]))
+
+
+def _loadings(z, widths, u: np.ndarray, weights: Weights) -> tuple[np.ndarray, np.ndarray]:
+    """T = Z' W U for stacked factors, and the loadings
+    eta_kj = u_j' W R_k u_j = ||Z_k' W u_j||^2 (K x H)."""
+    t = z.T @ (weights.w[:, None] * u)
+    return t, np.add.reduceat(t * t, np.cumsum(widths) - widths, axis=0)
 
 
 def cosines(resultants: list[Resultant], centroids: list[RankHOperator]) -> np.ndarray:
@@ -231,7 +233,7 @@ def cosines(resultants: list[Resultant], centroids: list[RankHOperator]) -> np.n
     weights = centroids[0].weights
     if not all(x.weights.same_as(weights) for x in (*resultants, *centroids)):
         raise ValidationError("operands live on different weight systems")
-    _, eta = _loadings(resultants, np.hstack([c.U for c in centroids]), weights)
+    _, eta = _loadings(*_stack(resultants), np.hstack([c.U for c in centroids]), weights)
     starts = np.cumsum([0] + [c.rank for c in centroids[:-1]])
     return np.add.reduceat(eta * np.concatenate([c.lam for c in centroids]), starts, axis=1)
 
@@ -268,16 +270,19 @@ def geodesic_gradients(
     Returns (gamma, Gamma) with
         gamma = sum_k omega_k [2 arccos(h_k)/sqrt(1-h_k^2)] eta_k,
         Gamma = sum_k omega_k [2 arccos(h_k)/sqrt(1-h_k^2)] 2 W R_k U Lam,
-    the partial derivatives with respect to lam and U respectively.
+    the partial derivatives with respect to lam and U respectively.  Gamma is
+    one product 2 W Z (f o T) Lam, f repeating each coefficient over its block.
     """
     weights = _gather(resultants)
     omega = as_weight_system(omega, len(resultants))
     u = np.asarray(u, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    ru, eta = _loadings(resultants, u, weights)
+    z, widths = _stack(resultants)
+    t, eta = _loadings(z, widths, u, weights)
     factors = np.array([o * _grad_factor(c) for o, c in zip(omega, eta @ lam)])
     gamma = factors @ eta
-    gamma_u = 2.0 * weights.w[:, None] * np.tensordot(factors, ru, axes=1) * lam[None, :]
+    f_col = np.repeat(factors, widths)
+    gamma_u = 2.0 * weights.w[:, None] * (z @ (f_col[:, None] * t)) * lam[None, :]
     return gamma, gamma_u
 
 
@@ -386,27 +391,16 @@ def _align_columns(v: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return out
 
 
-def _residual(
-    u: np.ndarray, lam: np.ndarray, resultants, omega_v: np.ndarray, weights: Weights
-) -> float:
-    gamma, gamma_u = geodesic_gradients(u, lam, resultants, omega_v)
-    gamma = np.clip(gamma, 0.0, None)
-    nrm = float(np.linalg.norm(gamma))
-    if nrm <= 1e-300:
-        raise NumericalError("gradient vanished: residual is undefined at a critical point")
-    r_lam = float(np.linalg.norm(lam - gamma / nrm))
-    v = _align_columns(w_orthonormal_polar(gamma_u, weights), u)
-    r_u = float(np.linalg.norm(u - v))
-    return max(r_lam, r_u)
+def _residual(u: np.ndarray, lam: np.ndarray, step: tuple[np.ndarray, np.ndarray]) -> float:
+    """Distance from (U, lam) to its fixed-point step, columns aligned in sign."""
+    u_s, lam_s = step
+    return max(float(np.linalg.norm(lam - lam_s)),
+               float(np.linalg.norm(u - _align_columns(u_s, u))))
 
 
-def fixed_point_residual(
-    avg: RankHOperator, resultants: list[Resultant], omega=None
-) -> float:
+def fixed_point_residual(avg: RankHOperator, resultants: list[Resultant], omega=None) -> float:
     """How far (lam, U) sits from its own fixed-point update (signs ignored)."""
-    weights = _gather(resultants)
-    omega_v = as_weight_system(omega, len(resultants))
-    return _residual(avg.U, avg.lam, resultants, omega_v, weights)
+    return _residual(avg.U, avg.lam, geodesic_step(avg.U, avg.lam, resultants, omega))
 
 
 def _ascend(
@@ -415,14 +409,17 @@ def _ascend(
 ) -> tuple[np.ndarray, np.ndarray, int, str | None]:
     """Safeguarded ascent from (U, lam): (U, lam, rounds, why it stopped or None)."""
 
+    z, widths = _stack(resultants)
+
     def point(u_, lam_) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        c = _loadings(resultants, u_, weights)[1] @ lam_
+        c = _loadings(z, widths, u_, weights)[1] @ lam_
         return u_, lam_, c, _objective_value(c, omega_v)
 
     u, lam, a, g_cur = point(u, lam)
+    step = None  # the fixed-point step at (U, lam), once the residual check has taken it
     for rounds in range(1, max_iter + 1):
         try:
-            u_s, lam_s = geodesic_step(u, lam, resultants, omega_v)
+            u_s, lam_s = step if step is not None else geodesic_step(u, lam, resultants, omega_v)
         except NumericalError:
             return u, lam, rounds, "the gradient vanished"
         best = point(u_s, lam_s)
@@ -434,14 +431,18 @@ def _ascend(
             if trunc is not None and (cand := point(*trunc))[3] > best[3] + 1e-13:
                 best = cand
         stuck = best[3] < g_cur - 1e-13
+        # a stuck round stays at (U, lam), where this round's step was taken
+        step = (u_s, lam_s) if stuck else None
         if not stuck:
             small = abs(best[3] - g_cur) < tol
             u, lam, a, g_cur = best
         if stuck or small:
             try:
-                res = _residual(u, lam, resultants, omega_v, weights)
+                if step is None:
+                    step = geodesic_step(u, lam, resultants, omega_v)
             except NumericalError:
                 return u, lam, rounds, "the fixed-point residual is undefined"
+            res = _residual(u, lam, step)
             if res <= 1e-6:
                 return u, lam, rounds, None
             if stuck:

@@ -43,7 +43,7 @@ from .clustering import (
 from .dataset import encode_dataset, infer_manifest, ingest, load_manifest
 from .encoding import Resultant, resultant
 from .errors import ConvergenceWarning, NumericalError, ValidationError
-from .geometry import Weights, w_spsd_eigen
+from .geometry import Weights
 from .simulation import SimConfig, run_benchmark
 
 
@@ -188,7 +188,7 @@ def _cmd_cluster(args) -> None:
 
 def _cmd_average(args) -> None:
     resultants, weights = _load_resultants(args)
-    _, spectrum = w_spsd_eigen(weighted_average(resultants).op, weights)
+    _, spectrum = weighted_average(resultants).eigen()
     criterion = _criterion(args)
     if args.distance == "geodesic":
         avg = rank_h_average_geodesic(resultants, criterion)

@@ -206,19 +206,24 @@ def ingest(manifest: DatasetManifest) -> Dataset:
 
     def numeric_column(name: str) -> np.ndarray:
         values = column(name)
-        out = np.empty(n)
-        for i, v in enumerate(values):
+        try:
+            out = np.fromiter(map(float, values), dtype=float, count=n)
+            if np.all(np.isfinite(out)):
+                return out
+        except ValueError:
+            pass
+        for i, v in enumerate(values):  # some cell is bad: name the first one
             try:
-                out[i] = float(v)
+                x = float(v)
             except ValueError as exc:
                 raise ValidationError(
                     f"{manifest.data_path}:{i + 2}: column {name!r}: cannot parse {v!r}"
                 ) from exc
-            if not np.isfinite(out[i]):
+            if not np.isfinite(x):
                 raise ValidationError(
                     f"{manifest.data_path}:{i + 2}: column {name!r}: non-finite value"
                 )
-        return out
+        raise AssertionError(f"column {name!r} failed to parse, yet every cell parses")
 
     if manifest.weight_column:
         raw_w = numeric_column(manifest.weight_column)

@@ -6,6 +6,11 @@ weighted-spsd operator on observation space; scaled to unit trace norm it
 becomes a point on the unit sphere of operator space, which is the common
 representation this package clusters and averages.
 
+A resultant is held as its n x q factor Z = X M^1/2 (over sqrt(||R||) when
+normed), R = Z Z' W, so no n x n operator is formed unless `.op` is asked
+for: [R_a|R_b] = ||Z_a' W Z_b||_F^2, ||R|| = ||Z' W Z||_F and the eigenpairs
+come from a thin SVD of W^1/2 Z, all in O(n q^2).
+
 Numeric variables, categorical variables (through the projector onto their
 centred indicator space) and whole metric-weighted blocks all reduce to this
 one representation.
@@ -19,9 +24,9 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .geometry import (
+    EIGEN_DROP_TOL,
     Weights,
-    check_w_spsd,
-    operator_norm,
+    _fix_column_signs,
     sqrt_spd,
     variance_floor,
     w_spsd_eigen,
@@ -62,8 +67,15 @@ class VariableStructure:
         return self.X.shape[1]
 
 
+def _gram_norm(z: np.ndarray, weights: Weights) -> float:
+    """Trace norm ||Z Z' W|| = ||Z' W Z||_F of the operator with factor Z."""
+    return float(np.linalg.norm(z.T @ (weights.w[:, None] * z)))
+
+
 class Resultant:
-    """An operator X M X' W, optionally scaled to unit trace norm."""
+    """An operator X M X' W, optionally scaled to unit trace norm, held as its
+    factor Z (n x q) with op = Z Z' W.  The constructor factors a dense operator
+    once through w_spsd_eigen, which certifies it as weighted-spsd."""
 
     def __init__(self, op: np.ndarray, weights: Weights, normed: bool, label: str = ""):
         op = np.asarray(op, dtype=float)
@@ -73,35 +85,55 @@ class Resultant:
             )
         if not np.all(np.isfinite(op)):
             raise ValidationError("operator contains non-finite entries")
-        check_w_spsd(op, weights)
-        if normed:
-            nrm = operator_norm(op, weights)
-            if abs(nrm - 1.0) > 1e-8:
-                raise ValidationError(f"operator flagged as normed has norm {nrm!r}")
-        self.op = op
-        self.weights = weights
-        self.normed = bool(normed)
-        self.label = label
-        self._eigen: tuple[np.ndarray, np.ndarray] | None = None
-        self._norm: float | None = 1.0 if normed else None
+        u, lam = w_spsd_eigen(op, weights)
+        nrm = float(np.linalg.norm(lam))
+        if normed and abs(nrm - 1.0) > 1e-8:
+            raise ValidationError(f"operator flagged as normed has norm {nrm!r}")
+        self._init(u * np.sqrt(lam)[None, :], weights, normed, label)
+        self._op, self._eigen = op, (u, lam)
+
+    @classmethod
+    def from_factor(cls, z, weights: Weights, normed: bool, label: str = "") -> "Resultant":
+        """The resultant Z Z' W of an n x q factor; if normed, ||Z' W Z||_F must be 1."""
+        out = cls.__new__(cls)
+        out._init(z, weights, normed, label)
+        return out
+
+    def _init(self, z: np.ndarray, weights: Weights, normed: bool, label: str) -> None:
+        self.factor, self.weights, self.normed, self.label = z, weights, bool(normed), label
+        self._op, self._eigen = None, None
+        self._norm = 1.0 if normed else None
+
+    @property
+    def op(self) -> np.ndarray:
+        """The dense n x n operator Z Z' W, built on first use."""
+        if self._op is None:
+            self._op = (self.factor @ self.factor.T) * self.weights.w[None, :]
+        return self._op
 
     def norm(self) -> float:
         if self._norm is None:
-            self._norm = operator_norm(self.op, self.weights)
+            self._norm = _gram_norm(self.factor, self.weights)
         return self._norm
 
     def eigen(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached spectral decomposition (U, lam) with op = U diag(lam) U' W."""
+        """Cached spectral decomposition (U, lam) with op = U diag(lam) U' W, as
+        w_spsd_eigen returns it, from a thin SVD W^1/2 Z = Q S V': U = W^-1/2 Q,
+        lam = S^2."""
         if self._eigen is None:
-            self._eigen = w_spsd_eigen(self.op, self.weights)
+            rw = np.sqrt(self.weights.w)[:, None]
+            q, sv, _ = np.linalg.svd(rw * self.factor, full_matrices=False)
+            lam = sv * sv
+            keep = int(np.sum(lam > EIGEN_DROP_TOL * np.max(lam, initial=0.0)))
+            self._eigen = _fix_column_signs(q[:, :keep] / rw), lam[:keep]
         return self._eigen
 
     def dot(self, other: "Resultant") -> float:
-        """Trace scalar product with another resultant on the same weights."""
+        """Trace scalar product ||Z_a' W Z_b||_F^2 with another resultant."""
         if not self.weights.same_as(other.weights):
             raise ValidationError("resultants live on different weight systems")
-        # both operators are weighted-spsd, so tr(A* B) reduces to tr(A B)
-        return float(np.sum(self.op * other.op.T))
+        cross = self.factor.T @ (self.weights.w[:, None] * other.factor)
+        return float(np.sum(cross * cross))
 
     def __repr__(self) -> str:  # pragma: no cover
         tag = "normed" if self.normed else "raw"
@@ -109,16 +141,18 @@ class Resultant:
 
 
 def resultant(structure: VariableStructure, weights: Weights, normed: bool = True) -> Resultant:
-    """Materialize R = X M X' W for a structure, normed to unit norm by default."""
+    """R = X M X' W for a structure, normed to unit norm by default.  Its factor
+    is X M^1/2; sqrt_spd certifies R as weighted-spsd by rejecting any M that
+    is not symmetric positive definite."""
     if structure.X.shape[0] != weights.n:
         raise ValidationError("structure and weights disagree on the number of observations")
-    r = (structure.X @ structure.M @ structure.X.T) * weights.w[None, :]
-    nrm = operator_norm(r, weights)
+    z = structure.X @ sqrt_spd(structure.M)
+    nrm = _gram_norm(z, weights)
     if nrm <= 1e-300:
         raise NumericalError(f"structure {structure.label!r} has a zero resultant")
     if normed:
-        r = r / nrm
-    return Resultant(r, weights, normed=normed, label=structure.label)
+        z = z / np.sqrt(nrm)
+    return Resultant.from_factor(z, weights, normed=normed, label=structure.label)
 
 
 def _center_columns(x: np.ndarray, weights: Weights) -> np.ndarray:
@@ -202,11 +236,11 @@ def encode_block(x, m, weights: Weights, label: str = "") -> VariableStructure:
     m = np.asarray(m, dtype=float)
     if m.shape != (x.shape[1], x.shape[1]):
         raise ValidationError(f"metric shape {m.shape} does not fit block with {x.shape[1]} columns")
-    sqrt_spd(m)  # validates symmetry and positive definiteness
+    root = sqrt_spd(m)  # validates symmetry and positive definiteness
     xc = _center_columns(x, weights)
     if float(np.max(np.abs(xc))) <= 0.0:
         raise ValidationError(f"block {label!r} is zero after centering")
-    nrm = operator_norm((xc @ m @ xc.T) * weights.w[None, :], weights)
+    nrm = _gram_norm(xc @ root, weights)
     if nrm <= 1e-300:
         raise NumericalError(f"block {label!r} has a zero resultant")
     return VariableStructure(
@@ -235,13 +269,9 @@ def compound_structure(
     for share, s in zip(omega, structures):
         if s.X.shape[0] != weights.n:
             raise ValidationError("all structures must share the observation weights")
-        r = (s.X @ s.M @ s.X.T) * weights.w[None, :]
-        nrm = operator_norm(r, weights)
-        if nrm <= 1e-300:
-            raise NumericalError(f"structure {s.label!r} has a zero resultant")
-        blocks.append(np.sqrt(share / nrm) * (s.X @ sqrt_spd(s.M)))
+        blocks.append(np.sqrt(share) * resultant(s, weights).factor)
     x = np.concatenate(blocks, axis=1)
-    nrm = operator_norm((x @ x.T) * weights.w[None, :], weights)
+    nrm = _gram_norm(x, weights)
     if nrm <= 1e-300:
         raise NumericalError("compound structure has a zero resultant")
     return VariableStructure(

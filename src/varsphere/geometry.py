@@ -66,7 +66,7 @@ class Weights:
         return self.w.size
 
     def same_as(self, other: "Weights") -> bool:
-        return self.n == other.n and bool(np.array_equal(self.w, other.w))
+        return self is other or (self.n == other.n and bool(np.array_equal(self.w, other.w)))
 
 
 def _check_vector(x, weights: Weights) -> np.ndarray:

@@ -1,0 +1,188 @@
+"""The factored representation R = Z Z' W against the dense n x n oracle.
+
+Every product, norm, spectrum, cosine, average and gradient is computed from
+the resultants' n x q factors; these property tests compare each one with
+the same quantity computed from the materialized operators, over random and
+uniform weights, every structure kind (compounds included), duplicate
+variables, categorical levels carried by a tiny weight, factors with more
+columns than rows, and as many centroids as resultants.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from varsphere import (
+    ClusteringConfig,
+    RankCriterion,
+    RankHOperator,
+    SimConfig,
+    Weights,
+    compound_structure,
+    encode_block,
+    encode_categorical,
+    encode_numeric,
+    geodesic_gradients,
+    kmeans,
+    numerical_rank,
+    operator_dot,
+    operator_norm,
+    rank_h_average_euclidean,
+    resultant,
+    sample_resultants,
+    simulate_sample,
+    sphere_average,
+    w_spsd_eigen,
+    weighted_average,
+)
+from varsphere.averaging import _grad_factor, cosines
+
+from _support import random_labels, random_spd, random_weights
+
+KINDS = ("numeric", "categorical", "block", "compound")
+TINY = 1e-6
+
+
+def _structure(rng, weights, kind, tiny):
+    n = weights.n
+    if kind == "numeric":
+        return encode_numeric(rng.standard_normal(n), weights, label="num")
+    if kind == "categorical":
+        m = int(rng.integers(2, min(4, n) + 1))
+        if tiny:  # a level seen only at the observation with the tiny weight
+            return encode_categorical(["rare"] + random_labels(rng, n - 1, m - 1), weights)
+        return encode_categorical(random_labels(rng, n, m), weights, label="cat")
+    if kind == "block":  # up to n + 2 columns, so q > n happens
+        q = int(rng.integers(1, n + 3))
+        return encode_block(rng.standard_normal((n, q)), random_spd(rng, q), weights)
+    members = [_structure(rng, weights, k, tiny) for k in ("numeric", "categorical", "block")]
+    omega = rng.uniform(0.1, 1.0, size=3)
+    return compound_structure(members, omega / omega.sum(), weights)
+
+
+@st.composite
+def systems(draw):
+    """(weights, structures, resultants, rng): 1 to 6 normed resultants on
+    2 to 9 observations, the first structure sometimes repeated."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 9))
+    weighting = draw(st.sampled_from(("uniform", "random", "tiny")))
+    if weighting == "tiny":
+        raw = rng.uniform(0.5, 2.0, size=n)
+        raw[0] *= TINY
+        weights = Weights.normalized(raw)
+    else:
+        weights = random_weights(rng, n, uniform=weighting == "uniform")
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=5))
+    structures = [_structure(rng, weights, k, weighting == "tiny") for k in kinds]
+    if draw(st.booleans()):
+        structures.append(structures[0])
+    return weights, structures, [resultant(s, weights) for s in structures], rng
+
+
+def _rank_h(rng, weights, h):
+    """A random rank-h point; the basis W^-1/2 Q from a QR of W^1/2 G stays
+    W-orthonormal under a tiny weight, where a polar factor of G does not."""
+    rw = np.sqrt(weights.w)[:, None]
+    q, _ = np.linalg.qr(rw * rng.standard_normal((weights.n, h)))
+    lam = np.sort(rng.uniform(0.1, 1.0, size=h))[::-1]
+    return RankHOperator(q / rw, lam / np.linalg.norm(lam), weights)
+
+
+def _close(a, b, rel=1e-9):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    scale = max(float(np.max(np.abs(b), initial=0.0)), 1.0)
+    assert a.shape == b.shape
+    assert float(np.max(np.abs(a - b), initial=0.0)) <= rel * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems())
+def test_products_norms_and_spectra_match_the_dense_oracle(system):
+    w, structures, rs, _ = system
+    for s, r in zip(structures, rs):
+        direct = (s.X @ s.M @ s.X.T) * w.w[None, :]
+        _close(r.op, direct / operator_norm(direct, w))
+        assert r.norm() == pytest.approx(operator_norm(r.op, w), abs=1e-9)
+        u, lam = r.eigen()
+        dense = w_spsd_eigen(r.op, w)[1]
+        assert lam.size == dense.size
+        _close(lam, dense)
+        assert np.all(np.diff(lam) <= 0.0)
+        _close(u.T @ (w.w[:, None] * u), np.eye(lam.size))
+        _close((u * lam[None, :]) @ u.T * w.w[None, :], r.op)
+        for other in rs:
+            assert r.dot(other) == pytest.approx(operator_dot(r.op, other.op, w), abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems())
+def test_averages_match_the_dense_mean(system):
+    w, _, rs, rng = system
+    omega = rng.uniform(0.1, 1.0, size=len(rs))
+    omega /= omega.sum()
+    dense = sum(o * r.op for o, r in zip(omega, rs))
+    mean = weighted_average(rs, omega)
+    _close(mean.op, dense)
+    assert mean.norm() == pytest.approx(operator_norm(dense, w), abs=1e-9)
+    _close(sphere_average(rs, omega).op, dense / operator_norm(dense, w))
+    du, dlam = w_spsd_eigen(dense, w)
+    _, lam = mean.eigen()
+    assert lam.size == dlam.size
+    _close(lam, dlam)
+    for h in range(1, numerical_rank(dlam) + 1):
+        avg = rank_h_average_euclidean(rs, h, omega)
+        kept = dlam[:h] / np.linalg.norm(dlam[:h])
+        _close(avg.lam, kept)
+        if h == dlam.size or dlam[h - 1] - dlam[h] > 1e-6 * dlam[0]:  # unique truncation
+            truncated = (du[:, :h] * kept[None, :]) @ du[:, :h].T * w.w[None, :]
+            _close(avg.operator(), truncated, rel=1e-7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems(), st.booleans())
+def test_cosines_match_the_dense_oracle(system, one_per_resultant):
+    w, _, rs, rng = system
+    n_random = len(rs) - 1 if one_per_resultant else int(rng.integers(1, 4))
+    cs = [_rank_h(rng, w, int(rng.integers(1, w.n + 1))) for _ in range(n_random)]
+    cs.append(rank_h_average_euclidean(rs, 1))
+    dense = np.array([[np.sum(r.op * c.operator().T) for c in cs] for r in rs])
+    _close(cosines(rs, cs), dense)
+
+
+@settings(max_examples=60, deadline=None)
+@given(systems())
+def test_gradients_match_the_dense_formula(system):
+    w, _, rs, rng = system
+    omega = rng.uniform(0.1, 1.0, size=len(rs))
+    omega /= omega.sum()
+    c = _rank_h(rng, w, int(rng.integers(1, w.n + 1)))
+    u, lam = c.U, c.lam
+    ru = [r.op @ u for r in rs]  # dense R_k U
+    eta = np.array([np.sum((w.w[:, None] * u) * x, axis=0) for x in ru])
+    f = np.array([o * _grad_factor(h) for o, h in zip(omega, eta @ lam)])
+    gamma, gamma_u = geodesic_gradients(u, lam, rs, omega)
+    _close(gamma, f @ eta, rel=1e-8)
+    dense_u = sum(fk * 2.0 * w.w[:, None] * x * lam[None, :] for fk, x in zip(f, ru))
+    _close(gamma_u, dense_u, rel=1e-8)
+
+
+def test_chord_kmeans_builds_no_n_by_n_array():
+    # one n x n float64 array at n = 5000 takes 200 MB; the whole chord fit,
+    # encoding included, must stay far below that
+    n = 5000
+    config = SimConfig(n=n, beta=np.pi / 3, sigma2=0.1, seed=0, replications=1)
+    sample = simulate_sample(config, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        rs = sample_resultants(sample)
+        model = kmeans(rs, ClusteringConfig(n_clusters=3, criterion=RankCriterion.trace_ratio(0.5),
+                                            n_starts=2, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rs) == 21 and model.centroids[0].U.shape[0] == n
+    assert peak < 40e6, f"peak traced memory {peak / 1e6:.1f} MB"
