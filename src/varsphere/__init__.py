@@ -1,16 +1,15 @@
 """Variable-structures as unit-norm operators on a weighted sphere.
 
 Numeric variables, categorical variables, and metric-weighted blocks are
-encoded as W-self-adjoint positive operators of unit norm; the package
-provides distances between them, rank-H euclidean and geodesic averages,
-K-means clustering with low-rank centroids, a simulation benchmark, and a
-CSV-driven command line.
+encoded as W-self-adjoint positive operators of unit norm, each held as its
+n x q factor; the package provides distances between them, rank-H euclidean
+and geodesic averages, K-means clustering with low-rank centroids, a
+simulation benchmark, and a CSV-driven command line.
 """
 
 from .averaging import (
     RankCriterion,
     RankHOperator,
-    arc_line_search,
     as_weight_system,
     choose_rank,
     fixed_point_residual,
@@ -47,7 +46,6 @@ from .distances import (
     clamped_cosine,
     geodesic_dist,
     phi2,
-    resultant_dot_expanded,
     rv_cos,
     tschuprow,
 )
@@ -68,20 +66,10 @@ from .errors import (
 )
 from .geometry import (
     Weights,
-    adjoint,
-    center,
-    check_w_spsd,
     inv_sqrt_spd,
     numerical_rank,
-    operator_dot,
-    operator_norm,
     sqrt_spd,
-    standardize,
-    variance,
-    w_dot,
-    w_norm,
     w_orthonormal_polar,
-    w_spsd_eigen,
 )
 from .simulation import (
     BenchmarkRow,
@@ -114,13 +102,9 @@ __all__ = [
     "VariableStructure",
     "VarsphereError",
     "Weights",
-    "adjoint",
-    "arc_line_search",
     "as_weight_system",
     "assign",
-    "center",
     "centroid_separation",
-    "check_w_spsd",
     "choose_rank",
     "chord_dist",
     "clamped_cosine",
@@ -144,14 +128,11 @@ __all__ = [
     "kmeans",
     "load_manifest",
     "numerical_rank",
-    "operator_dot",
-    "operator_norm",
     "phi2",
     "rand_discrepancy",
     "rank_h_average_euclidean",
     "rank_h_average_geodesic",
     "resultant",
-    "resultant_dot_expanded",
     "run_benchmark",
     "rv_cos",
     "sample_resultants",
@@ -159,12 +140,7 @@ __all__ = [
     "simulate_sample",
     "sphere_average",
     "sqrt_spd",
-    "standardize",
     "tschuprow",
-    "variance",
-    "w_dot",
-    "w_norm",
     "w_orthonormal_polar",
-    "w_spsd_eigen",
     "weighted_average",
 ]

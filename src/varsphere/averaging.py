@@ -112,15 +112,12 @@ class RankHOperator:
     def rank(self) -> int:
         return self.lam.size
 
-    def operator(self) -> np.ndarray:
-        return (self.U * self.lam[None, :]) @ self.U.T * self.weights.w[None, :]
-
     def dot(self, other: Resultant) -> float:
         """Trace scalar product with a unit-norm resultant."""
         return float(cosines([other], [self])[0, 0])
 
     def to_resultant(self, label: str = "") -> Resultant:
-        return Resultant.from_factor(self.U * np.sqrt(self.lam), self.weights, True, label)
+        return Resultant(self.U * np.sqrt(self.lam), self.weights, True, label)
 
 
 def as_weight_system(omega, k: int) -> np.ndarray:
@@ -152,7 +149,7 @@ def weighted_average(resultants: list[Resultant], omega=None) -> Resultant:
     weights = _gather(resultants)
     omega = as_weight_system(omega, len(resultants))
     z = np.hstack([np.sqrt(share) * r.factor for share, r in zip(omega, resultants)])
-    return Resultant.from_factor(z, weights, normed=False, label="average")
+    return Resultant(z, weights, normed=False, label="average")
 
 
 def sphere_average(resultants: list[Resultant], omega=None) -> Resultant:
@@ -161,8 +158,7 @@ def sphere_average(resultants: list[Resultant], omega=None) -> Resultant:
     nrm = mean.norm()
     if nrm <= 1e-300:
         raise NumericalError("the average operator is zero and cannot be normed")
-    return Resultant.from_factor(mean.factor / np.sqrt(nrm), mean.weights, normed=True,
-                                 label="average")
+    return Resultant(mean.factor / np.sqrt(nrm), mean.weights, normed=True, label="average")
 
 
 def rank_h_average_euclidean(
@@ -361,26 +357,6 @@ def _truncate(
         return None
     u = (q @ vecs) / np.sqrt(weights.w)[:, None]
     return _align_columns(u, u_ref), vals / np.linalg.norm(vals)
-
-
-def arc_line_search(
-    r_prev: RankHOperator, r_next: RankHOperator, resultants: list[Resultant], omega=None
-) -> tuple[float, np.ndarray]:
-    """Best point of the normed chord arc between two rank-H operators.
-
-    Returns (tau, op) where op = (R_prev + tau (R_next - R_prev)) / ||.||
-    maximizes the geodesic objective among the arc points probed; the
-    endpoints are always probed, so g(op) is never below either of them.
-    The search runs on closed-form cosines; op is built only for the caller.
-    """
-    _gather(resultants)
-    omega = as_weight_system(omega, len(resultants))
-    ends = cosines(resultants, [r_prev, r_next])
-    _, m_p, m_s = _span_forms(r_prev.U, r_prev.lam, r_next.U, r_next.lam, r_prev.weights)
-    d2 = float(np.sum((m_s - m_p) ** 2))
-    tau, _ = _line_search(ends[:, 0], ends[:, 1], d2, omega, 1.0)
-    op = (1.0 - tau) * r_prev.operator() + tau * r_next.operator()
-    return tau, op / np.sqrt(1.0 + tau * (tau - 1.0) * d2)
 
 
 def _align_columns(v: np.ndarray, ref: np.ndarray) -> np.ndarray:

@@ -81,6 +81,8 @@ def parse_angle(text: str) -> float:
         raise ValidationError(f"cannot parse angle {text!r}")
     num = float(m.group(1)) if m.group(1) else 1.0
     den = float(m.group(2)) if m.group(2) else 1.0
+    if den == 0.0:
+        raise ValidationError(f"angle {text!r} divides by zero")
     return num * math.pi / den
 
 

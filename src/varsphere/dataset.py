@@ -148,6 +148,14 @@ def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     return header, data
 
 
+def _parse_floats(values: list[str]) -> np.ndarray | None:
+    """The cells as floats in one pass, or None when some cell does not parse."""
+    try:
+        return np.fromiter(map(float, values), dtype=float, count=len(values))
+    except ValueError:
+        return None
+
+
 def infer_manifest(csv_path: str) -> DatasetManifest:
     """Type every column of a bare CSV: numeric when all cells parse as floats."""
     header, data = _read_csv(csv_path)
@@ -157,12 +165,7 @@ def infer_manifest(csv_path: str) -> DatasetManifest:
         if any(v.strip() == "" for v in values):
             lineno = 2 + next(i for i, v in enumerate(values) if v.strip() == "")
             raise ValidationError(f"{csv_path}:{lineno}: missing value in column {name!r}")
-        try:
-            for v in values:
-                float(v)
-            numeric.append(name)
-        except ValueError:
-            categorical.append(name)
+        (categorical if _parse_floats(values) is None else numeric).append(name)
     return DatasetManifest(
         data_path=os.path.abspath(csv_path),
         numeric=tuple(numeric),
@@ -206,12 +209,9 @@ def ingest(manifest: DatasetManifest) -> Dataset:
 
     def numeric_column(name: str) -> np.ndarray:
         values = column(name)
-        try:
-            out = np.fromiter(map(float, values), dtype=float, count=n)
-            if np.all(np.isfinite(out)):
-                return out
-        except ValueError:
-            pass
+        out = _parse_floats(values)
+        if out is not None and np.all(np.isfinite(out)):
+            return out
         for i, v in enumerate(values):  # some cell is bad: name the first one
             try:
                 x = float(v)

@@ -3,9 +3,9 @@
 Unit-norm resultants live on the sphere of operator space, where two natural
 metrics coexist: the chord (straight-line) distance and the geodesic
 (arc-length) distance.  Both are driven by the trace scalar product, which
-for variable encodings expands into sums of squared correlations, so the
-classical RV, phi-square and Tschuprow association measures all appear as
-cosines here.
+for variable encodings expands into sums of squared correlations between
+factor columns, ||Z_a' W Z_b||_F^2 (Resultant.dot), so the classical RV,
+phi-square and Tschuprow association measures all appear as cosines here.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .encoding import Resultant, VariableStructure, resultant
 from .errors import NumericalError, ValidationError
-from .geometry import Weights, sqrt_spd
+from .geometry import Weights
 
 COS_SLACK = 1e-8
 
@@ -84,20 +84,3 @@ def tschuprow(xs: VariableStructure, ys: VariableStructure, weights: Weights) ->
     r = len(xs.levels)
     s = len(ys.levels)
     return value / (np.sqrt(r - 1.0) * np.sqrt(s - 1.0))
-
-
-def resultant_dot_expanded(x, m, y, n, weights: Weights) -> float:
-    """[R_X,M | R_Y,N] computed from columns: sum of squared weighted products.
-
-    With X~ = X M^1/2 and Y~ = Y N^1/2 the trace product expands into
-    sum_jk <x~_j | y~_k>^2, the form used to read the scalar product as an
-    accumulation of squared correlations.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[0] != weights.n or y.shape[0] != weights.n:
-        raise ValidationError("blocks must be n x q matrices on the shared weights")
-    xt = x @ sqrt_spd(m)
-    yt = y @ sqrt_spd(n)
-    cross = xt.T @ (weights.w[:, None] * yt)
-    return float(np.sum(cross * cross))

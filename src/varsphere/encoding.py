@@ -6,10 +6,10 @@ weighted-spsd operator on observation space; scaled to unit trace norm it
 becomes a point on the unit sphere of operator space, which is the common
 representation this package clusters and averages.
 
-A resultant is held as its n x q factor Z = X M^1/2 (over sqrt(||R||) when
-normed), R = Z Z' W, so no n x n operator is formed unless `.op` is asked
-for: [R_a|R_b] = ||Z_a' W Z_b||_F^2, ||R|| = ||Z' W Z||_F and the eigenpairs
-come from a thin SVD of W^1/2 Z, all in O(n q^2).
+A resultant is held only as its n x q factor Z = X M^1/2 (over sqrt(||R||)
+when normed), R = Z Z' W, and no n x n operator is ever formed:
+[R_a|R_b] = ||Z_a' W Z_b||_F^2, ||R|| = ||Z' W Z||_F and the eigenpairs come
+from a thin SVD of W^1/2 Z, all in O(n q^2).
 
 Numeric variables, categorical variables (through the projector onto their
 centred indicator space) and whole metric-weighted blocks all reduce to this
@@ -23,14 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .geometry import (
-    EIGEN_DROP_TOL,
-    Weights,
-    _fix_column_signs,
-    sqrt_spd,
-    variance_floor,
-    w_spsd_eigen,
-)
+from .geometry import EIGEN_DROP_TOL, ZERO_VARIANCE_REL, Weights, _fix_column_signs, sqrt_spd
 
 KINDS = ("numeric", "categorical", "block")
 
@@ -74,42 +67,23 @@ def _gram_norm(z: np.ndarray, weights: Weights) -> float:
 
 class Resultant:
     """An operator X M X' W, optionally scaled to unit trace norm, held as its
-    factor Z (n x q) with op = Z Z' W.  The constructor factors a dense operator
-    once through w_spsd_eigen, which certifies it as weighted-spsd."""
+    factor Z (n x q) with op = Z Z' W.  Any factor gives a weighted-spsd
+    operator, so the constructor only checks the shape, the entries and, for
+    a normed resultant, ||Z' W Z||_F = 1."""
 
-    def __init__(self, op: np.ndarray, weights: Weights, normed: bool, label: str = ""):
-        op = np.asarray(op, dtype=float)
-        if op.shape != (weights.n, weights.n):
+    def __init__(self, factor, weights: Weights, normed: bool, label: str = ""):
+        z = np.asarray(factor, dtype=float)
+        if z.ndim != 2 or z.shape[0] != weights.n:
             raise ValidationError(
-                f"operator shape {op.shape} does not match {weights.n} observations"
+                f"factor shape {z.shape} does not match {weights.n} observations"
             )
-        if not np.all(np.isfinite(op)):
-            raise ValidationError("operator contains non-finite entries")
-        u, lam = w_spsd_eigen(op, weights)
-        nrm = float(np.linalg.norm(lam))
-        if normed and abs(nrm - 1.0) > 1e-8:
-            raise ValidationError(f"operator flagged as normed has norm {nrm!r}")
-        self._init(u * np.sqrt(lam)[None, :], weights, normed, label)
-        self._op, self._eigen = op, (u, lam)
-
-    @classmethod
-    def from_factor(cls, z, weights: Weights, normed: bool, label: str = "") -> "Resultant":
-        """The resultant Z Z' W of an n x q factor; if normed, ||Z' W Z||_F must be 1."""
-        out = cls.__new__(cls)
-        out._init(z, weights, normed, label)
-        return out
-
-    def _init(self, z: np.ndarray, weights: Weights, normed: bool, label: str) -> None:
+        if not np.isfinite(z).all():
+            raise ValidationError("factor contains non-finite entries")
+        if normed and abs((nrm := _gram_norm(z, weights)) - 1.0) > 1e-8:
+            raise ValidationError(f"resultant flagged as normed has norm {nrm!r}")
         self.factor, self.weights, self.normed, self.label = z, weights, bool(normed), label
-        self._op, self._eigen = None, None
+        self._eigen = None
         self._norm = 1.0 if normed else None
-
-    @property
-    def op(self) -> np.ndarray:
-        """The dense n x n operator Z Z' W, built on first use."""
-        if self._op is None:
-            self._op = (self.factor @ self.factor.T) * self.weights.w[None, :]
-        return self._op
 
     def norm(self) -> float:
         if self._norm is None:
@@ -117,9 +91,10 @@ class Resultant:
         return self._norm
 
     def eigen(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached spectral decomposition (U, lam) with op = U diag(lam) U' W, as
-        w_spsd_eigen returns it, from a thin SVD W^1/2 Z = Q S V': U = W^-1/2 Q,
-        lam = S^2."""
+        """Cached spectral decomposition (U, lam) with op = U diag(lam) U' W,
+        from a thin SVD W^1/2 Z = Q S V': U = W^-1/2 Q is W-orthonormal and
+        lam = S^2 descends; eigenvalues under EIGEN_DROP_TOL of the largest are
+        dropped, and each column's largest-magnitude entry is made positive."""
         if self._eigen is None:
             rw = np.sqrt(self.weights.w)[:, None]
             q, sv, _ = np.linalg.svd(rw * self.factor, full_matrices=False)
@@ -152,7 +127,7 @@ def resultant(structure: VariableStructure, weights: Weights, normed: bool = Tru
         raise NumericalError(f"structure {structure.label!r} has a zero resultant")
     if normed:
         z = z / np.sqrt(nrm)
-    return Resultant.from_factor(z, weights, normed=normed, label=structure.label)
+    return Resultant(z, weights, normed=normed, label=structure.label)
 
 
 def _center_columns(x: np.ndarray, weights: Weights) -> np.ndarray:
@@ -173,7 +148,7 @@ def encode_numeric(x, weights: Weights, label: str = "") -> VariableStructure:
         raise ValidationError(f"numeric variable {label!r} contains non-finite values")
     c = x - np.sum(weights.w * x)
     v = float(np.sum(weights.w * c * c))
-    if v <= variance_floor(x, weights):
+    if v <= ZERO_VARIANCE_REL * float(np.sum(weights.w * x * x)):
         raise ValidationError(f"numeric variable {label!r} has zero variance")
     structure = VariableStructure(
         X=c[:, None], M=np.array([[1.0 / v]]), label=label, kind="numeric", dim_weight=1.0

@@ -44,8 +44,8 @@ class SimConfig:
             raise ValidationError("need at least 5 observations for quintile cuts")
         if not 0.0 < self.beta <= np.pi / 2.0 + 1e-12:
             raise ValidationError("beta must lie in (0, pi/2]")
-        if self.sigma2 <= 0.0:
-            raise ValidationError("sigma2 must be positive")
+        if not 0.0 < self.sigma2 < np.inf:
+            raise ValidationError(f"sigma2 must be positive and finite (got {self.sigma2!r})")
         if self.replications < 1:
             raise ValidationError("need at least one replication")
         for theta in self.theta_grid:

@@ -1,18 +1,83 @@
-"""Shared helpers for the test suite: random weight systems, structures,
-and unit-norm operators on the weighted sphere."""
+"""Shared helpers for the test suite: random weight systems, structures and
+unit-norm operators on the weighted sphere, and the dense n x n oracles that
+the factored package is checked against."""
 
 import numpy as np
 
 from varsphere import (
+    NumericalError,
     RankHOperator,
     Resultant,
     Weights,
+    as_weight_system,
     encode_block,
     encode_categorical,
     encode_numeric,
-    operator_norm,
     w_orthonormal_polar,
 )
+from varsphere.averaging import _gather, _line_search, _span_forms, cosines
+from varsphere.geometry import EIGEN_DROP_TOL, _fix_column_signs
+
+
+def dense(x):
+    """The n x n operator of a Resultant (Z Z' W) or a RankHOperator (U Lam U' W)."""
+    if isinstance(x, RankHOperator):
+        return (x.U * x.lam[None, :]) @ x.U.T * x.weights.w[None, :]
+    return (x.factor @ x.factor.T) * x.weights.w[None, :]
+
+
+def operator_dot(a, b, weights):
+    """Trace scalar product [A|B] = tr(A* B), A* = W^-1 A' W, of dense operators."""
+    w = weights.w
+    # tr(W^-1 A' W B) = sum_{ab} A_ab B_ab w_a / w_b
+    return float(np.sum(a * b * (w[:, None] / w[None, :])))
+
+
+def operator_norm(a, weights):
+    return float(np.sqrt(max(operator_dot(a, a, weights), 0.0)))
+
+
+# relative asymmetry and negativity tolerated in a dense weighted-spsd operator
+SPSD_TOL = 1e-10
+
+
+def w_spsd_eigen(a, weights):
+    """Spectral decomposition A = U diag(lam) U' W of a dense weighted-spsd
+    operator, with Resultant.eigen's conventions: U' W U = I, lam descending,
+    round-off eigenvalues dropped, largest-magnitude entry of each column
+    positive.  Raises NumericalError when A is not weighted-spsd within SPSD_TOL."""
+    rw = np.sqrt(weights.w)
+    s = np.asarray(a, dtype=float) * (rw[:, None] / rw[None, :])  # W^1/2 A W^-1/2
+    if np.linalg.norm(s - s.T) > SPSD_TOL * np.linalg.norm(s):
+        raise NumericalError("operator is not self-adjoint")
+    vals, vecs = np.linalg.eigh(0.5 * (s + s.T))
+    vals, vecs = vals[::-1].copy(), vecs[:, ::-1]
+    top = max(float(vals[0]), 0.0)
+    if top == 0.0:
+        return np.empty((weights.n, 0)), np.empty(0)
+    if float(vals[-1]) < -SPSD_TOL * top:
+        raise NumericalError("operator has a negative eigenvalue")
+    np.clip(vals, 0.0, None, out=vals)
+    keep = int(np.sum(vals > EIGEN_DROP_TOL * top))
+    return _fix_column_signs(vecs[:, :keep] / rw[:, None]), vals[:keep]
+
+
+def arc_line_search(r_prev, r_next, resultants, omega=None):
+    """Best point of the normed chord arc between two rank-H operators.
+
+    Returns (tau, op) where op = (R_prev + tau (R_next - R_prev)) / ||.||
+    maximizes the geodesic objective among the arc points probed; the
+    endpoints are always probed, so g(op) is never below either of them.
+    The search runs on closed-form cosines; op is built only for the caller.
+    """
+    _gather(resultants)
+    omega = as_weight_system(omega, len(resultants))
+    ends = cosines(resultants, [r_prev, r_next])
+    _, m_p, m_s = _span_forms(r_prev.U, r_prev.lam, r_next.U, r_next.lam, r_prev.weights)
+    d2 = float(np.sum((m_s - m_p) ** 2))
+    tau, _ = _line_search(ends[:, 0], ends[:, 1], d2, omega, 1.0)
+    op = (1.0 - tau) * dense(r_prev) + tau * dense(r_next)
+    return tau, op / np.sqrt(1.0 + tau * (tau - 1.0) * d2)
 
 
 def random_weights(rng, n, uniform=False):
@@ -52,8 +117,8 @@ def random_normed_resultant(rng, weights, rank=None):
     n = weights.n
     q = int(rank) if rank is not None else int(rng.integers(1, n))
     x = rng.standard_normal((n, q))
-    op = (x @ x.T) * weights.w[None, :]
-    return Resultant(op / operator_norm(op, weights), weights, normed=True)
+    return Resultant(x / np.sqrt(np.linalg.norm(x.T @ (weights.w[:, None] * x))), weights,
+                     normed=True)
 
 
 def random_w_orthonormal(rng, weights, h):

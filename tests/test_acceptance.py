@@ -22,7 +22,6 @@ from varsphere import (
     Resultant,
     SimConfig,
     Weights,
-    arc_line_search,
     assign,
     centroid_separation,
     encode_categorical,
@@ -35,24 +34,26 @@ from varsphere import (
     ingest,
     encode_dataset,
     kmeans,
-    operator_norm,
     phi2,
     rank_h_average_euclidean,
     rank_h_average_geodesic,
     resultant,
     run_benchmark,
     w_orthonormal_polar,
-    w_spsd_eigen,
     weighted_average,
 )
 from varsphere.cli import main as cli_main
 
 from _support import (
+    arc_line_search,
+    dense,
+    operator_norm,
     random_labels,
     random_normed_resultant,
     random_w_orthonormal,
     random_weights,
     record_criterion,
+    w_spsd_eigen,
 )
 
 WINE_CSV = os.path.join(os.path.dirname(__file__), "..", "data", "wine.csv")
@@ -105,8 +106,9 @@ def test_criterion_2_huygens_identity():
         def sq(op1, op2):
             return operator_norm(op1 - op2, w) ** 2
 
-        lhs = sum(o * sq(r.op, a.op) for o, r in zip(omega, rs))
-        rhs = sum(o * sq(r.op, mean.op) for o, r in zip(omega, rs)) + sq(mean.op, a.op)
+        lhs = sum(o * sq(dense(r), dense(a)) for o, r in zip(omega, rs))
+        rhs = (sum(o * sq(dense(r), dense(mean)) for o, r in zip(omega, rs))
+               + sq(dense(mean), dense(a)))
         worst = max(worst, abs(lhs - rhs))
     _check(2, worst <= 1e-10,
            f"chord-inertia split on 100 systems (n=6, K=5), max |diff| = {worst:.2e}")
@@ -126,7 +128,7 @@ def test_criterion_3_euclidean_rank_one_optimality():
         # candidate objective 2 - 2 [mean | C] decreases in the mean pairing,
         # so optimality is: the computed average pairs at least as high as
         # every random rank-one unit candidate
-        a = w.w[:, None] * mean.op  # symmetric W-mean matrix
+        a = w.w[:, None] * dense(mean)  # symmetric W-mean matrix
         v = rng.standard_normal((100_000, n))
         v /= np.sqrt(np.sum(v * v * w.w[None, :], axis=1))[:, None]
         cand = np.einsum("ki,ij,kj->k", v, a, v)
@@ -144,7 +146,7 @@ def _reference_objective(u, lam, resultants, omega):
     total = 0.0
     for o, r in zip(omega, resultants):
         op = (u * lam[None, :]) @ u.T * r.weights.w[None, :]
-        h = min(max(float(np.sum(r.op * op.T)), -1.0), 1.0)
+        h = min(max(float(np.sum(dense(r) * op.T)), -1.0), 1.0)
         total -= o * math.acos(h) ** 2
     return total
 
@@ -164,7 +166,7 @@ def test_criterion_4_geodesic_gradients_match_finite_differences():
         lam = np.sort(np.abs(rng.standard_normal(h)) + 0.1)[::-1]
         lam /= np.linalg.norm(lam)
         op = (u * lam[None, :]) @ u.T * w.w[None, :]
-        if max(float(np.sum(r.op * op.T)) for r in rs) > 0.99:
+        if max(float(np.sum(dense(r) * op.T)) for r in rs) > 0.99:
             continue  # stay away from the arccos singularity
         gamma, gamma_u = geodesic_gradients(u, lam, rs, omega)
         step = 1e-6
@@ -346,7 +348,7 @@ def test_criterion_8_invariance_suites():
         b = float(rng.normal(0.0, 5.0))
         r1 = resultant(encode_numeric(x, w), w)
         r2 = resultant(encode_numeric(a * x + b, w), w)
-        if not np.allclose(r1.op, r2.op, atol=1e-9):
+        if not np.allclose(dense(r1), dense(r2), atol=1e-9):
             failures.append("sign/scale")
             break
 
@@ -357,7 +359,7 @@ def test_criterion_8_invariance_suites():
         m = int(rng.integers(2, 6))
         labels = random_labels(rng, n, m)
         ops = [
-            resultant(encode_categorical(labels, w, drop_level=d), w).op
+            dense(resultant(encode_categorical(labels, w, drop_level=d), w))
             for d in range(m)
         ]
         if not all(np.allclose(op, ops[0], atol=1e-8) for op in ops[1:]):

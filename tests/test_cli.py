@@ -47,6 +47,9 @@ def test_parse_angle_forms():
         parse_angle("tau")
     with pytest.raises(ValidationError):
         parse_angle("pi/")
+    for text in ("pi/0", "2pi/0.0"):
+        with pytest.raises(ValidationError, match=text):
+            parse_angle(text)
 
 
 def test_cluster_writes_all_outputs(data_csv, tmp_path):
@@ -208,6 +211,11 @@ def test_exit_codes_for_bad_input(data_csv, tmp_path):
     # beta outside (0, pi/2]
     assert main(["simulate", "--out-dir", out, "--beta", "0",
                  "--n", "30", "--sigma2", "0.1", "--reps", "1"]) == 2
+    # an angle over zero, and a non-finite noise variance
+    assert main(["simulate", "--out-dir", out, "--beta", "pi/0",
+                 "--n", "30", "--sigma2", "0.1", "--reps", "1"]) == 2
+    assert main(["simulate", "--out-dir", out, "--beta", "pi/4",
+                 "--n", "30", "--sigma2", "nan", "--reps", "1"]) == 2
     # argparse errors also surface as exit code 2
     assert main(["cluster", "--data", data_csv, "--out-dir", out]) == 2
     assert main([]) == 2

@@ -14,6 +14,8 @@ from varsphere import (
 )
 from varsphere.dataset import BlockSpec, DatasetManifest
 
+from _support import dense
+
 
 TOY_CSV = """id,height,width,color,grade,wt
 a,1.2,3.5,red,good,1
@@ -210,7 +212,7 @@ def test_block_metrics_standardized_and_projector(tmp_path):
     block = encode_dataset(ds)[-1]
     raw = resultant(block, ds.weights, normed=False)
     # projector metric makes the resultant idempotent with norm sqrt(q)
-    assert np.allclose(raw.op @ raw.op, raw.op, atol=1e-8)
+    assert np.allclose(dense(raw) @ dense(raw), dense(raw), atol=1e-8)
     assert raw.norm() == pytest.approx(np.sqrt(2.0), abs=1e-8)
     # standardized-diagonal equals the sum of the members' unit projectors
     text2 = text.replace("block.b.metric = projector\n", "")
@@ -222,7 +224,7 @@ def test_block_metrics_standardized_and_projector(tmp_path):
         resultant(encode_numeric(ds2.numeric[c], ds2.weights), ds2.weights, normed=False)
         for c in ("height", "width")
     ]
-    assert np.allclose(raw2.op, parts[0].op + parts[1].op, atol=1e-10)
+    assert np.allclose(dense(raw2), dense(parts[0]) + dense(parts[1]), atol=1e-10)
 
 
 def test_block_with_categorical_member_uses_indicators(tmp_path):

@@ -1,4 +1,4 @@
-"""Chord and geodesic distances, association measures, and the expanded dot."""
+"""Chord and geodesic distances and association measures."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,10 @@ from varsphere import (
     ValidationError,
     chord_dist,
     clamped_cosine,
-    encode_block,
     encode_categorical,
     geodesic_dist,
     phi2,
     resultant,
-    resultant_dot_expanded,
     rv_cos,
     tschuprow,
 )
@@ -21,7 +19,6 @@ from varsphere import (
 from _support import (
     random_labels,
     random_normed_resultant,
-    random_spd,
     random_structure,
     random_weights,
 )
@@ -141,23 +138,3 @@ def test_tschuprow_is_the_projector_cosine():
         assert -1e-12 <= t <= 1.0 + 1e-9
         cos = resultant(sx, w).dot(resultant(sy, w))
         assert t == pytest.approx(cos, abs=1e-10)
-
-
-def test_expanded_dot_equals_the_operator_trace_product():
-    rng = np.random.default_rng(23)
-    for _ in range(30):
-        n = int(rng.integers(6, 12))
-        w = random_weights(rng, n)
-        qx, qy = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        x = rng.standard_normal((n, qx))
-        y = rng.standard_normal((n, qy))
-        mx, my = random_spd(rng, qx), random_spd(rng, qy)
-        rx = resultant(encode_block(x, mx, w), w, normed=False)
-        ry = resultant(encode_block(y, my, w), w, normed=False)
-        # the expansion works on the centred blocks the encodings hold
-        sx = encode_block(x, mx, w)
-        sy = encode_block(y, my, w)
-        expanded = resultant_dot_expanded(sx.X, sx.M, sy.X, sy.M, w)
-        assert expanded == pytest.approx(rx.dot(ry), abs=1e-9)
-    with pytest.raises(ValidationError):
-        resultant_dot_expanded(x, mx, y[: n - 1], my, w)

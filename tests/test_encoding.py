@@ -11,13 +11,19 @@ from varsphere import (
     encode_block,
     encode_categorical,
     encode_numeric,
-    operator_dot,
-    operator_norm,
     resultant,
     sphere_average,
 )
 
-from _support import random_labels, random_spd, random_structure, random_weights
+from _support import (
+    dense,
+    operator_dot,
+    operator_norm,
+    random_labels,
+    random_spd,
+    random_structure,
+    random_weights,
+)
 
 
 def test_numeric_resultant_is_a_unit_rank_one_projector():
@@ -33,9 +39,9 @@ def test_numeric_resultant_is_a_unit_rank_one_projector():
         # R equals the outer product of the standardized variable
         c = x - np.sum(w.w * x)
         z = c / np.sqrt(np.sum(w.w * c * c))
-        assert np.allclose(r.op, np.outer(z, z) * w.w[None, :], atol=1e-10)
+        assert np.allclose(dense(r), np.outer(z, z) * w.w[None, :], atol=1e-10)
         # projector: R^2 = R
-        assert np.allclose(r.op @ r.op, r.op, atol=1e-10)
+        assert np.allclose(dense(r) @ dense(r), dense(r), atol=1e-10)
 
 
 def test_numeric_affine_invariance():
@@ -45,7 +51,7 @@ def test_numeric_affine_invariance():
     base = resultant(encode_numeric(x, w), w)
     for a, b in [(2.5, 0.0), (-1.0, 3.0), (0.01, -7.0), (-300.0, 0.5)]:
         other = resultant(encode_numeric(a * x + b, w), w)
-        assert np.allclose(other.op, base.op, atol=1e-9)
+        assert np.allclose(dense(other), dense(base), atol=1e-9)
 
 
 def test_numeric_rejects_bad_input():
@@ -69,13 +75,13 @@ def test_categorical_projector_properties():
         assert s.levels == tuple(dict.fromkeys(labels))
         raw = resultant(s, w, normed=False)
         # projector: idempotent with norm sqrt(m - 1)
-        assert np.allclose(raw.op @ raw.op, raw.op, atol=1e-8)
+        assert np.allclose(dense(raw) @ dense(raw), dense(raw), atol=1e-8)
         assert raw.norm() == pytest.approx(np.sqrt(m - 1.0), abs=1e-8)
         # it fixes every centred indicator column
         for level in s.levels:
             ind = np.array([1.0 if v == level else 0.0 for v in labels])
             ind -= np.sum(w.w * ind)
-            assert np.allclose(raw.op @ ind, ind, atol=1e-8)
+            assert np.allclose(dense(raw) @ ind, ind, atol=1e-8)
         assert resultant(s, w).norm() == pytest.approx(1.0)
 
 
@@ -84,7 +90,7 @@ def test_categorical_drop_level_invariance():
     w = random_weights(rng, 12)
     labels = random_labels(rng, 12, 4)
     ops = [
-        resultant(encode_categorical(labels, w, drop_level=d), w).op
+        dense(resultant(encode_categorical(labels, w, drop_level=d), w))
         for d in range(4)
     ]
     for op in ops[1:]:
@@ -108,7 +114,7 @@ def test_block_with_unit_column_matches_numeric():
     v = float(np.sum(w.w * (x - np.sum(w.w * x)) ** 2))
     rb = resultant(encode_block(x[:, None], np.array([[1.0 / v]]), w), w)
     rn = resultant(encode_numeric(x, w), w)
-    assert np.allclose(rb.op, rn.op, atol=1e-10)
+    assert np.allclose(dense(rb), dense(rn), atol=1e-10)
 
 
 def test_block_metric_change_of_basis_invariance():
@@ -125,7 +131,7 @@ def test_block_metric_change_of_basis_invariance():
         m2 = 0.5 * (m2 + m2.T)
         r1 = resultant(encode_block(x, m, w), w)
         r2 = resultant(encode_block(x @ a, m2, w), w)
-        assert np.allclose(r1.op, r2.op, atol=1e-8)
+        assert np.allclose(dense(r1), dense(r2), atol=1e-8)
 
 
 def test_block_centers_its_columns():
@@ -155,7 +161,7 @@ def test_compound_is_the_weighted_average_of_member_spheres():
         omega /= omega.sum()
         comp = resultant(compound_structure(members, omega, w, label="bundle"), w)
         mean = sphere_average([resultant(s, w) for s in members], omega)
-        assert np.allclose(comp.op, mean.op, atol=1e-9)
+        assert np.allclose(dense(comp), dense(mean), atol=1e-9)
         assert comp.norm() == pytest.approx(1.0)
 
 
@@ -179,13 +185,17 @@ def test_resultant_validation_and_dot():
     raw = resultant(s, w, normed=False)
     assert r.dot(r) == pytest.approx(1.0)
     assert r.dot(raw) == pytest.approx(raw.norm(), abs=1e-9)
-    assert operator_dot(r.op, raw.op, w) == pytest.approx(r.dot(raw), abs=1e-10)
+    assert operator_dot(dense(r), dense(raw), w) == pytest.approx(r.dot(raw), abs=1e-10)
     w2 = random_weights(rng, 9)
     other = resultant(random_structure(rng, w2, "numeric"), w2)
     with pytest.raises(ValidationError):
         r.dot(other)
     with pytest.raises(ValidationError):
-        Resultant(raw.op, w, normed=True)  # norm is sqrt(m - 1), not 1
+        Resultant(raw.factor, w, normed=True)  # norm is sqrt(m - 1), not 1
     with pytest.raises(ValidationError):
         Resultant(np.ones((3, 3)), w, normed=False)  # wrong shape
-    assert raw.norm() == pytest.approx(operator_norm(raw.op, w))
+    with pytest.raises(ValidationError):
+        Resultant(np.ones(9), w, normed=False)  # not 2-d
+    with pytest.raises(ValidationError):
+        Resultant(np.full((9, 2), np.nan), w, normed=False)
+    assert raw.norm() == pytest.approx(operator_norm(dense(raw), w))

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import varsphere
 from varsphere import (
     ClusteringConfig,
+    ConvergenceWarning,
     RankCriterion,
     RankHOperator,
     SimConfig,
@@ -28,19 +30,25 @@ from varsphere import (
     geodesic_gradients,
     kmeans,
     numerical_rank,
-    operator_dot,
-    operator_norm,
     rank_h_average_euclidean,
+    rank_h_average_geodesic,
     resultant,
     sample_resultants,
     simulate_sample,
     sphere_average,
-    w_spsd_eigen,
     weighted_average,
 )
 from varsphere.averaging import _grad_factor, cosines
 
-from _support import random_labels, random_spd, random_weights
+from _support import (
+    dense,
+    operator_dot,
+    operator_norm,
+    random_labels,
+    random_spd,
+    random_weights,
+    w_spsd_eigen,
+)
 
 KINDS = ("numeric", "categorical", "block", "compound")
 TINY = 1e-6
@@ -105,17 +113,18 @@ def test_products_norms_and_spectra_match_the_dense_oracle(system):
     w, structures, rs, _ = system
     for s, r in zip(structures, rs):
         direct = (s.X @ s.M @ s.X.T) * w.w[None, :]
-        _close(r.op, direct / operator_norm(direct, w))
-        assert r.norm() == pytest.approx(operator_norm(r.op, w), abs=1e-9)
+        _close(dense(r), direct / operator_norm(direct, w))
+        assert r.norm() == pytest.approx(operator_norm(dense(r), w), abs=1e-9)
         u, lam = r.eigen()
-        dense = w_spsd_eigen(r.op, w)[1]
-        assert lam.size == dense.size
-        _close(lam, dense)
+        oracle = w_spsd_eigen(dense(r), w)[1]
+        assert lam.size == oracle.size
+        _close(lam, oracle)
         assert np.all(np.diff(lam) <= 0.0)
         _close(u.T @ (w.w[:, None] * u), np.eye(lam.size))
-        _close((u * lam[None, :]) @ u.T * w.w[None, :], r.op)
+        _close((u * lam[None, :]) @ u.T * w.w[None, :], dense(r))
         for other in rs:
-            assert r.dot(other) == pytest.approx(operator_dot(r.op, other.op, w), abs=1e-9)
+            assert r.dot(other) == pytest.approx(operator_dot(dense(r), dense(other), w),
+                                                 abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,12 +133,12 @@ def test_averages_match_the_dense_mean(system):
     w, _, rs, rng = system
     omega = rng.uniform(0.1, 1.0, size=len(rs))
     omega /= omega.sum()
-    dense = sum(o * r.op for o, r in zip(omega, rs))
+    oracle = sum(o * dense(r) for o, r in zip(omega, rs))
     mean = weighted_average(rs, omega)
-    _close(mean.op, dense)
-    assert mean.norm() == pytest.approx(operator_norm(dense, w), abs=1e-9)
-    _close(sphere_average(rs, omega).op, dense / operator_norm(dense, w))
-    du, dlam = w_spsd_eigen(dense, w)
+    _close(dense(mean), oracle)
+    assert mean.norm() == pytest.approx(operator_norm(oracle, w), abs=1e-9)
+    _close(dense(sphere_average(rs, omega)), oracle / operator_norm(oracle, w))
+    du, dlam = w_spsd_eigen(oracle, w)
     _, lam = mean.eigen()
     assert lam.size == dlam.size
     _close(lam, dlam)
@@ -139,7 +148,7 @@ def test_averages_match_the_dense_mean(system):
         _close(avg.lam, kept)
         if h == dlam.size or dlam[h - 1] - dlam[h] > 1e-6 * dlam[0]:  # unique truncation
             truncated = (du[:, :h] * kept[None, :]) @ du[:, :h].T * w.w[None, :]
-            _close(avg.operator(), truncated, rel=1e-7)
+            _close(dense(avg), truncated, rel=1e-7)
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,8 +158,8 @@ def test_cosines_match_the_dense_oracle(system, one_per_resultant):
     n_random = len(rs) - 1 if one_per_resultant else int(rng.integers(1, 4))
     cs = [_rank_h(rng, w, int(rng.integers(1, w.n + 1))) for _ in range(n_random)]
     cs.append(rank_h_average_euclidean(rs, 1))
-    dense = np.array([[np.sum(r.op * c.operator().T) for c in cs] for r in rs])
-    _close(cosines(rs, cs), dense)
+    oracle = np.array([[np.sum(dense(r) * dense(c).T) for c in cs] for r in rs])
+    _close(cosines(rs, cs), oracle)
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,7 +170,7 @@ def test_gradients_match_the_dense_formula(system):
     omega /= omega.sum()
     c = _rank_h(rng, w, int(rng.integers(1, w.n + 1)))
     u, lam = c.U, c.lam
-    ru = [r.op @ u for r in rs]  # dense R_k U
+    ru = [dense(r) @ u for r in rs]  # dense R_k U
     eta = np.array([np.sum((w.w[:, None] * u) * x, axis=0) for x in ru])
     f = np.array([o * _grad_factor(h) for o, h in zip(omega, eta @ lam)])
     gamma, gamma_u = geodesic_gradients(u, lam, rs, omega)
@@ -170,19 +179,51 @@ def test_gradients_match_the_dense_formula(system):
     _close(gamma_u, dense_u, rel=1e-8)
 
 
-def test_chord_kmeans_builds_no_n_by_n_array():
-    # one n x n float64 array at n = 5000 takes 200 MB; the whole chord fit,
-    # encoding included, must stay far below that
-    n = 5000
-    config = SimConfig(n=n, beta=np.pi / 3, sigma2=0.1, seed=0, replications=1)
-    sample = simulate_sample(config, np.random.default_rng(0))
+# one n x n float64 array at n = 5000 takes 200 MB; every factored path,
+# encoding included, must stay far below that
+BIG_N = 5000
+PEAK_BYTES = 40e6
+
+
+def _big_sample():
+    config = SimConfig(n=BIG_N, beta=np.pi / 3, sigma2=0.1, seed=0, replications=1)
+    return simulate_sample(config, np.random.default_rng(0))
+
+
+def _traced(fn):
+    """(fn(), peak memory traced while it ran, in bytes)."""
     tracemalloc.start()
     try:
-        rs = sample_resultants(sample)
-        model = kmeans(rs, ClusteringConfig(n_clusters=3, criterion=RankCriterion.trace_ratio(0.5),
-                                            n_starts=2, seed=0))
-        peak = tracemalloc.get_traced_memory()[1]
+        return fn(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(rs) == 21 and model.centroids[0].U.shape[0] == n
-    assert peak < 40e6, f"peak traced memory {peak / 1e6:.1f} MB"
+
+
+def test_chord_kmeans_builds_no_n_by_n_array():
+    sample = _big_sample()
+
+    def fit():
+        rs = sample_resultants(sample)
+        return rs, kmeans(rs, ClusteringConfig(n_clusters=3, n_starts=2, seed=0,
+                                               criterion=RankCriterion.trace_ratio(0.5)))
+
+    (rs, model), peak = _traced(fit)
+    assert len(rs) == 21 and model.centroids[0].U.shape[0] == BIG_N
+    assert peak < PEAK_BYTES, f"peak traced memory {peak / 1e6:.1f} MB"
+
+
+def test_averages_build_no_n_by_n_array():
+    rs = sample_resultants(_big_sample())
+    (u, lam), peak = _traced(lambda: weighted_average(rs).eigen())
+    assert u.shape == (BIG_N, lam.size) and lam.size > 1
+    assert peak < PEAK_BYTES, f"chord spectrum: peak traced memory {peak / 1e6:.1f} MB"
+    with pytest.warns(ConvergenceWarning):
+        avg, peak = _traced(lambda: rank_h_average_geodesic(rs, 2, max_iter=5))
+    assert avg.U.shape == (BIG_N, 2) and not avg.converged
+    assert peak < PEAK_BYTES, f"geodesic average: peak traced memory {peak / 1e6:.1f} MB"
+
+
+def test_public_names_resolve_once():
+    assert len(set(varsphere.__all__)) == len(varsphere.__all__)
+    missing = [name for name in varsphere.__all__ if not hasattr(varsphere, name)]
+    assert not missing, f"__all__ names without a definition: {missing}"

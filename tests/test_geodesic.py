@@ -8,24 +8,25 @@ import pytest
 from varsphere import (
     ConvergenceWarning,
     RankHOperator,
-    arc_line_search,
     fixed_point_residual,
     geodesic_gradients,
     geodesic_objective,
     geodesic_step,
-    operator_norm,
     rank_h_average_euclidean,
     rank_h_average_geodesic,
-    w_spsd_eigen,
 )
 from varsphere.averaging import _line_cosines, _span_forms, _truncate, cosines
 
 from _support import (
     align_signs,
+    arc_line_search,
+    dense,
+    operator_norm,
     random_normed_resultant,
     random_rank_h,
     random_w_orthonormal,
     random_weights,
+    w_spsd_eigen,
 )
 
 
@@ -34,7 +35,7 @@ def reference_objective(u, lam, resultants, omega):
     total = 0.0
     for o, r in zip(omega, resultants):
         op = (u * lam[None, :]) @ u.T * r.weights.w[None, :]
-        h = float(np.sum(r.op * op.T))
+        h = float(np.sum(dense(r) * op.T))
         h = min(max(h, -1.0), 1.0)
         total -= o * np.arccos(h) ** 2
     return total
@@ -78,7 +79,7 @@ def random_instance(rng, n=5, k=3, h=2):
 
 def cosines_at(u, lam, resultants):
     op = (u * lam[None, :]) @ u.T * resultants[0].weights.w[None, :]
-    return np.array([float(np.sum(r.op * op.T)) for r in resultants])
+    return np.array([float(np.sum(dense(r) * op.T)) for r in resultants])
 
 
 def test_gradients_match_finite_differences():
@@ -140,17 +141,17 @@ def test_arc_line_search_matches_a_dense_grid():
         assert operator_norm(op, w) == pytest.approx(1.0)
 
         def g_of(opx):
-            cos = np.array([float(np.sum(r.op * opx.T)) for r in rs])
+            cos = np.array([float(np.sum(dense(r) * opx.T)) for r in rs])
             cos = np.clip(cos, -1.0, 1.0)
             return -float(np.sum(omega * np.arccos(cos) ** 2))
 
         found = g_of(op)
-        ops = {t: a.operator() + t * (b.operator() - a.operator()) for t in np.linspace(0, 1, 1001)}
+        ops = {t: dense(a) + t * (dense(b) - dense(a)) for t in np.linspace(0, 1, 1001)}
         best_grid = max(g_of(o / operator_norm(o, w)) for o in ops.values())
         assert found >= best_grid - 1e-6
         # endpoints are always candidates
-        assert found >= g_of(a.operator()) - 1e-12
-        assert found >= g_of(b.operator()) - 1e-12
+        assert found >= g_of(dense(a)) - 1e-12
+        assert found >= g_of(dense(b)) - 1e-12
 
 
 def line_ends(rng, w, h):
@@ -173,10 +174,10 @@ def test_line_cosines_match_the_dense_interpolated_operator():
             _, m_p, m_s = _span_forms(a.U, a.lam, b.U, b.lam, w)
             fast = _line_cosines(ends[:, 0], ends[:, 1], np.sum((m_s - m_p) ** 2), taus)
             for tau, row in zip(taus, fast):
-                x = a.operator() + tau * (b.operator() - a.operator())
+                x = dense(a) + tau * (dense(b) - dense(a))
                 x /= operator_norm(x, w)
-                dense = np.array([float(np.sum(r.op * x.T)) for r in rs])
-                assert np.allclose(row, dense, rtol=0.0, atol=1e-12)
+                oracle = np.array([float(np.sum(dense(r) * x.T)) for r in rs])
+                assert np.allclose(row, oracle, rtol=0.0, atol=1e-12)
 
 
 def test_truncation_matches_the_dense_eigensolver():
@@ -190,7 +191,7 @@ def test_truncation_matches_the_dense_eigensolver():
             q, m_p, m_s = _span_forms(a.U, a.lam, b.U, b.lam, w)
             for tau in (0.0, 0.3, 0.7, 1.0):
                 u, lam = _truncate(q, m_p + tau * (m_s - m_p), a.U, w)
-                vecs, vals = w_spsd_eigen((1 - tau) * a.operator() + tau * b.operator(), w)
+                vecs, vals = w_spsd_eigen((1 - tau) * dense(a) + tau * dense(b), w)
                 assert np.allclose(lam, vals[:h] / np.linalg.norm(vals[:h]), rtol=0.0, atol=1e-10)
                 assert np.allclose(align_signs(u, vecs[:, :h]), vecs[:, :h], atol=1e-8)
                 assert np.allclose(u.T @ (w.w[:, None] * u), np.eye(h), atol=1e-12)
@@ -202,10 +203,10 @@ def test_geodesic_average_of_one_or_identical_inputs_is_exact():
     r = random_normed_resultant(rng, w, rank=2)
     avg = rank_h_average_geodesic([r], 2)
     assert avg.converged
-    assert np.allclose(avg.operator(), r.op, atol=1e-8)
+    assert np.allclose(dense(avg), dense(r), atol=1e-8)
     same = rank_h_average_geodesic([r, r, r], 2)
     assert same.converged
-    assert np.allclose(same.operator(), r.op, atol=1e-8)
+    assert np.allclose(dense(same), dense(r), atol=1e-8)
     assert geodesic_objective(same, [r, r, r]) == pytest.approx(0.0, abs=1e-12)
 
 

@@ -1,4 +1,4 @@
-"""Weighted scalar products, adjoints, eigendecompositions, polar factors."""
+"""Weights, the dense trace-form oracles, eigendecompositions, polar factors."""
 
 import numpy as np
 import pytest
@@ -7,23 +7,22 @@ from varsphere import (
     NumericalError,
     ValidationError,
     Weights,
-    adjoint,
-    center,
-    check_w_spsd,
     inv_sqrt_spd,
     numerical_rank,
-    operator_dot,
-    operator_norm,
     sqrt_spd,
-    standardize,
-    variance,
-    w_dot,
-    w_norm,
     w_orthonormal_polar,
-    w_spsd_eigen,
 )
 
-from _support import align_signs, random_normed_resultant, random_w_orthonormal, random_weights
+from _support import (
+    align_signs,
+    dense,
+    operator_dot,
+    operator_norm,
+    random_normed_resultant,
+    random_w_orthonormal,
+    random_weights,
+    w_spsd_eigen,
+)
 
 
 def test_weights_validation():
@@ -43,42 +42,6 @@ def test_weights_validation():
     assert not w.same_as(Weights.uniform(3))
 
 
-def test_vector_operations_against_literals():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        n = int(rng.integers(3, 12))
-        w = random_weights(rng, n)
-        x = rng.standard_normal(n)
-        y = rng.standard_normal(n)
-        assert w_dot(x, y, w) == pytest.approx(float(np.sum(w.w * x * y)))
-        assert w_norm(x, w) == pytest.approx(np.sqrt(np.sum(w.w * x * x)))
-        c = center(x, w)
-        assert abs(np.sum(w.w * c)) < 1e-12
-        assert variance(x, w) == pytest.approx(float(np.sum(w.w * c * c)))
-        z = standardize(x, w)
-        assert abs(np.sum(w.w * z)) < 1e-12
-        assert np.sum(w.w * z * z) == pytest.approx(1.0)
-    with pytest.raises(ValidationError):
-        standardize(np.full(5, 3.0), Weights.uniform(5))
-
-
-def test_adjoint_moves_across_the_scalar_product():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        n = int(rng.integers(2, 9))
-        w = random_weights(rng, n)
-        a = rng.standard_normal((n, n))
-        x = rng.standard_normal(n)
-        y = rng.standard_normal(n)
-        lhs = w_dot(a @ x, y, w)
-        rhs = w_dot(x, adjoint(a, w) @ y, w)
-        assert lhs == pytest.approx(rhs, abs=1e-10)
-    # the adjoint is an involution
-    a = rng.standard_normal((6, 6))
-    w = random_weights(rng, 6)
-    assert np.allclose(adjoint(adjoint(a, w), w), a)
-
-
 def test_operator_dot_is_the_trace_form():
     rng = np.random.default_rng(13)
     for _ in range(50):
@@ -86,7 +49,7 @@ def test_operator_dot_is_the_trace_form():
         w = random_weights(rng, n)
         a = rng.standard_normal((n, n))
         b = rng.standard_normal((n, n))
-        literal = float(np.trace(adjoint(a, w) @ b))
+        literal = float(np.trace(np.diag(1.0 / w.w) @ a.T @ np.diag(w.w) @ b))  # tr(W^-1 A' W B)
         assert operator_dot(a, b, w) == pytest.approx(literal, abs=1e-10)
         assert operator_dot(a, b, w) == pytest.approx(operator_dot(b, a, w), abs=1e-10)
         assert operator_norm(a, w) == pytest.approx(np.sqrt(operator_dot(a, a, w)))
@@ -97,27 +60,10 @@ def test_operator_dot_of_spsd_pairs_reduces_to_plain_trace():
     for _ in range(50):
         n = int(rng.integers(3, 9))
         w = random_weights(rng, n)
-        a = random_normed_resultant(rng, w).op
-        b = random_normed_resultant(rng, w).op
+        a = dense(random_normed_resultant(rng, w))
+        b = dense(random_normed_resultant(rng, w))
         assert operator_dot(a, b, w) == pytest.approx(float(np.sum(a * b.T)), abs=1e-10)
         assert operator_dot(a, b, w) >= -1e-12  # spsd cone is self-dual
-
-
-def test_check_w_spsd_accepts_and_rejects():
-    rng = np.random.default_rng(19)
-    w = random_weights(rng, 6)
-    good = random_normed_resultant(rng, w).op
-    check_w_spsd(good, w)
-    # plain-symmetric but not W-self-adjoint under non-uniform weights
-    s = rng.standard_normal((6, 6))
-    s = s + s.T
-    with pytest.raises(NumericalError):
-        check_w_spsd(s, w)
-    # indefinite operator with a clearly negative eigenvalue
-    x = rng.standard_normal(6)
-    neg = -(np.outer(x, x) * w.w[None, :])
-    with pytest.raises(NumericalError):
-        check_w_spsd(good + 2.0 * neg, w)
 
 
 def test_eigen_reconstructs_and_is_w_orthonormal():
@@ -126,13 +72,13 @@ def test_eigen_reconstructs_and_is_w_orthonormal():
         n = int(rng.integers(3, 10))
         w = random_weights(rng, n)
         r = random_normed_resultant(rng, w)
-        u, lam = w_spsd_eigen(r.op, w)
+        u, lam = w_spsd_eigen(dense(r), w)
         assert np.all(np.diff(lam) <= 1e-12)
         assert np.all(lam >= 0.0)
         gram = u.T @ (w.w[:, None] * u)
         assert np.allclose(gram, np.eye(u.shape[1]), atol=1e-10)
         rebuilt = (u * lam[None, :]) @ u.T * w.w[None, :]
-        assert np.allclose(rebuilt, r.op, atol=1e-10)
+        assert np.allclose(rebuilt, dense(r), atol=1e-10)
         # sign convention: the largest-magnitude entry of each column is positive
         idx = np.argmax(np.abs(u), axis=0)
         assert np.all(u[idx, np.arange(u.shape[1])] > 0.0)

@@ -101,6 +101,9 @@ def test_sim_config_validation():
         SimConfig(n=30, beta=np.pi, sigma2=0.1)
     with pytest.raises(ValidationError):
         SimConfig(n=30, beta=np.pi / 2.0, sigma2=0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match=repr(bad)):
+            SimConfig(n=30, beta=np.pi / 2.0, sigma2=bad)
     with pytest.raises(ValidationError):
         SimConfig(n=30, beta=np.pi / 2.0, sigma2=0.1, replications=0)
     with pytest.raises(ValidationError):
