@@ -171,14 +171,20 @@ def rank_h_average_euclidean(
     average], or a RankCriterion applied to the average's spectrum.  The
     eigenpairs come from one thin SVD of the average's factor."""
     mean = weighted_average(resultants, omega)
-    u, lam = mean.eigen()
+    return _chord_truncation(*mean.eigen(), h, mean.weights)
+
+
+def _chord_truncation(
+    u: np.ndarray, lam: np.ndarray, h: int | RankCriterion, weights: Weights
+) -> RankHOperator:
+    """The chord-optimal rank-h point from an average's eigenpairs (U, lam)."""
     if isinstance(h, RankCriterion):
         h = choose_rank(lam, h)
     r = numerical_rank(lam, RANK_TOL)
     if not 1 <= h <= r:
         raise ValidationError(f"rank {h} is outside the numerical rank {r} of the average")
     kept = lam[:h]
-    return RankHOperator(u[:, :h], kept / np.linalg.norm(kept), mean.weights)
+    return RankHOperator(u[:, :h], kept / np.linalg.norm(kept), weights)
 
 
 def choose_rank(eigenvalues, criterion: RankCriterion) -> int:
@@ -229,7 +235,12 @@ def cosines(resultants: list[Resultant], centroids: list[RankHOperator]) -> np.n
     weights = centroids[0].weights
     if not all(x.weights.same_as(weights) for x in (*resultants, *centroids)):
         raise ValidationError("operands live on different weight systems")
-    _, eta = _loadings(*_stack(resultants), np.hstack([c.U for c in centroids]), weights)
+    return _stacked_cosines(*_stack(resultants), centroids)
+
+
+def _stacked_cosines(z, widths, centroids: list[RankHOperator]) -> np.ndarray:
+    """cosines() for factors already stacked by _stack, on the centroids' weights."""
+    _, eta = _loadings(z, widths, np.hstack([c.U for c in centroids]), centroids[0].weights)
     starts = np.cumsum([0] + [c.rank for c in centroids[:-1]])
     return np.add.reduceat(eta * np.concatenate([c.lam for c in centroids]), starts, axis=1)
 

@@ -40,7 +40,7 @@ from .clustering import (
     geodesic_inertia_profile,
     kmeans,
 )
-from .dataset import encode_dataset, infer_manifest, ingest, load_manifest
+from .dataset import _read_csv, encode_dataset, infer_manifest, ingest, load_manifest
 from .encoding import Resultant, resultant
 from .errors import ConvergenceWarning, NumericalError, ValidationError
 from .geometry import Weights
@@ -104,6 +104,33 @@ def _angle_list(text: str) -> list[float]:
     return [parse_angle(part) for part in text.split(",") if part.strip()]
 
 
+def _nonempty(parse):
+    """An argparse type: the non-empty list parse(text), else a usage error
+    (exit 2) that names the flag."""
+
+    def typed(text: str) -> list:
+        try:
+            values = parse(text)
+        except ValidationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty list {text!r}")
+        return values
+
+    return typed
+
+
+def _positive_int(text: str) -> int:
+    """An argparse type for a count of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1 (got {value})")
+    return value
+
+
 def _criterion(args) -> RankCriterion:
     if args.criterion == "trace":
         return RankCriterion.trace_ratio(args.theta)
@@ -117,13 +144,15 @@ def _criterion(args) -> RankCriterion:
 def _load_resultants(args) -> tuple[list[Resultant], Weights]:
     if args.data and args.manifest:
         raise ValidationError("pass either --data or --manifest, not both")
+    table = None  # a bare CSV is read once, for typing and for ingestion
     if args.manifest:
         manifest = load_manifest(args.manifest)
     elif args.data:
-        manifest = infer_manifest(args.data)
+        table = _read_csv(args.data)
+        manifest = infer_manifest(args.data, table=table)
     else:
         raise ValidationError("one of --data or --manifest is required")
-    ds = ingest(manifest)
+    ds = ingest(manifest, table=table)
     structures = encode_dataset(ds)
     return [resultant(s, ds.weights) for s in structures], ds.weights
 
@@ -240,13 +269,13 @@ def _cmd_average(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
-    thetas = tuple(_float_list(args.theta_grid))
+    thetas = tuple(args.theta_grid)
     grid = [
         SimConfig(n=n, beta=beta, sigma2=s2, seed=args.seed,
                   replications=args.reps, theta_grid=thetas)
-        for n in _int_list(args.n)
-        for s2 in _float_list(args.sigma2)
-        for beta in _angle_list(args.beta)
+        for n in args.n
+        for s2 in args.sigma2
+        for beta in args.beta
     ]
     rows = run_benchmark(grid, n_starts=args.starts, distance=args.distance)
     out = _out_dir(args)
@@ -262,9 +291,9 @@ def _cmd_simulate(args) -> None:
         os.path.join(out, "simulate.json"),
         {
             "command": "simulate",
-            "n": _int_list(args.n),
-            "beta": _angle_list(args.beta),
-            "sigma2": _float_list(args.sigma2),
+            "n": args.n,
+            "beta": args.beta,
+            "sigma2": args.sigma2,
             "theta_grid": list(thetas),
             "replications": args.reps,
             "seed": args.seed,
@@ -273,6 +302,23 @@ def _cmd_simulate(args) -> None:
             "cells": len(rows),
         },
     )
+
+
+def _cosine_matrix(raw) -> np.ndarray:
+    """The centroid cosines of a model file: a square list of lists over at
+    least 2 centroids, every entry a finite number in [-1, 1] up to 1e-12."""
+    if not (isinstance(raw, list) and len(raw) >= 2
+            and all(isinstance(row, list) and len(row) == len(raw) for row in raw)):
+        raise ValidationError("mds needs a square cosine matrix over at least 2 centroids")
+    for i, row in enumerate(raw):
+        for j, v in enumerate(row):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValidationError(f"centroid_cos entry ({i}, {j}) is not a number: {v!r}")
+            if not (math.isfinite(v) and abs(v) <= 1.0 + 1e-12):
+                raise ValidationError(
+                    f"centroid_cos entry ({i}, {j}) = {v!r} is not a cosine in [-1, 1]"
+                )
+    return np.array(raw, dtype=float)
 
 
 def _cmd_mds(args) -> None:
@@ -286,9 +332,7 @@ def _cmd_mds(args) -> None:
     if "centroid_cos" not in model or model.get("distance") not in DISTANCES:
         raise ValidationError("model file must carry 'centroid_cos' and a 'distance' "
                               f"among {DISTANCES}")
-    cos = np.asarray(model["centroid_cos"], dtype=float)
-    if cos.ndim != 2 or cos.shape[0] != cos.shape[1] or cos.shape[0] < 2:
-        raise ValidationError("mds needs a square cosine matrix over at least 2 centroids")
+    cos = _cosine_matrix(model["centroid_cos"])
     d = np.sqrt(_sq_dist_from_cos(cos, model["distance"]))
     np.fill_diagonal(d, 0.0)
     coords = classical_mds(d, args.dims)
@@ -347,15 +391,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate", help="run the clustering benchmark grid")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--n", default="30,40", help="comma-separated sample sizes")
-    p.add_argument("--beta", default="pi/4,pi/3,pi/2",
+    p.add_argument("--n", type=_nonempty(_int_list), default="30,40",
+                   help="comma-separated sample sizes")
+    p.add_argument("--beta", type=_nonempty(_angle_list), default="pi/4,pi/3,pi/2",
                    help="comma-separated angles (floats or pi fractions)")
-    p.add_argument("--sigma2", default="0.1,0.15", help="comma-separated noise variances")
-    p.add_argument("--theta-grid", default="0,0.25,0.5,0.75,1",
+    p.add_argument("--sigma2", type=_nonempty(_float_list), default="0.1,0.15",
+                   help="comma-separated noise variances")
+    p.add_argument("--theta-grid", type=_nonempty(_float_list), default="0,0.25,0.5,0.75,1",
                    help="comma-separated trace-ratio thresholds")
     p.add_argument("--reps", type=int, default=10, help="replications per cell")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--starts", type=int, default=10)
+    p.add_argument("--starts", type=_positive_int, default=10)
     p.add_argument("--distance", choices=("chord", "geodesic"), default="chord")
     p.set_defaults(func=_cmd_simulate)
 

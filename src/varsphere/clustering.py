@@ -6,6 +6,11 @@ per cluster by a rank criterion at every update.  Assignment sends each
 resultant to the centroid with the largest scalar product (equivalently the
 smallest distance), restarts are seeded independently, and the best start by
 within-cluster inertia wins.
+
+Every centroid lies in the span of the stacked factors, so K-means runs on a
+frame that reduces the dataset to that column space once (one QR) and fits
+each member set once, whatever the number of starts and iterations; a
+geodesic fit's ConvergenceWarning is therefore emitted once per member set.
 """
 
 from __future__ import annotations
@@ -18,12 +23,16 @@ import numpy as np
 from .averaging import (
     RankCriterion,
     RankHOperator,
+    _chord_truncation,
+    _stacked_cosines,
+    choose_rank,
     cosines,
-    rank_h_average_euclidean,
     rank_h_average_geodesic,
+    weighted_average,
 )
 from .encoding import Resultant
 from .errors import ConvergenceWarning, ValidationError
+from .geometry import Weights, _fix_column_signs
 
 DISTANCES = ("chord", "geodesic")
 
@@ -86,21 +95,94 @@ def assign(resultant: Resultant, centroids: list[RankHOperator], distance: str) 
     return int(_assign_from_cos(cosines([resultant], centroids), distance)[0])
 
 
-def _fit(members: list[Resultant], distance: str, criterion: RankCriterion) -> RankHOperator:
-    """Rank-H average of the members in the given distance."""
-    fit = rank_h_average_euclidean if distance == "chord" else rank_h_average_geodesic
-    return fit(members, criterion)
+def _fit(
+    members: list[Resultant], eigen: tuple[np.ndarray, np.ndarray], distance: str, h: int
+) -> RankHOperator:
+    """Rank-h average of the members in the given distance, from the eigenpairs
+    of their plain average (the chord answer, and the geodesic ascent's start)."""
+    if distance == "chord":
+        return _chord_truncation(*eigen, h, members[0].weights)
+    return rank_h_average_geodesic(members, h)
+
+
+class _Frame:
+    """One dataset's resultants in the column space of their stacked factors.
+
+    A thin Householder QR W^1/2 [Z_1 ... Z_K] = Q R, taken once, puts every
+    resultant and every centroid in R^r, r = min(n, sum q): resultant k
+    becomes sqrt(r) R_k on uniform weights, which keeps every scalar product,
+    and a centroid (C, lam) fitted there lifts to U = W^-1/2 Q C / sqrt(r).
+    A centroid depends only on its member set, so fits are memoised by the
+    members' indices: the mean's spectrum per set, and per (set, distance,
+    chosen rank) the centroid with its cosines to all K resultants.  Nothing
+    held after the QR has n rows except the lift basis.
+    """
+
+    def __init__(self, resultants: list[Resultant]):
+        if not resultants:
+            raise ValidationError("need at least one resultant")
+        weights = resultants[0].weights
+        for r in resultants:
+            if not r.weights.same_as(weights):
+                raise ValidationError("resultants live on different weight systems")
+            if not r.normed:
+                raise ValidationError("clustering expects unit-norm resultants")
+        root = np.sqrt(weights.w)[:, None]
+        z = np.hstack([r.factor for r in resultants])
+        z *= root
+        q, packed = np.linalg.qr(z)
+        rank = q.shape[1]
+        q /= root * np.sqrt(rank)
+        self.weights, self._lift = weights, q
+        self.z = np.sqrt(rank) * packed
+        self.widths = np.array([r.factor.shape[1] for r in resultants])
+        reduced = Weights.uniform(rank)
+        ends = np.cumsum(self.widths)
+        self.resultants = [
+            Resultant(self.z[:, e - q_k:e], reduced, True, r.label)
+            for r, e, q_k in zip(resultants, ends, self.widths)
+        ]
+        self._spectra: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        # keyed by (set, distance, criterion) and by (set, distance, rank):
+        # criteria that choose the same rank share one fit
+        self._fits: dict[tuple, tuple[RankHOperator, np.ndarray]] = {}
+
+    @property
+    def k(self) -> int:
+        return len(self.resultants)
+
+    def centroid(
+        self, members: np.ndarray, distance: str, criterion: RankCriterion
+    ) -> tuple[RankHOperator, np.ndarray]:
+        """The reduced centroid of the member indices and its K cosines."""
+        key = members.tobytes()
+        fit = self._fits.get((key, distance, criterion))
+        if fit is None:
+            chosen = [self.resultants[i] for i in members]
+            eigen = self._spectra.get(key)
+            if eigen is None:
+                eigen = self._spectra[key] = weighted_average(chosen).eigen()
+            h = choose_rank(eigen[1], criterion)
+            fit = self._fits.get((key, distance, h))
+            if fit is None:
+                c = _fit(chosen, eigen, distance, h)
+                fit = c, _stacked_cosines(self.z, self.widths, [c])[:, 0]
+            self._fits[(key, distance, criterion)] = self._fits[(key, distance, h)] = fit
+        return fit
+
+    def lift(self, c: RankHOperator) -> RankHOperator:
+        """The centroid on the n observations, columns signed as Resultant.eigen signs them."""
+        return RankHOperator(_fix_column_signs(self._lift @ c.U), c.lam, self.weights,
+                             converged=c.converged)
 
 
 def _update_centroids(
-    resultants: list[Resultant], assignment: np.ndarray, config: ClusteringConfig
-) -> tuple[list[RankHOperator], list[int]]:
-    centroids = [
-        _fit([r for r, a in zip(resultants, assignment) if a == l], config.distance,
-             config.criterion)
-        for l in range(config.n_clusters)
-    ]
-    return centroids, [c.rank for c in centroids]
+    frame: _Frame, assignment: np.ndarray, config: ClusteringConfig
+) -> tuple[list[RankHOperator], np.ndarray]:
+    """Each cluster's reduced centroid, and the K x L cosines to them."""
+    fits = [frame.centroid(np.flatnonzero(assignment == l), config.distance, config.criterion)
+            for l in range(config.n_clusters)]
+    return [c for c, _ in fits], np.column_stack([cos for _, cos in fits])
 
 
 def _within(cos: np.ndarray, assignment: np.ndarray, distance: str) -> float:
@@ -125,9 +207,9 @@ def _repair_empty(
 
 
 def _single_start(
-    resultants: list[Resultant], config: ClusteringConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, list[RankHOperator], list[int], float, bool, int, list[float]]:
-    k = len(resultants)
+    frame: _Frame, config: ClusteringConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, list[RankHOperator], float, bool, int, list[float]]:
+    k = frame.k
     perm = rng.permutation(k)
     assignment = np.empty(k, dtype=int)
     for l, chunk in enumerate(np.array_split(perm, config.n_clusters)):
@@ -136,11 +218,8 @@ def _single_start(
     trace: list[float] = []
     converged = False
     n_iter = 0
-    centroids: list[RankHOperator] = []
-    ranks: list[int] = []
     for n_iter in range(1, config.max_iter + 1):
-        centroids, ranks = _update_centroids(resultants, assignment, config)
-        cos = cosines(resultants, centroids)
+        centroids, cos = _update_centroids(frame, assignment, config)
         trace.append(_within(cos, assignment, config.distance))
         proposal = _assign_from_cos(cos, config.distance)
         proposal = _repair_empty(proposal, cos, config.n_clusters, config.distance)
@@ -154,9 +233,9 @@ def _single_start(
             break  # assignment cycle: adaptive ranks can oscillate
         seen.add(key)
     if not converged:
-        centroids, ranks = _update_centroids(resultants, assignment, config)
-    within = _within(cosines(resultants, centroids), assignment, config.distance)
-    return assignment, centroids, ranks, within, converged, n_iter, trace
+        centroids, cos = _update_centroids(frame, assignment, config)
+    within = _within(cos, assignment, config.distance)
+    return assignment, centroids, within, converged, n_iter, trace
 
 
 def kmeans(resultants: list[Resultant], config: ClusteringConfig) -> ClusterModel:
@@ -164,44 +243,56 @@ def kmeans(resultants: list[Resultant], config: ClusteringConfig) -> ClusterMode
 
     Runs `config.n_starts` restarts from random balanced partitions seeded
     off `config.seed` and keeps the start with the lowest within-cluster
-    inertia (ties go to the earliest start).
+    inertia (ties go to the earliest start).  Every centroid is fitted in the
+    column space of the resultants' factors, once per member set across all
+    starts and the global fit of `between_over_total`; only the L centroids
+    returned are lifted back to the n observations.
     """
-    if len(resultants) < config.n_clusters:
+    return _kmeans(_Frame(resultants), config)
+
+
+def _kmeans(frame: _Frame, config: ClusteringConfig) -> ClusterModel:
+    """kmeans() on a frame, whose memo may be shared by several configs."""
+    if frame.k < config.n_clusters:
         raise ValidationError(
-            f"cannot split {len(resultants)} resultants into {config.n_clusters} clusters"
+            f"cannot split {frame.k} resultants into {config.n_clusters} clusters"
         )
-    for r in resultants:
-        if not r.normed:
-            raise ValidationError("clustering expects unit-norm resultants")
     best = None
     best_start = -1
     seeds = np.random.SeedSequence(config.seed).spawn(config.n_starts)
     for s, seq in enumerate(seeds):
-        run = _single_start(resultants, config, np.random.default_rng(seq))
-        if best is None or run[3] < best[3]:
+        run = _single_start(frame, config, np.random.default_rng(seq))
+        if best is None or run[2] < best[2]:
             best = run
             best_start = s
-    assignment, centroids, ranks, within, converged, n_iter, trace = best
+    assignment, centroids, within, converged, n_iter, trace = best
     if not converged:
         warnings.warn(
             "k-means stopped on an assignment cycle or the iteration cap",
             ConvergenceWarning,
         )
-    model = ClusterModel(
+    return ClusterModel(
         assignments=assignment,
-        centroids=centroids,
-        ranks=ranks,
+        centroids=[frame.lift(c) for c in centroids],
+        ranks=[c.rank for c in centroids],
         distance=config.distance,
         within_inertia=within,
-        between_over_total=float("nan"),
+        between_over_total=_explained(frame, config.distance, config.criterion, within),
         converged=converged,
         n_iter=n_iter,
         best_start=best_start,
         objective_trace=trace,
         config=config,
     )
-    model.between_over_total = inertia_ratio(model, resultants)
-    return model
+
+
+def _explained(frame: _Frame, distance: str, criterion: RankCriterion, within: float) -> float:
+    """(total - within) / total, total measured from the global rank-H average."""
+    _, cos = frame.centroid(np.arange(frame.k), distance, criterion)
+    total = float(np.sum(_sq_dist_from_cos(cos, distance)))
+    if total <= 1e-300:
+        raise ValidationError("total inertia is zero: all resultants are identical")
+    return (total - within) / total
 
 
 def inertia_ratio(model: ClusterModel, resultants: list[Resultant]) -> float:
@@ -210,12 +301,8 @@ def inertia_ratio(model: ClusterModel, resultants: list[Resultant]) -> float:
     Total inertia is measured from the global rank-H average computed with
     the model's own distance and rank criterion.
     """
-    overall = _fit(resultants, model.distance, model.config.criterion)
-    cos = cosines(resultants, [overall])[:, 0]
-    total = float(np.sum(_sq_dist_from_cos(cos, model.distance)))
-    if total <= 1e-300:
-        raise ValidationError("total inertia is zero: all resultants are identical")
-    return (total - model.within_inertia) / total
+    return _explained(_Frame(resultants), model.distance, model.config.criterion,
+                      model.within_inertia)
 
 
 def geodesic_inertia_profile(resultants: list[Resultant], h_max: int) -> np.ndarray:

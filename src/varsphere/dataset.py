@@ -156,9 +156,12 @@ def _parse_floats(values: list[str]) -> np.ndarray | None:
         return None
 
 
-def infer_manifest(csv_path: str) -> DatasetManifest:
-    """Type every column of a bare CSV: numeric when all cells parse as floats."""
-    header, data = _read_csv(csv_path)
+def infer_manifest(csv_path: str, *, table=None) -> DatasetManifest:
+    """Type every column of a bare CSV: numeric when all cells parse as floats.
+
+    `table` is the (header, rows) of csv_path when the caller has already read
+    it with _read_csv; otherwise the file is read here."""
+    header, data = table if table is not None else _read_csv(csv_path)
     numeric, categorical = [], []
     for j, name in enumerate(header):
         values = [row[j] for row in data]
@@ -173,14 +176,15 @@ def infer_manifest(csv_path: str) -> DatasetManifest:
     )
 
 
-def ingest(manifest: DatasetManifest) -> Dataset:
+def ingest(manifest: DatasetManifest, *, table=None) -> Dataset:
     """Read and type-check the CSV named by a manifest.
 
     Rows with missing or non-finite values are rejected with the row and
     column named; the weight column, when present, must be positive and is
-    normalized to sum to one.
+    normalized to sum to one.  `table` is the file's (header, rows) when the
+    caller has already read it with _read_csv.
     """
-    header, data = _read_csv(manifest.data_path)
+    header, data = table if table is not None else _read_csv(manifest.data_path)
     positions = {name: j for j, name in enumerate(header)}
     declared = list(manifest.numeric) + list(manifest.categorical)
     if manifest.weight_column:

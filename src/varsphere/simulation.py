@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClusteringConfig, kmeans
+from .clustering import ClusteringConfig, _Frame, _kmeans
 from .averaging import RankCriterion
 from .encoding import Resultant, encode_categorical, encode_numeric, resultant
 from .errors import ValidationError, VarsphereError
@@ -199,8 +199,11 @@ def run_benchmark(
 
     Each replication draws one sample, encodes it once, and clusters it at
     every theta of the cell's grid (the rank criterion is trace_ratio(theta))
-    so scores across theta are paired.  Replication seeds derive from the
-    cell seed by counter, so results do not depend on grid order.  A
+    so scores across theta are paired; the theta runs share one column-space
+    frame, so a member set's spectrum is computed once per replication and
+    two thetas that choose the same rank share its centroid.  Replication
+    seeds derive from the cell seed by counter, so results do not depend on
+    grid order.  A
     replication that raises a VarsphereError is counted as failed, reported
     with a warning naming the reason, and excluded from the cell statistics;
     any other exception is a defect and propagates.
@@ -215,10 +218,10 @@ def run_benchmark(
             kmeans_seed = int(seq.generate_state(1)[0])
             try:
                 sample = simulate_sample(config, rng)
-                resultants = sample_resultants(sample)
+                frame = _Frame(sample_resultants(sample))
                 for theta in config.theta_grid:
-                    model = kmeans(
-                        resultants,
+                    model = _kmeans(
+                        frame,
                         ClusteringConfig(
                             n_clusters=n_clusters,
                             distance=distance,

@@ -4,6 +4,8 @@ the factored package is checked against."""
 
 import numpy as np
 
+from types import SimpleNamespace
+
 from varsphere import (
     NumericalError,
     RankHOperator,
@@ -13,9 +15,12 @@ from varsphere import (
     encode_block,
     encode_categorical,
     encode_numeric,
+    rank_h_average_euclidean,
+    rank_h_average_geodesic,
     w_orthonormal_polar,
 )
 from varsphere.averaging import _gather, _line_search, _span_forms, cosines
+from varsphere.clustering import _assign_from_cos, _repair_empty, _sq_dist_from_cos, _within
 from varsphere.geometry import EIGEN_DROP_TOL, _fix_column_signs
 
 
@@ -78,6 +83,51 @@ def arc_line_search(r_prev, r_next, resultants, omega=None):
     tau, _ = _line_search(ends[:, 0], ends[:, 1], d2, omega, 1.0)
     op = (1.0 - tau) * dense(r_prev) + tau * dense(r_next)
     return tau, op / np.sqrt(1.0 + tau * (tau - 1.0) * d2)
+
+
+def refit_kmeans(resultants, config):
+    """K-means with every centroid refitted from scratch on the n-row
+    resultants: no column-space frame and no memo.  Same starts, iteration,
+    cycle rule, tie-breaks and global fit as kmeans(); returns its fields."""
+    fit = rank_h_average_euclidean if config.distance == "chord" else rank_h_average_geodesic
+    dist, n_clusters = config.distance, config.n_clusters
+
+    def update(assignment):
+        cs = [fit([r for r, a in zip(resultants, assignment) if a == l], config.criterion)
+              for l in range(n_clusters)]
+        return cs, cosines(resultants, cs)
+
+    best = None
+    for s, seq in enumerate(np.random.SeedSequence(config.seed).spawn(config.n_starts)):
+        perm = np.random.default_rng(seq).permutation(len(resultants))
+        assignment = np.empty(len(resultants), dtype=int)
+        for l, chunk in enumerate(np.array_split(perm, n_clusters)):
+            assignment[chunk] = l
+        seen, trace, converged = {tuple(assignment)}, [], False
+        for n_iter in range(1, config.max_iter + 1):
+            cs, cos = update(assignment)
+            trace.append(_within(cos, assignment, dist))
+            proposal = _repair_empty(_assign_from_cos(cos, dist), cos, n_clusters, dist)
+            trace.append(_within(cos, proposal, dist))
+            if np.array_equal(proposal, assignment):
+                converged = True
+                break
+            assignment = proposal
+            if tuple(proposal) in seen:
+                break
+            seen.add(tuple(proposal))
+        if not converged:
+            cs, cos = update(assignment)
+        within = _within(cos, assignment, dist)
+        if best is None or within < best.within_inertia:
+            best = SimpleNamespace(assignments=assignment, centroids=cs,
+                                   ranks=[c.rank for c in cs], within_inertia=within,
+                                   converged=converged, n_iter=n_iter, best_start=s,
+                                   objective_trace=trace)
+    overall = fit(resultants, config.criterion)
+    total = float(np.sum(_sq_dist_from_cos(cosines(resultants, [overall])[:, 0], dist)))
+    best.between_over_total = (total - best.within_inertia) / total
+    return best
 
 
 def random_weights(rng, n, uniform=False):

@@ -195,7 +195,7 @@ def test_mds_places_two_centroids_symmetrically(data_csv, tmp_path):
     assert meta["n_centroids"] == 2
 
 
-def test_exit_codes_for_bad_input(data_csv, tmp_path):
+def test_exit_codes_for_bad_input(data_csv, tmp_path, capsys):
     out = str(tmp_path / "x")
     # no such file
     assert main(["cluster", "--data", str(tmp_path / "nope.csv"),
@@ -216,13 +216,24 @@ def test_exit_codes_for_bad_input(data_csv, tmp_path):
                  "--n", "30", "--sigma2", "0.1", "--reps", "1"]) == 2
     assert main(["simulate", "--out-dir", out, "--beta", "pi/4",
                  "--n", "30", "--sigma2", "nan", "--reps", "1"]) == 2
+    # no start, or an empty grid axis, is a usage error naming the flag
+    grid = {"--n": "30", "--beta": "pi/4", "--sigma2": "0.1", "--theta-grid": "0,1"}
+    for flag, value in [("--starts", "0"), ("--starts", "-3"), ("--n", ""),
+                        ("--beta", ""), ("--sigma2", " , "), ("--theta-grid", "")]:
+        argv = ["simulate", "--out-dir", out, "--reps", "1",
+                *[part for f, v in {**grid, flag: value}.items() for part in (f, v)]]
+        if flag == "--starts":
+            argv += [flag, value]
+        assert main(argv) == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "benchmark.csv").exists()
     # argparse errors also surface as exit code 2
     assert main(["cluster", "--data", data_csv, "--out-dir", out]) == 2
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
 
 
-def test_mds_input_validation(tmp_path):
+def test_mds_input_validation(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["mds", str(missing), "--out-dir", str(tmp_path)]) == 2
     bad = tmp_path / "bad.json"
@@ -238,6 +249,26 @@ def test_mds_input_validation(tmp_path):
     unknown.write_text(json.dumps({"distance": "manhattan",
                                    "centroid_cos": [[1.0, 0.5], [0.5, 1.0]]}))
     assert main(["mds", str(unknown), "--out-dir", str(tmp_path)]) == 2
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text(json.dumps({"distance": "chord", "centroid_cos": [[1.0, 0.5], [0.5]]}))
+    assert main(["mds", str(ragged), "--out-dir", str(tmp_path)]) == 2
+    # a bad entry is named by its (row, column); nothing is written
+    for entry, text in [("abc", "not a number"), (None, "not a number"),
+                        (True, "not a number"), (float("nan"), "not a cosine"),
+                        (float("inf"), "not a cosine"), (2.0, "not a cosine"),
+                        (-1.0 - 1e-9, "not a cosine")]:
+        bad_entry = tmp_path / "entry.json"
+        bad_entry.write_text(json.dumps({"distance": "geodesic",
+                                         "centroid_cos": [[1.0, 0.5], [entry, 1.0]]}))
+        assert main(["mds", str(bad_entry), "--out-dir", str(tmp_path / "m")]) == 2
+        err = capsys.readouterr().err
+        assert "centroid_cos entry (1, 0)" in err and text in err
+    assert not (tmp_path / "m").exists()
+    # round-off just past +-1 is still a cosine
+    edge = tmp_path / "edge.json"
+    edge.write_text(json.dumps({"distance": "chord",
+                                "centroid_cos": [[1.0 + 1e-13, -1.0], [-1.0, 1]]}))
+    assert main(["mds", str(edge), "--out-dir", str(tmp_path / "e")]) == 0
 
 
 def test_missing_cell_is_reported_with_location(tmp_path, capsys):
@@ -282,3 +313,21 @@ def test_geodesic_profile_ends_at_the_reported_average(data_csv, tmp_path, monke
     inertia = clustering._geodesic_inertia(resultants, RankHOperator(u, lam, weights))
     profile = read_rows(out / "geodesic_inertia.csv")
     assert float(profile[-1][1]) == inertia
+
+
+def test_bare_csv_is_read_once(data_csv, tmp_path, monkeypatch):
+    import varsphere.cli as cli
+    import varsphere.dataset as dataset
+
+    reads = []
+    read = dataset._read_csv
+    counting = lambda path: reads.append(path) or read(path)  # noqa: E731
+    monkeypatch.setattr(dataset, "_read_csv", counting)
+    monkeypatch.setattr(cli, "_read_csv", counting)
+    resultants, weights = cli._load_resultants(argparse.Namespace(data=data_csv, manifest=None))
+    assert reads == [data_csv]
+    assert len(resultants) == 6 and weights.n == 8
+    manifest = tmp_path / "vars.manifest"
+    manifest.write_text("data = vars.csv\nnumeric = v1, v2\ncategorical = color\n")
+    cli._load_resultants(argparse.Namespace(data=None, manifest=str(manifest)))
+    assert reads[1:] == [data_csv]
