@@ -140,7 +140,7 @@ def _gather(resultants: list[Resultant]) -> Weights:
         if not r.weights.same_as(weights):
             raise ValidationError("resultants live on different weight systems")
         if not r.normed:
-            raise ValidationError("averaging expects unit-norm resultants")
+            raise ValidationError("expected unit-norm resultants")
     return weights
 
 
@@ -235,12 +235,7 @@ def cosines(resultants: list[Resultant], centroids: list[RankHOperator]) -> np.n
     weights = centroids[0].weights
     if not all(x.weights.same_as(weights) for x in (*resultants, *centroids)):
         raise ValidationError("operands live on different weight systems")
-    return _stacked_cosines(*_stack(resultants), centroids)
-
-
-def _stacked_cosines(z, widths, centroids: list[RankHOperator]) -> np.ndarray:
-    """cosines() for factors already stacked by _stack, on the centroids' weights."""
-    _, eta = _loadings(z, widths, np.hstack([c.U for c in centroids]), centroids[0].weights)
+    _, eta = _loadings(*_stack(resultants), np.hstack([c.U for c in centroids]), weights)
     starts = np.cumsum([0] + [c.rank for c in centroids[:-1]])
     return np.add.reduceat(eta * np.concatenate([c.lam for c in centroids]), starts, axis=1)
 
@@ -391,11 +386,12 @@ def fixed_point_residual(avg: RankHOperator, resultants: list[Resultant], omega=
 
 
 def _ascend(
-    resultants: list[Resultant], omega_v: np.ndarray, weights: Weights,
+    resultants: list[Resultant], omega_v: np.ndarray,
     u: np.ndarray, lam: np.ndarray, max_iter: int, tol: float,
 ) -> tuple[np.ndarray, np.ndarray, int, str | None]:
     """Safeguarded ascent from (U, lam): (U, lam, rounds, why it stopped or None)."""
 
+    weights = resultants[0].weights
     z, widths = _stack(resultants)
 
     def point(u_, lam_) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -462,14 +458,23 @@ def rank_h_average_geodesic(
     weights = _gather(resultants)
     omega_v = as_weight_system(omega, len(resultants))
     start = rank_h_average_euclidean(resultants, h, omega_v)
-    u, lam, rounds, reason = _ascend(
-        resultants, omega_v, weights, start.U, start.lam, max_iter, tol
-    )
+    u, lam, converged = _geodesic_from(resultants, omega_v, start.U, start.lam, max_iter, tol)
+    return RankHOperator(u, lam, weights, converged=converged)
+
+
+def _geodesic_from(
+    resultants: list[Resultant], omega: np.ndarray, u: np.ndarray, lam: np.ndarray,
+    max_iter: int = 500, tol: float = 1e-10,
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The ascent of rank_h_average_geodesic from a given start (U, lam) on
+    validated resultants and weights: (U, lam descending, converged), with
+    the ConvergenceWarning when it stops short."""
+    u, lam, rounds, reason = _ascend(resultants, omega, u, lam, max_iter, tol)
     if reason is not None:
         warnings.warn(
             f"geodesic average did not converge after {rounds} rounds: {reason}",
             ConvergenceWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     order = np.argsort(-lam, kind="stable")
-    return RankHOperator(u[:, order], lam[order], weights, converged=reason is None)
+    return u[:, order], lam[order], reason is None

@@ -24,9 +24,11 @@ import numpy as np
 
 from .averaging import (
     RankCriterion,
+    RankHOperator,
+    _chord_truncation,
+    _geodesic_from,
+    as_weight_system,
     geodesic_objective,
-    rank_h_average_euclidean,
-    rank_h_average_geodesic,
     weighted_average,
 )
 from .clustering import (
@@ -219,13 +221,16 @@ def _cmd_cluster(args) -> None:
 
 def _cmd_average(args) -> None:
     resultants, weights = _load_resultants(args)
-    _, spectrum = weighted_average(resultants).eigen()
+    # one SVD: the scree, the chord average and the geodesic ascent's start
+    u, spectrum = weighted_average(resultants).eigen()
     criterion = _criterion(args)
+    avg = _chord_truncation(u, spectrum, criterion, weights)
     if args.distance == "geodesic":
-        avg = rank_h_average_geodesic(resultants, criterion)
+        omega = as_weight_system(None, len(resultants))
+        u, lam, converged = _geodesic_from(resultants, omega, avg.U, avg.lam)
+        avg = RankHOperator(u, lam, weights, converged=converged)
         objective = geodesic_objective(avg, resultants)
     else:
-        avg = rank_h_average_euclidean(resultants, criterion)
         objective = sum(avg.dot(r) for r in resultants) / len(resultants)
     h = avg.rank
     out = _out_dir(args)
@@ -364,7 +369,7 @@ def _add_criterion_flags(sub) -> None:
     sub.add_argument("--criterion", choices=("trace", "cattell", "fixed"), default="trace")
     sub.add_argument("--theta", type=float, default=0.5,
                      help="trace-ratio threshold for --criterion trace")
-    sub.add_argument("--H", type=int, default=None, help="rank for --criterion fixed")
+    sub.add_argument("--H", type=_positive_int, default=None, help="rank for --criterion fixed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,10 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("cluster", help="K-means over encoded variables")
     _add_input_flags(p)
     _add_criterion_flags(p)
-    p.add_argument("--L", type=int, required=True, help="number of clusters")
+    p.add_argument("--L", type=_positive_int, required=True, help="number of clusters")
     p.add_argument("--distance", choices=("chord", "geodesic"), default="chord")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--starts", type=int, default=10, help="number of random restarts")
+    p.add_argument("--starts", type=_positive_int, default=10, help="number of random restarts")
     p.set_defaults(func=_cmd_cluster)
 
     p = subs.add_parser("average", help="rank-H average of encoded variables")
@@ -399,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated noise variances")
     p.add_argument("--theta-grid", type=_nonempty(_float_list), default="0,0.25,0.5,0.75,1",
                    help="comma-separated trace-ratio thresholds")
-    p.add_argument("--reps", type=int, default=10, help="replications per cell")
+    p.add_argument("--reps", type=_positive_int, default=10, help="replications per cell")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--starts", type=_positive_int, default=10)
     p.add_argument("--distance", choices=("chord", "geodesic"), default="chord")
@@ -407,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("mds", help="classical MDS of the centroids of a fitted model")
     p.add_argument("model", help="model.json written by the cluster command")
-    p.add_argument("--dims", type=int, default=2)
+    p.add_argument("--dims", type=_positive_int, default=2)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_mds)
 

@@ -23,16 +23,16 @@ import numpy as np
 from .averaging import (
     RankCriterion,
     RankHOperator,
-    _chord_truncation,
-    _stacked_cosines,
+    _gather,
+    _geodesic_from,
+    as_weight_system,
     choose_rank,
     cosines,
     rank_h_average_geodesic,
-    weighted_average,
 )
 from .encoding import Resultant
 from .errors import ConvergenceWarning, ValidationError
-from .geometry import Weights, _fix_column_signs
+from .geometry import EIGEN_DROP_TOL, Weights, _fix_column_signs
 
 DISTANCES = ("chord", "geodesic")
 
@@ -95,94 +95,96 @@ def assign(resultant: Resultant, centroids: list[RankHOperator], distance: str) 
     return int(_assign_from_cos(cosines([resultant], centroids), distance)[0])
 
 
-def _fit(
-    members: list[Resultant], eigen: tuple[np.ndarray, np.ndarray], distance: str, h: int
-) -> RankHOperator:
-    """Rank-h average of the members in the given distance, from the eigenpairs
-    of their plain average (the chord answer, and the geodesic ascent's start)."""
-    if distance == "chord":
-        return _chord_truncation(*eigen, h, members[0].weights)
-    return rank_h_average_geodesic(members, h)
-
-
 class _Frame:
     """One dataset's resultants in the column space of their stacked factors.
 
     A thin Householder QR W^1/2 [Z_1 ... Z_K] = Q R, taken once, puts every
-    resultant and every centroid in R^r, r = min(n, sum q): resultant k
-    becomes sqrt(r) R_k on uniform weights, which keeps every scalar product,
-    and a centroid (C, lam) fitted there lifts to U = W^-1/2 Q C / sqrt(r).
-    A centroid depends only on its member set, so fits are memoised by the
-    members' indices: the mean's spectrum per set, and per (set, distance,
-    chosen rank) the centroid with its cosines to all K resultants.  Nothing
-    held after the QR has n rows except the lift basis.
+    resultant and centroid in R^r, r = min(n, sum q): resultant k becomes the
+    block z_k = sqrt(r) R_k on uniform weights, which keeps every scalar
+    product, and a centroid (C, lam) lifts to U = W^-1/2 Q C / sqrt(r).  Fits
+    are memoised as plain arrays by member indices: per set S, the spectrum
+    of the members' mean from one SVD of their columns z_S = Q_S S V',
+    lam = s^2 / (r |S|); per (S, distance, chosen rank h), the fit (C, lam_h,
+    converged, cosines to all K resultants), chord C = sqrt(r) Q_S[:, :h] and
+    lam_h = lam[:h] / ||lam[:h]||, or the geodesic ascent from there.  Chord
+    column signs stay as the SVD leaves them (the cosines ignore them) until
+    lift() signs the centroids returned.  Only the lift basis has n rows.
     """
 
     def __init__(self, resultants: list[Resultant]):
-        if not resultants:
-            raise ValidationError("need at least one resultant")
-        weights = resultants[0].weights
-        for r in resultants:
-            if not r.weights.same_as(weights):
-                raise ValidationError("resultants live on different weight systems")
-            if not r.normed:
-                raise ValidationError("clustering expects unit-norm resultants")
+        weights = _gather(resultants)
         root = np.sqrt(weights.w)[:, None]
         z = np.hstack([r.factor for r in resultants])
         z *= root
         q, packed = np.linalg.qr(z)
         rank = q.shape[1]
         q /= root * np.sqrt(rank)
-        self.weights, self._lift = weights, q
+        self.weights, self._lift, self.rank, self.k = weights, q, rank, len(resultants)
         self.z = np.sqrt(rank) * packed
-        self.widths = np.array([r.factor.shape[1] for r in resultants])
-        reduced = Weights.uniform(rank)
-        ends = np.cumsum(self.widths)
-        self.resultants = [
-            Resultant(self.z[:, e - q_k:e], reduced, True, r.label)
-            for r, e, q_k in zip(resultants, ends, self.widths)
-        ]
+        widths = np.array([r.factor.shape[1] for r in resultants])
+        self._owner = np.repeat(np.arange(len(resultants)), widths)
+        self._starts = np.cumsum(widths) - widths
+        reduced = Weights.uniform(rank)  # the ascent's resultants, z_k on uniform weights
+        self.resultants = [Resultant(self.z[:, s:s + q], reduced, True)
+                           for s, q in zip(self._starts, widths)]
         self._spectra: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         # keyed by (set, distance, criterion) and by (set, distance, rank):
         # criteria that choose the same rank share one fit
-        self._fits: dict[tuple, tuple[RankHOperator, np.ndarray]] = {}
-
-    @property
-    def k(self) -> int:
-        return len(self.resultants)
+        self._fits: dict[tuple, tuple] = {}
 
     def centroid(
         self, members: np.ndarray, distance: str, criterion: RankCriterion
-    ) -> tuple[RankHOperator, np.ndarray]:
-        """The reduced centroid of the member indices and its K cosines."""
+    ) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray]:
+        """The reduced centroid (C, lam, converged) of the member indices and its K cosines."""
         key = members.tobytes()
         fit = self._fits.get((key, distance, criterion))
         if fit is None:
-            chosen = [self.resultants[i] for i in members]
-            eigen = self._spectra.get(key)
-            if eigen is None:
-                eigen = self._spectra[key] = weighted_average(chosen).eigen()
-            h = choose_rank(eigen[1], criterion)
-            fit = self._fits.get((key, distance, h))
-            if fit is None:
-                c = _fit(chosen, eigen, distance, h)
-                fit = c, _stacked_cosines(self.z, self.widths, [c])[:, 0]
+            if key not in self._spectra:
+                self._spectra[key] = self._spectrum(members)
+            u, lam = self._spectra[key]
+            h = choose_rank(lam, criterion)
+            fit = self._fits.get((key, distance, h)) or self._fit(members, u, lam, distance, h)
             self._fits[(key, distance, criterion)] = self._fits[(key, distance, h)] = fit
         return fit
 
-    def lift(self, c: RankHOperator) -> RankHOperator:
-        """The centroid on the n observations, columns signed as Resultant.eigen signs them."""
-        return RankHOperator(_fix_column_signs(self._lift @ c.U), c.lam, self.weights,
-                             converged=c.converged)
+    def _spectrum(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sqrt(r) Q_S, lam) of the members' mean, eigenvalues under EIGEN_DROP_TOL
+        dropped, scaled as in weighted_average(members).eigen(), so they agree bitwise."""
+        chosen = np.zeros(self.k, dtype=bool)
+        chosen[members] = True
+        root = np.sqrt(1.0 / self.rank)
+        mean = root * (np.sqrt(1.0 / members.size) * self.z[:, chosen[self._owner]])
+        q, s, _ = np.linalg.svd(mean, full_matrices=False)
+        lam = s * s
+        keep = int(np.sum(lam > EIGEN_DROP_TOL * np.max(lam, initial=0.0)))
+        return q[:, :keep] / root, lam[:keep]
+
+    def _fit(self, members, u, lam, distance: str, h: int) -> tuple:
+        """The rank-h chord truncation of the members' mean, or the geodesic
+        ascent from it, signed as Resultant.eigen signs it: the ascent is
+        sign-equivariant only up to rounding, and so retraces the public one."""
+        c, lam_h, converged = u[:, :h], lam[:h] / np.linalg.norm(lam[:h]), True
+        if distance == "geodesic":
+            c, lam_h, converged = _geodesic_from([self.resultants[i] for i in members],
+                                                 as_weight_system(None, members.size),
+                                                 _fix_column_signs(c), lam_h)
+        t = self.z.T @ c
+        return c, lam_h, converged, np.add.reduceat(t * t, self._starts) @ lam_h / self.rank**2
+
+    def lift(self, fit: tuple) -> RankHOperator:
+        """A fit's centroid on the n observations, columns signed as Resultant.eigen signs them."""
+        c, lam, converged, _ = fit
+        return RankHOperator(_fix_column_signs(self._lift @ c), lam, self.weights,
+                             converged=converged)
 
 
 def _update_centroids(
     frame: _Frame, assignment: np.ndarray, config: ClusteringConfig
-) -> tuple[list[RankHOperator], np.ndarray]:
-    """Each cluster's reduced centroid, and the K x L cosines to them."""
+) -> tuple[list[tuple], np.ndarray]:
+    """Each cluster's reduced fit, and the K x L cosines to them."""
     fits = [frame.centroid(np.flatnonzero(assignment == l), config.distance, config.criterion)
             for l in range(config.n_clusters)]
-    return [c for c, _ in fits], np.column_stack([cos for _, cos in fits])
+    return fits, np.column_stack([fit[3] for fit in fits])
 
 
 def _within(cos: np.ndarray, assignment: np.ndarray, distance: str) -> float:
@@ -208,7 +210,7 @@ def _repair_empty(
 
 def _single_start(
     frame: _Frame, config: ClusteringConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, list[RankHOperator], float, bool, int, list[float]]:
+) -> tuple[np.ndarray, list[tuple], float, bool, int, list[float]]:
     k = frame.k
     perm = rng.permutation(k)
     assignment = np.empty(k, dtype=int)
@@ -219,7 +221,7 @@ def _single_start(
     converged = False
     n_iter = 0
     for n_iter in range(1, config.max_iter + 1):
-        centroids, cos = _update_centroids(frame, assignment, config)
+        fits, cos = _update_centroids(frame, assignment, config)
         trace.append(_within(cos, assignment, config.distance))
         proposal = _assign_from_cos(cos, config.distance)
         proposal = _repair_empty(proposal, cos, config.n_clusters, config.distance)
@@ -233,9 +235,9 @@ def _single_start(
             break  # assignment cycle: adaptive ranks can oscillate
         seen.add(key)
     if not converged:
-        centroids, cos = _update_centroids(frame, assignment, config)
+        fits, cos = _update_centroids(frame, assignment, config)
     within = _within(cos, assignment, config.distance)
-    return assignment, centroids, within, converged, n_iter, trace
+    return assignment, fits, within, converged, n_iter, trace
 
 
 def kmeans(resultants: list[Resultant], config: ClusteringConfig) -> ClusterModel:
@@ -265,7 +267,7 @@ def _kmeans(frame: _Frame, config: ClusteringConfig) -> ClusterModel:
         if best is None or run[2] < best[2]:
             best = run
             best_start = s
-    assignment, centroids, within, converged, n_iter, trace = best
+    assignment, fits, within, converged, n_iter, trace = best
     if not converged:
         warnings.warn(
             "k-means stopped on an assignment cycle or the iteration cap",
@@ -273,8 +275,8 @@ def _kmeans(frame: _Frame, config: ClusteringConfig) -> ClusterModel:
         )
     return ClusterModel(
         assignments=assignment,
-        centroids=[frame.lift(c) for c in centroids],
-        ranks=[c.rank for c in centroids],
+        centroids=[frame.lift(fit) for fit in fits],
+        ranks=[fit[1].size for fit in fits],
         distance=config.distance,
         within_inertia=within,
         between_over_total=_explained(frame, config.distance, config.criterion, within),
@@ -288,7 +290,7 @@ def _kmeans(frame: _Frame, config: ClusteringConfig) -> ClusterModel:
 
 def _explained(frame: _Frame, distance: str, criterion: RankCriterion, within: float) -> float:
     """(total - within) / total, total measured from the global rank-H average."""
-    _, cos = frame.centroid(np.arange(frame.k), distance, criterion)
+    cos = frame.centroid(np.arange(frame.k), distance, criterion)[3]
     total = float(np.sum(_sq_dist_from_cos(cos, distance)))
     if total <= 1e-300:
         raise ValidationError("total inertia is zero: all resultants are identical")
@@ -386,9 +388,4 @@ def classical_mds(distances: np.ndarray, dims: int) -> np.ndarray:
     coords = np.zeros((n, dims))
     coords[:, :take] = vecs[:, :take] * np.sqrt(np.clip(vals[:take], 0.0, None))[None, :]
     # deterministic orientation: largest-magnitude entry of each axis positive
-    for c in range(dims):
-        col = coords[:, c]
-        if col.any():
-            if col[int(np.argmax(np.abs(col)))] < 0:
-                coords[:, c] = -col
-    return coords
+    return _fix_column_signs(coords)

@@ -150,10 +150,9 @@ def encode_numeric(x, weights: Weights, label: str = "") -> VariableStructure:
     v = float(np.sum(weights.w * c * c))
     if v <= ZERO_VARIANCE_REL * float(np.sum(weights.w * x * x)):
         raise ValidationError(f"numeric variable {label!r} has zero variance")
-    structure = VariableStructure(
+    return VariableStructure(
         X=c[:, None], M=np.array([[1.0 / v]]), label=label, kind="numeric", dim_weight=1.0
     )
-    return structure
 
 
 def encode_categorical(
@@ -170,12 +169,7 @@ def encode_categorical(
     labels = list(labels)
     if len(labels) != weights.n:
         raise ValidationError(f"expected {weights.n} labels for {label!r}, got {len(labels)}")
-    levels: list = []
-    seen = set()
-    for v in labels:
-        if v not in seen:
-            seen.add(v)
-            levels.append(v)
+    levels = list(dict.fromkeys(labels))
     m = len(levels)
     if m < 2:
         raise ValidationError(f"categorical variable {label!r} has a single level")
@@ -190,7 +184,7 @@ def encode_categorical(
     xtwx = x.T @ (weights.w[:, None] * x)
     metric = np.linalg.inv(xtwx)
     metric = 0.5 * (metric + metric.T)
-    structure = VariableStructure(
+    return VariableStructure(
         X=x,
         M=metric,
         label=label,
@@ -198,7 +192,6 @@ def encode_categorical(
         dim_weight=1.0 / np.sqrt(m - 1.0),
         levels=tuple(levels),
     )
-    return structure
 
 
 def encode_block(x, m, weights: Weights, label: str = "") -> VariableStructure:

@@ -203,10 +203,9 @@ def run_benchmark(
     frame, so a member set's spectrum is computed once per replication and
     two thetas that choose the same rank share its centroid.  Replication
     seeds derive from the cell seed by counter, so results do not depend on
-    grid order.  A
-    replication that raises a VarsphereError is counted as failed, reported
-    with a warning naming the reason, and excluded from the cell statistics;
-    any other exception is a defect and propagates.
+    grid order.  A replication that raises a VarsphereError is counted as
+    failed, reported with a warning naming the reason, and excluded from the
+    cell statistics; any other exception is a defect and propagates.
     """
     rows: list[BenchmarkRow] = []
     for config in grid:

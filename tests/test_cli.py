@@ -227,6 +227,15 @@ def test_exit_codes_for_bad_input(data_csv, tmp_path, capsys):
         assert main(argv) == 2
         assert f"argument {flag}:" in capsys.readouterr().err
     assert not (tmp_path / "x" / "benchmark.csv").exists()
+    # every count flag is checked at parse time, before any input is read
+    for argv in (["cluster", "--data", data_csv, "--L", "0"],
+                 ["cluster", "--data", data_csv, "--L", "2", "--starts", "0"],
+                 ["average", "--data", data_csv, "--criterion", "fixed", "--H", "0"],
+                 ["simulate", "--reps", "0"],
+                 ["mds", str(tmp_path / "model.json"), "--dims", "-1"]):
+        assert main([*argv, "--out-dir", out]) == 2
+        assert f"argument {argv[-2]}:" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
     # argparse errors also surface as exit code 2
     assert main(["cluster", "--data", data_csv, "--out-dir", out]) == 2
     assert main([]) == 2
@@ -331,3 +340,17 @@ def test_bare_csv_is_read_once(data_csv, tmp_path, monkeypatch):
     manifest.write_text("data = vars.csv\nnumeric = v1, v2\ncategorical = color\n")
     cli._load_resultants(argparse.Namespace(data=None, manifest=str(manifest)))
     assert reads[1:] == [data_csv]
+
+
+def test_average_takes_one_svd_of_the_mean(data_csv, tmp_path, monkeypatch):
+    # the scree, the chord average and the geodesic start share one SVD; a
+    # geodesic profile adds one refit per rank below the chosen one
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    for flags, expected in [(["--theta", "0.6"], 1), (["--criterion", "fixed", "--H", "2"], 1),
+                            (["--distance", "geodesic", "--criterion", "fixed", "--H", "1"], 1),
+                            (["--distance", "geodesic", "--criterion", "fixed", "--H", "2"], 2)]:
+        svds.clear()
+        code = main(["average", "--data", data_csv, "--out-dir", str(tmp_path / "a"), *flags])
+        assert code in (0, 4) and len(svds) == expected, (flags, len(svds))

@@ -11,6 +11,7 @@ from varsphere import (
     ClusteringConfig,
     RankCriterion,
     SimConfig,
+    clustering,
     kmeans,
     rand_discrepancy,
     run_benchmark,
@@ -29,7 +30,10 @@ SIZES = {"n_below_sum_q": (6, 9), "n_above_sum_q": (40, 9)}
 # like these, its dense centroids drifted up to 4e-7 when converged and 6e-5
 # when capped, and inertias up to 4e-6.
 TOL = {"chord": (1e-12, 1e-10), "geodesic": (1e-5, 1e-6)}
-CRITERIA = {"chord": [RankCriterion.trace_ratio(0.6)] * 3,
+# the chord list includes the benchmark's theta grid (0 and 1) and Cattell's rule
+CRITERIA = {"chord": [RankCriterion.trace_ratio(0.6)] * 3 + [
+                RankCriterion.trace_ratio(0.0), RankCriterion.trace_ratio(1.0),
+                RankCriterion.cattell()],
             "geodesic": [RankCriterion.trace_ratio(0.6), RankCriterion.fixed(1)]}
 
 
@@ -108,3 +112,20 @@ def test_more_starts_add_no_n_row_memory():
 
     one, ten = peak(1), peak(10)
     assert ten - one < 1_000_000, f"1 start {one / 1e6:.1f} MB, 10 starts {ten / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("distance", ["chord", "geodesic"])
+def test_kmeans_takes_one_svd_per_distinct_member_set(distance, monkeypatch):
+    # every spectrum is one SVD of a column slice; a geodesic fit starts from
+    # it rather than averaging its members again, and memo hits take none
+    rng = np.random.default_rng(7)
+    rs = _resultants(rng, 40, 9, uniform=False)
+    requests, svds = [], []
+    centroid, svd = clustering._Frame.centroid, np.linalg.svd
+    monkeypatch.setattr(clustering._Frame, "centroid", lambda self, members, *a: (
+        requests.append(members.tobytes()) or centroid(self, members, *a)))
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a[0].shape) or svd(*a, **k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        kmeans(rs, ClusteringConfig(n_clusters=3, distance=distance, n_starts=10, seed=1))
+    assert len(svds) == len(set(requests)) < len(requests)

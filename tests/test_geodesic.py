@@ -297,3 +297,24 @@ def test_geodesic_average_weight_mismatch_is_rejected():
 
     with pytest.raises(ValidationError):
         geodesic_objective(avg, other)
+
+
+def test_shipped_ascent_never_loses_ground_round_by_round():
+    # criterion 5 replays the paper's ascent through oracles; this runs the
+    # shipped one on its first 10 instances (same draws), capped at m rounds
+    # for m = 1, 2, ..., and checks that g never falls as the cap grows
+    rng = np.random.default_rng(105)
+    for inst in range(10):
+        w = random_weights(rng, 5)
+        rs = [random_normed_resultant(rng, w, rank=int(rng.integers(1, 4))) for _ in range(4)]
+        h = int(rng.integers(1, 3))
+        previous = -np.inf
+        for m in range(1, 21):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConvergenceWarning)
+                avg = rank_h_average_geodesic(rs, h, max_iter=m)
+            g = geodesic_objective(avg, rs)
+            assert g >= previous - 1e-12, f"instance {inst}: g fell by {previous - g:.2e} at m={m}"
+            previous = g
+            if avg.converged:
+                break
