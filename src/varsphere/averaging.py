@@ -7,8 +7,12 @@ unit length) gives the best rank-H point of the sphere in the chord sense.
 
 All of it runs on the factors R_k = Z_k Z_k' W and on rank-H points (U, lam),
 never on an n x n operator: with Z = [Z_1 ... Z_K] and T = Z' W U, the loadings
-u_j' W R_k u_j are block sums of T^2, and the chord average's eigenpairs come
-from a thin SVD of W^1/2 [sqrt(omega_k) Z_k]; costs are O(n sum q H) to O(n (sum q)^2).
+u_j' W R_k u_j are block sums of T^2; costs are O(n sum q H) to O(n (sum q)^2).
+Every average is fitted in one place, _Frame: one QR of W^1/2 Z puts the
+resultants in its r-dimensional column space, r <= sum q, and the spectrum of
+a mean is one SVD of r x sum q columns there.  The frame serves K-means, the
+public averages, the inertia profile and the `average` command; the public
+geodesic ascent starts from its lifted chord average and runs on n rows.
 
 The geodesic counterpart maximizes
     g(lam, U) = - sum_k omega_k arccos(h_k)^2,   h_k = tr(U' A_k U Lam),
@@ -33,6 +37,7 @@ from .geometry import (
     EIGEN_DROP_TOL,
     RANK_TOL,
     Weights,
+    _fix_column_signs,
     numerical_rank,
     w_orthonormal_polar,
 )
@@ -169,22 +174,8 @@ def rank_h_average_euclidean(
 
     `h` is either the rank itself, which must lie in [1, numerical rank of the
     average], or a RankCriterion applied to the average's spectrum.  The
-    eigenpairs come from one thin SVD of the average's factor."""
-    mean = weighted_average(resultants, omega)
-    return _chord_truncation(*mean.eigen(), h, mean.weights)
-
-
-def _chord_truncation(
-    u: np.ndarray, lam: np.ndarray, h: int | RankCriterion, weights: Weights
-) -> RankHOperator:
-    """The chord-optimal rank-h point from an average's eigenpairs (U, lam)."""
-    if isinstance(h, RankCriterion):
-        h = choose_rank(lam, h)
-    r = numerical_rank(lam, RANK_TOL)
-    if not 1 <= h <= r:
-        raise ValidationError(f"rank {h} is outside the numerical rank {r} of the average")
-    kept = lam[:h]
-    return RankHOperator(u[:, :h], kept / np.linalg.norm(kept), weights)
+    eigenpairs come from the column-space frame of the resultants."""
+    return _Frame(resultants, omega).average(h)
 
 
 def choose_rank(eigenvalues, criterion: RankCriterion) -> int:
@@ -455,11 +446,7 @@ def rank_h_average_geodesic(
     cap, a vanished gradient, no ascent with residual above 1e-6, or an
     undefined residual.
     """
-    weights = _gather(resultants)
-    omega_v = as_weight_system(omega, len(resultants))
-    start = rank_h_average_euclidean(resultants, h, omega_v)
-    u, lam, converged = _geodesic_from(resultants, omega_v, start.U, start.lam, max_iter, tol)
-    return RankHOperator(u, lam, weights, converged=converged)
+    return _Frame(resultants, omega).average(h, "geodesic", max_iter, tol)
 
 
 def _geodesic_from(
@@ -474,7 +461,124 @@ def _geodesic_from(
         warnings.warn(
             f"geodesic average did not converge after {rounds} rounds: {reason}",
             ConvergenceWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     order = np.argsort(-lam, kind="stable")
     return u[:, order], lam[order], reason is None
+
+
+class _Frame:
+    """Resultants in the column space of their stacked factors: the one place
+    an average's spectrum is taken and truncated.
+
+    A thin Householder QR W^1/2 [Z_1 ... Z_K] = Q R, taken once, puts every
+    resultant and centroid in R^r, r = min(n, sum q): resultant k becomes the
+    block z_k = sqrt(r) R_k on uniform weights, which keeps every scalar
+    product, and a centroid (C, lam) lifts to U = W^-1/2 Q C / sqrt(r).  This
+    is the concatenated-column SVD of ClustOfVar (Chavent et al., JSS 2012).
+
+    A member set S (sorted indices) is weighted uniformly, or by the frame's
+    omega, which only the whole set takes.  Fits are memoised as plain arrays
+    by member indices: per set, the spectrum of the members' mean from one
+    SVD of their scaled columns sqrt(omega_k) z_k = Q_S S V', lam = s^2 / r;
+    per (set, distance, rank h or criterion), the fit (C, lam_h, converged,
+    cosines to all K resultants), chord C = sqrt(r) Q_S[:, :h] and
+    lam_h = lam[:h] / ||lam[:h]||, or the geodesic ascent from there.  Chord
+    column signs stay as the SVD leaves them (the cosines ignore them) until
+    lift() signs a centroid.  Only the lift basis has n rows.
+    """
+
+    def __init__(self, resultants: list[Resultant], omega=None):
+        weights = _gather(resultants)
+        self.k = len(resultants)
+        self.omega = None if omega is None else as_weight_system(omega, self.k)
+        root = np.sqrt(weights.w)[:, None]
+        z = np.hstack([r.factor for r in resultants])
+        z *= root
+        q, packed = np.linalg.qr(z)
+        rank = q.shape[1]
+        q /= root * np.sqrt(rank)
+        self.resultants, self.weights, self._lift, self.rank = resultants, weights, q, rank
+        self.z = np.sqrt(rank) * packed
+        self._widths = np.array([r.factor.shape[1] for r in resultants])
+        self._owner = np.repeat(np.arange(self.k), self._widths)
+        self._starts = np.cumsum(self._widths) - self._widths
+        reduced = Weights.uniform(rank)  # the ascent's resultants, z_k on uniform weights
+        self._reduced = [Resultant(self.z[:, s:s + q], reduced, True)
+                         for s, q in zip(self._starts, self._widths)]
+        self.everyone = np.arange(self.k)
+        self._spectra: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        # keyed by (set, distance, criterion) and by (set, distance, rank):
+        # criteria that choose the same rank share one fit
+        self._fits: dict[tuple, tuple] = {}
+
+    def spectrum(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(sqrt(r) Q_S, lam) of the members' mean, eigenvalues under EIGEN_DROP_TOL
+        dropped, scaled as in weighted_average(members).eigen()."""
+        key = members.tobytes()
+        if key not in self._spectra:
+            chosen = np.zeros(self.k, dtype=bool)
+            chosen[members] = True
+            share = (np.sqrt(1.0 / members.size) if self.omega is None
+                     else np.repeat(np.sqrt(self.omega), self._widths))
+            root = np.sqrt(1.0 / self.rank)
+            q, s, _ = np.linalg.svd(root * (share * self.z[:, chosen[self._owner]]),
+                                    full_matrices=False)
+            lam = s * s
+            keep = int(np.sum(lam > EIGEN_DROP_TOL * np.max(lam, initial=0.0)))
+            self._spectra[key] = q[:, :keep] / root, lam[:keep]
+        return self._spectra[key]
+
+    def centroid(
+        self, members: np.ndarray, distance: str, h: int | RankCriterion
+    ) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray]:
+        """The reduced rank-h centroid (C, lam, converged) of the member indices
+        and its K cosines; an integer h must lie in [1, numerical rank]."""
+        key = members.tobytes()
+        fit = self._fits.get((key, distance, h))
+        if fit is None:
+            u, lam = self.spectrum(members)
+            if isinstance(h, RankCriterion):
+                rank = choose_rank(lam, h)
+            else:
+                rank, top = h, numerical_rank(lam, RANK_TOL)
+                if not 1 <= h <= top:
+                    raise ValidationError(
+                        f"rank {h} is outside the numerical rank {top} of the average")
+            fit = (self._fits.get((key, distance, rank))
+                   or self._fit(members, u, lam, distance, rank))
+            self._fits[(key, distance, h)] = self._fits[(key, distance, rank)] = fit
+        return fit
+
+    def _fit(self, members, u, lam, distance: str, h: int) -> tuple:
+        """The rank-h chord truncation of the members' mean, or the geodesic
+        ascent from it, signed as Resultant.eigen signs it: the ascent is
+        sign-equivariant only up to rounding, and so retraces the n-row one."""
+        c, lam_h, converged = u[:, :h], lam[:h] / np.linalg.norm(lam[:h]), True
+        if distance == "geodesic":
+            c, lam_h, converged = _geodesic_from([self._reduced[i] for i in members],
+                                                 as_weight_system(self.omega, members.size),
+                                                 _fix_column_signs(c), lam_h)
+        t = self.z.T @ c
+        return c, lam_h, converged, np.add.reduceat(t * t, self._starts) @ lam_h / self.rank**2
+
+    def lift(self, fit: tuple) -> RankHOperator:
+        """A fit's centroid on the n observations, columns signed as Resultant.eigen signs them."""
+        c, lam, converged, _ = fit
+        return RankHOperator(_fix_column_signs(self._lift @ c), lam, self.weights,
+                             converged=converged)
+
+    def average(
+        self, h: int | RankCriterion, distance: str = "chord",
+        max_iter: int = 500, tol: float = 1e-10,
+    ) -> RankHOperator:
+        """The whole set's rank-h average on the n observations.  The geodesic
+        one ascends from the lifted chord average on the n-row resultants: the
+        lift keeps every cosine, but under non-uniform W it does not keep the
+        n-row norm in which the fixed-point residual is judged."""
+        start = self.lift(self.centroid(self.everyone, "chord", h))
+        if distance == "chord":
+            return start
+        u, lam, converged = _geodesic_from(self.resultants, as_weight_system(self.omega, self.k),
+                                           start.U, start.lam, max_iter, tol)
+        return RankHOperator(u, lam, self.weights, converged=converged)

@@ -22,15 +22,7 @@ import warnings
 
 import numpy as np
 
-from .averaging import (
-    RankCriterion,
-    RankHOperator,
-    _chord_truncation,
-    _geodesic_from,
-    as_weight_system,
-    geodesic_objective,
-    weighted_average,
-)
+from .averaging import RankCriterion, _Frame, geodesic_objective
 from .clustering import (
     DISTANCES,
     ClusteringConfig,
@@ -39,7 +31,6 @@ from .clustering import (
     centroid_separation,
     classical_mds,
     cluster_summary,
-    geodesic_inertia_profile,
     kmeans,
 )
 from .dataset import _read_csv, encode_dataset, infer_manifest, ingest, load_manifest
@@ -221,14 +212,11 @@ def _cmd_cluster(args) -> None:
 
 def _cmd_average(args) -> None:
     resultants, weights = _load_resultants(args)
-    # one SVD: the scree, the chord average and the geodesic ascent's start
-    u, spectrum = weighted_average(resultants).eigen()
+    # one frame, one SVD: the scree and every rank's chord fit and geodesic start
+    frame = _Frame(resultants)
     criterion = _criterion(args)
-    avg = _chord_truncation(u, spectrum, criterion, weights)
+    avg = frame.average(criterion, args.distance)
     if args.distance == "geodesic":
-        omega = as_weight_system(None, len(resultants))
-        u, lam, converged = _geodesic_from(resultants, omega, avg.U, avg.lam)
-        avg = RankHOperator(u, lam, weights, converged=converged)
         objective = geodesic_objective(avg, resultants)
     else:
         objective = sum(avg.dot(r) for r in resultants) / len(resultants)
@@ -237,7 +225,7 @@ def _cmd_average(args) -> None:
     _write_csv(
         os.path.join(out, "scree.csv"),
         ["component", "eigenvalue"],
-        [(i + 1, v) for i, v in enumerate(spectrum)],
+        [(i + 1, v) for i, v in enumerate(frame.spectrum(frame.everyone)[1])],
     )
     _write_csv(
         os.path.join(out, "factors_lambda.csv"),
@@ -250,9 +238,9 @@ def _cmd_average(args) -> None:
         [(i + 1, *avg.U[i]) for i in range(weights.n)],
     )
     if args.distance == "geodesic":
-        # ranks below h are refitted; rank h is the average just fitted
-        lower = geodesic_inertia_profile(resultants, h - 1) if h > 1 else []
-        profile = [*lower, _geodesic_inertia(resultants, avg)]
+        # ranks below h ascend from the frame's spectrum; rank h is the average just fitted
+        profile = [*(_geodesic_inertia(resultants, frame.average(j, "geodesic"))
+                     for j in range(1, h)), _geodesic_inertia(resultants, avg)]
         _write_csv(
             os.path.join(out, "geodesic_inertia.csv"),
             ["h", "inertia"],

@@ -7,10 +7,11 @@ resultant to the centroid with the largest scalar product (equivalently the
 smallest distance), restarts are seeded independently, and the best start by
 within-cluster inertia wins.
 
-Every centroid lies in the span of the stacked factors, so K-means runs on a
-frame that reduces the dataset to that column space once (one QR) and fits
-each member set once, whatever the number of starts and iterations; a
-geodesic fit's ConvergenceWarning is therefore emitted once per member set.
+Every centroid lies in the span of the stacked factors, so K-means runs on
+the averaging frame, which reduces the dataset to that column space once (one
+QR) and fits each member set once, whatever the number of starts and
+iterations; a geodesic fit's ConvergenceWarning is therefore emitted once per
+member set.
 """
 
 from __future__ import annotations
@@ -20,19 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averaging import (
-    RankCriterion,
-    RankHOperator,
-    _gather,
-    _geodesic_from,
-    as_weight_system,
-    choose_rank,
-    cosines,
-    rank_h_average_geodesic,
-)
+from .averaging import RankCriterion, RankHOperator, _Frame, cosines
 from .encoding import Resultant
 from .errors import ConvergenceWarning, ValidationError
-from .geometry import EIGEN_DROP_TOL, Weights, _fix_column_signs
+from .geometry import _fix_column_signs
 
 DISTANCES = ("chord", "geodesic")
 
@@ -93,89 +85,6 @@ def assign(resultant: Resultant, centroids: list[RankHOperator], distance: str) 
     if not centroids:
         raise ValidationError("need at least one centroid")
     return int(_assign_from_cos(cosines([resultant], centroids), distance)[0])
-
-
-class _Frame:
-    """One dataset's resultants in the column space of their stacked factors.
-
-    A thin Householder QR W^1/2 [Z_1 ... Z_K] = Q R, taken once, puts every
-    resultant and centroid in R^r, r = min(n, sum q): resultant k becomes the
-    block z_k = sqrt(r) R_k on uniform weights, which keeps every scalar
-    product, and a centroid (C, lam) lifts to U = W^-1/2 Q C / sqrt(r).  Fits
-    are memoised as plain arrays by member indices: per set S, the spectrum
-    of the members' mean from one SVD of their columns z_S = Q_S S V',
-    lam = s^2 / (r |S|); per (S, distance, chosen rank h), the fit (C, lam_h,
-    converged, cosines to all K resultants), chord C = sqrt(r) Q_S[:, :h] and
-    lam_h = lam[:h] / ||lam[:h]||, or the geodesic ascent from there.  Chord
-    column signs stay as the SVD leaves them (the cosines ignore them) until
-    lift() signs the centroids returned.  Only the lift basis has n rows.
-    """
-
-    def __init__(self, resultants: list[Resultant]):
-        weights = _gather(resultants)
-        root = np.sqrt(weights.w)[:, None]
-        z = np.hstack([r.factor for r in resultants])
-        z *= root
-        q, packed = np.linalg.qr(z)
-        rank = q.shape[1]
-        q /= root * np.sqrt(rank)
-        self.weights, self._lift, self.rank, self.k = weights, q, rank, len(resultants)
-        self.z = np.sqrt(rank) * packed
-        widths = np.array([r.factor.shape[1] for r in resultants])
-        self._owner = np.repeat(np.arange(len(resultants)), widths)
-        self._starts = np.cumsum(widths) - widths
-        reduced = Weights.uniform(rank)  # the ascent's resultants, z_k on uniform weights
-        self.resultants = [Resultant(self.z[:, s:s + q], reduced, True)
-                           for s, q in zip(self._starts, widths)]
-        self._spectra: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-        # keyed by (set, distance, criterion) and by (set, distance, rank):
-        # criteria that choose the same rank share one fit
-        self._fits: dict[tuple, tuple] = {}
-
-    def centroid(
-        self, members: np.ndarray, distance: str, criterion: RankCriterion
-    ) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray]:
-        """The reduced centroid (C, lam, converged) of the member indices and its K cosines."""
-        key = members.tobytes()
-        fit = self._fits.get((key, distance, criterion))
-        if fit is None:
-            if key not in self._spectra:
-                self._spectra[key] = self._spectrum(members)
-            u, lam = self._spectra[key]
-            h = choose_rank(lam, criterion)
-            fit = self._fits.get((key, distance, h)) or self._fit(members, u, lam, distance, h)
-            self._fits[(key, distance, criterion)] = self._fits[(key, distance, h)] = fit
-        return fit
-
-    def _spectrum(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(sqrt(r) Q_S, lam) of the members' mean, eigenvalues under EIGEN_DROP_TOL
-        dropped, scaled as in weighted_average(members).eigen(), so they agree bitwise."""
-        chosen = np.zeros(self.k, dtype=bool)
-        chosen[members] = True
-        root = np.sqrt(1.0 / self.rank)
-        mean = root * (np.sqrt(1.0 / members.size) * self.z[:, chosen[self._owner]])
-        q, s, _ = np.linalg.svd(mean, full_matrices=False)
-        lam = s * s
-        keep = int(np.sum(lam > EIGEN_DROP_TOL * np.max(lam, initial=0.0)))
-        return q[:, :keep] / root, lam[:keep]
-
-    def _fit(self, members, u, lam, distance: str, h: int) -> tuple:
-        """The rank-h chord truncation of the members' mean, or the geodesic
-        ascent from it, signed as Resultant.eigen signs it: the ascent is
-        sign-equivariant only up to rounding, and so retraces the public one."""
-        c, lam_h, converged = u[:, :h], lam[:h] / np.linalg.norm(lam[:h]), True
-        if distance == "geodesic":
-            c, lam_h, converged = _geodesic_from([self.resultants[i] for i in members],
-                                                 as_weight_system(None, members.size),
-                                                 _fix_column_signs(c), lam_h)
-        t = self.z.T @ c
-        return c, lam_h, converged, np.add.reduceat(t * t, self._starts) @ lam_h / self.rank**2
-
-    def lift(self, fit: tuple) -> RankHOperator:
-        """A fit's centroid on the n observations, columns signed as Resultant.eigen signs them."""
-        c, lam, converged, _ = fit
-        return RankHOperator(_fix_column_signs(self._lift @ c), lam, self.weights,
-                             converged=converged)
 
 
 def _update_centroids(
@@ -290,7 +199,7 @@ def _kmeans(frame: _Frame, config: ClusteringConfig) -> ClusterModel:
 
 def _explained(frame: _Frame, distance: str, criterion: RankCriterion, within: float) -> float:
     """(total - within) / total, total measured from the global rank-H average."""
-    cos = frame.centroid(np.arange(frame.k), distance, criterion)[3]
+    cos = frame.centroid(frame.everyone, distance, criterion)[3]
     total = float(np.sum(_sq_dist_from_cos(cos, distance)))
     if total <= 1e-300:
         raise ValidationError("total inertia is zero: all resultants are identical")
@@ -312,10 +221,9 @@ def geodesic_inertia_profile(resultants: list[Resultant], h_max: int) -> np.ndar
     where avg_H is the uniform geodesic rank-H average of the resultants."""
     if h_max < 1:
         raise ValidationError("h_max must be at least 1")
-    return np.array(
-        [_geodesic_inertia(resultants, rank_h_average_geodesic(resultants, h))
-         for h in range(1, h_max + 1)]
-    )
+    frame = _Frame(resultants)  # one SVD: every rank's chord start
+    return np.array([_geodesic_inertia(resultants, frame.average(h, "geodesic"))
+                     for h in range(1, h_max + 1)])
 
 
 def _geodesic_inertia(resultants: list[Resultant], avg: RankHOperator) -> float:

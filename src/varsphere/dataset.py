@@ -244,7 +244,7 @@ def ingest(manifest: DatasetManifest, *, table=None) -> Dataset:
         for name in block.columns:
             if name in numeric_cols or name in categorical_cols:
                 continue
-            # block members must still be typed: try numeric, else categorical
+            # a block member must itself be declared numeric or categorical
             raise ValidationError(
                 f"block {block.name!r} references column {name!r} that is not declared "
                 "numeric or categorical"

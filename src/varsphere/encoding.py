@@ -37,9 +37,6 @@ class VariableStructure:
         M: q x q symmetric positive-definite metric.
         label: display name.
         kind: one of "numeric", "categorical", "block".
-        dim_weight: reciprocal norm of the resultant, recorded so callers can
-            see how much raw operator mass the structure carries (it is
-            applied implicitly whenever the resultant is normed).
         levels: for categorical structures, the level labels in
             first-appearance order.
     """
@@ -48,7 +45,6 @@ class VariableStructure:
     M: np.ndarray
     label: str
     kind: str
-    dim_weight: float
     levels: tuple = ()
 
     def __post_init__(self):
@@ -69,10 +65,12 @@ class Resultant:
     """An operator X M X' W, optionally scaled to unit trace norm, held as its
     factor Z (n x q) with op = Z Z' W.  Any factor gives a weighted-spsd
     operator, so the constructor only checks the shape, the entries and, for
-    a normed resultant, ||Z' W Z||_F = 1."""
+    a normed resultant, ||Z' W Z||_F = 1.  The factor is held C-contiguous:
+    BLAS rounds products by memory layout, so results would otherwise depend
+    on how the caller built it."""
 
     def __init__(self, factor, weights: Weights, normed: bool, label: str = ""):
-        z = np.asarray(factor, dtype=float)
+        z = np.ascontiguousarray(factor, dtype=float)
         if z.ndim != 2 or z.shape[0] != weights.n:
             raise ValidationError(
                 f"factor shape {z.shape} does not match {weights.n} observations"
@@ -150,9 +148,7 @@ def encode_numeric(x, weights: Weights, label: str = "") -> VariableStructure:
     v = float(np.sum(weights.w * c * c))
     if v <= ZERO_VARIANCE_REL * float(np.sum(weights.w * x * x)):
         raise ValidationError(f"numeric variable {label!r} has zero variance")
-    return VariableStructure(
-        X=c[:, None], M=np.array([[1.0 / v]]), label=label, kind="numeric", dim_weight=1.0
-    )
+    return VariableStructure(X=c[:, None], M=np.array([[1.0 / v]]), label=label, kind="numeric")
 
 
 def encode_categorical(
@@ -184,14 +180,8 @@ def encode_categorical(
     xtwx = x.T @ (weights.w[:, None] * x)
     metric = np.linalg.inv(xtwx)
     metric = 0.5 * (metric + metric.T)
-    return VariableStructure(
-        X=x,
-        M=metric,
-        label=label,
-        kind="categorical",
-        dim_weight=1.0 / np.sqrt(m - 1.0),
-        levels=tuple(levels),
-    )
+    return VariableStructure(X=x, M=metric, label=label, kind="categorical",
+                             levels=tuple(levels))
 
 
 def encode_block(x, m, weights: Weights, label: str = "") -> VariableStructure:
@@ -204,16 +194,11 @@ def encode_block(x, m, weights: Weights, label: str = "") -> VariableStructure:
     m = np.asarray(m, dtype=float)
     if m.shape != (x.shape[1], x.shape[1]):
         raise ValidationError(f"metric shape {m.shape} does not fit block with {x.shape[1]} columns")
-    root = sqrt_spd(m)  # validates symmetry and positive definiteness
+    sqrt_spd(m)  # validates symmetry and positive definiteness
     xc = _center_columns(x, weights)
     if float(np.max(np.abs(xc))) <= 0.0:
         raise ValidationError(f"block {label!r} is zero after centering")
-    nrm = _gram_norm(xc @ root, weights)
-    if nrm <= 1e-300:
-        raise NumericalError(f"block {label!r} has a zero resultant")
-    return VariableStructure(
-        X=xc, M=m, label=label, kind="block", dim_weight=1.0 / nrm
-    )
+    return VariableStructure(X=xc, M=m, label=label, kind="block")
 
 
 def compound_structure(
@@ -239,13 +224,8 @@ def compound_structure(
             raise ValidationError("all structures must share the observation weights")
         blocks.append(np.sqrt(share) * resultant(s, weights).factor)
     x = np.concatenate(blocks, axis=1)
-    nrm = _gram_norm(x, weights)
-    if nrm <= 1e-300:
+    if _gram_norm(x, weights) <= 1e-300:
         raise NumericalError("compound structure has a zero resultant")
-    return VariableStructure(
-        X=x,
-        M=np.eye(x.shape[1]),
-        label=label or "+".join(s.label for s in structures),
-        kind="block",
-        dim_weight=1.0 / nrm,
-    )
+    return VariableStructure(X=x, M=np.eye(x.shape[1]),
+                             label=label or "+".join(s.label for s in structures),
+                             kind="block")

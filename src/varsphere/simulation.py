@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClusteringConfig, _Frame, _kmeans
-from .averaging import RankCriterion
+from .averaging import RankCriterion, _Frame
+from .clustering import ClusteringConfig, _kmeans
 from .encoding import Resultant, encode_categorical, encode_numeric, resultant
 from .errors import ValidationError, VarsphereError
 from .geometry import Weights

@@ -15,11 +15,11 @@ from varsphere import (
     encode_block,
     encode_categorical,
     encode_numeric,
-    rank_h_average_euclidean,
-    rank_h_average_geodesic,
+    choose_rank,
     w_orthonormal_polar,
+    weighted_average,
 )
-from varsphere.averaging import _gather, _line_search, _span_forms, cosines
+from varsphere.averaging import _gather, _geodesic_from, _line_search, _span_forms, cosines
 from varsphere.clustering import _assign_from_cos, _repair_empty, _sq_dist_from_cos, _within
 from varsphere.geometry import EIGEN_DROP_TOL, _fix_column_signs
 
@@ -85,16 +85,31 @@ def arc_line_search(r_prev, r_next, resultants, omega=None):
     return tau, op / np.sqrt(1.0 + tau * (tau - 1.0) * d2)
 
 
+def refit_average(members, criterion, distance):
+    """The uniform rank-h average of the members on the n rows, with no
+    column-space frame: one SVD of their mean, the rank the criterion picks
+    from its spectrum, the chord truncation and, for the geodesic distance,
+    the ascent from it."""
+    mean = weighted_average(members)
+    u, lam = mean.eigen()
+    kept = lam[:choose_rank(lam, criterion)]
+    start = RankHOperator(u[:, :kept.size], kept / np.linalg.norm(kept), mean.weights)
+    if distance == "chord":
+        return start
+    u, lam, converged = _geodesic_from(members, as_weight_system(None, len(members)),
+                                       start.U, start.lam)
+    return RankHOperator(u, lam, mean.weights, converged=converged)
+
+
 def refit_kmeans(resultants, config):
-    """K-means with every centroid refitted from scratch on the n-row
-    resultants: no column-space frame and no memo.  Same starts, iteration,
-    cycle rule, tie-breaks and global fit as kmeans(); returns its fields."""
-    fit = rank_h_average_euclidean if config.distance == "chord" else rank_h_average_geodesic
+    """K-means with every centroid refitted from scratch by refit_average:
+    no column-space frame and no memo.  Same starts, iteration, cycle rule,
+    tie-breaks and global fit as kmeans(); returns its fields."""
     dist, n_clusters = config.distance, config.n_clusters
 
     def update(assignment):
-        cs = [fit([r for r, a in zip(resultants, assignment) if a == l], config.criterion)
-              for l in range(n_clusters)]
+        cs = [refit_average([r for r, a in zip(resultants, assignment) if a == l],
+                            config.criterion, dist) for l in range(n_clusters)]
         return cs, cosines(resultants, cs)
 
     best = None
@@ -124,7 +139,7 @@ def refit_kmeans(resultants, config):
                                    ranks=[c.rank for c in cs], within_inertia=within,
                                    converged=converged, n_iter=n_iter, best_start=s,
                                    objective_trace=trace)
-    overall = fit(resultants, config.criterion)
+    overall = refit_average(resultants, config.criterion, dist)
     total = float(np.sum(_sq_dist_from_cos(cosines(resultants, [overall])[:, 0], dist)))
     best.between_over_total = (total - best.within_inertia) / total
     return best

@@ -299,29 +299,32 @@ def test_non_finite_cell_is_reported_with_location(tmp_path, capsys):
 
 
 def test_geodesic_profile_ends_at_the_reported_average(data_csv, tmp_path, monkeypatch):
-    # the profile refits only the ranks below the chosen one; its last entry
-    # is the inertia of the average written to factors_*.csv, bit for bit
-    import varsphere.clustering as clustering
-    from varsphere import RankHOperator
+    # the profile ascends once per rank below the chosen one, as the public
+    # profile does; its last entry is the inertia of the average written to
+    # factors_*.csv, bit for bit
+    import varsphere.averaging as averaging
+    from varsphere import RankHOperator, geodesic_inertia_profile
     from varsphere.cli import _load_resultants
+    from varsphere.clustering import _geodesic_inertia
 
-    refits = []
-    fit = clustering.rank_h_average_geodesic
-    monkeypatch.setattr(clustering, "rank_h_average_geodesic",
-                        lambda rs, h, *a, **k: refits.append(h) or fit(rs, h, *a, **k))
+    ascents = []
+    ascend = averaging._geodesic_from
+    monkeypatch.setattr(averaging, "_geodesic_from", lambda rs, omega, u, lam, *a: (
+        ascents.append(lam.size) or ascend(rs, omega, u, lam, *a)))
     out = tmp_path / "avg"
     code = main(["average", "--data", data_csv, "--out-dir", str(out),
                  "--distance", "geodesic", "--criterion", "fixed", "--H", "2"])
+    monkeypatch.undo()
     assert code in (0, 4)
-    assert refits == [1]
+    assert ascents == [2, 1]
     resultants, weights = _load_resultants(
         argparse.Namespace(data=data_csv, manifest=None)
     )
     lam = np.array([float(r[1]) for r in read_rows(out / "factors_lambda.csv")[1:]])
     u = np.array([[float(v) for v in r[1:]] for r in read_rows(out / "factors_u.csv")[1:]])
-    inertia = clustering._geodesic_inertia(resultants, RankHOperator(u, lam, weights))
-    profile = read_rows(out / "geodesic_inertia.csv")
-    assert float(profile[-1][1]) == inertia
+    profile = [float(r[1]) for r in read_rows(out / "geodesic_inertia.csv")[1:]]
+    assert profile[-1] == _geodesic_inertia(resultants, RankHOperator(u, lam, weights))
+    assert profile[:-1] == list(geodesic_inertia_profile(resultants, 1))
 
 
 def test_bare_csv_is_read_once(data_csv, tmp_path, monkeypatch):
@@ -343,14 +346,14 @@ def test_bare_csv_is_read_once(data_csv, tmp_path, monkeypatch):
 
 
 def test_average_takes_one_svd_of_the_mean(data_csv, tmp_path, monkeypatch):
-    # the scree, the chord average and the geodesic start share one SVD; a
-    # geodesic profile adds one refit per rank below the chosen one
+    # the scree, the chord average, the geodesic start and the geodesic
+    # profile's start at every rank share one SVD
     svds = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
     for flags, expected in [(["--theta", "0.6"], 1), (["--criterion", "fixed", "--H", "2"], 1),
                             (["--distance", "geodesic", "--criterion", "fixed", "--H", "1"], 1),
-                            (["--distance", "geodesic", "--criterion", "fixed", "--H", "2"], 2)]:
+                            (["--distance", "geodesic", "--criterion", "fixed", "--H", "2"], 1)]:
         svds.clear()
         code = main(["average", "--data", data_csv, "--out-dir", str(tmp_path / "a"), *flags])
         assert code in (0, 4) and len(svds) == expected, (flags, len(svds))

@@ -9,6 +9,7 @@ columns than rows, and as many centroids as resultants.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from varsphere import (
     ConvergenceWarning,
     RankCriterion,
     RankHOperator,
+    Resultant,
     SimConfig,
     Weights,
     compound_structure,
@@ -227,3 +229,19 @@ def test_public_names_resolve_once():
     assert len(set(varsphere.__all__)) == len(varsphere.__all__)
     missing = [name for name in varsphere.__all__ if not hasattr(varsphere, name)]
     assert not missing, f"__all__ names without a definition: {missing}"
+
+
+def test_geodesic_average_ignores_the_factors_memory_layout():
+    # the same factors held in C or Fortran order give the same floats
+    for seed in range(10):
+        sample = simulate_sample(SimConfig(40, beta=np.pi / 3, sigma2=0.1, seed=seed),
+                                 np.random.default_rng(seed))
+        rs = sample_resultants(sample)
+        fortran = [Resultant(np.asfortranarray(r.factor), r.weights, r.normed)
+                   for r in rs]
+        for h in (1, 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConvergenceWarning)
+                c, f = rank_h_average_geodesic(rs, h), rank_h_average_geodesic(fortran, h)
+            assert np.array_equal(c.U, f.U) and np.array_equal(c.lam, f.lam), (seed, h)
+            assert c.converged == f.converged

@@ -11,7 +11,8 @@ from varsphere import (
     ClusteringConfig,
     RankCriterion,
     SimConfig,
-    clustering,
+    averaging,
+    geodesic_inertia_profile,
     kmeans,
     rand_discrepancy,
     run_benchmark,
@@ -121,11 +122,23 @@ def test_kmeans_takes_one_svd_per_distinct_member_set(distance, monkeypatch):
     rng = np.random.default_rng(7)
     rs = _resultants(rng, 40, 9, uniform=False)
     requests, svds = [], []
-    centroid, svd = clustering._Frame.centroid, np.linalg.svd
-    monkeypatch.setattr(clustering._Frame, "centroid", lambda self, members, *a: (
+    centroid, svd = averaging._Frame.centroid, np.linalg.svd
+    monkeypatch.setattr(averaging._Frame, "centroid", lambda self, members, *a: (
         requests.append(members.tobytes()) or centroid(self, members, *a)))
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a[0].shape) or svd(*a, **k))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         kmeans(rs, ClusteringConfig(n_clusters=3, distance=distance, n_starts=10, seed=1))
     assert len(svds) == len(set(requests)) < len(requests)
+
+
+def test_inertia_profile_takes_one_svd(monkeypatch):
+    # every rank's chord start comes from the one spectrum of the mean
+    rs = _resultants(np.random.default_rng(8), 40, 9, uniform=False)
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        profile = geodesic_inertia_profile(rs, 3)
+    assert profile.shape == (3,) and len(svds) == 1
