@@ -26,6 +26,7 @@ its winner is truncated back to rank H by a 2H x 2H eigenproblem.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -179,15 +180,18 @@ def rank_h_average_euclidean(
 
 
 def choose_rank(eigenvalues, criterion: RankCriterion) -> int:
-    """Number of eigendirections to keep from a descending spectrum."""
-    lam = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
+    """Number of eigendirections to keep from a spectrum.  A descending one,
+    as every SVD returns it, is used as it is; any other is sorted first."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    if (lam[1:] > lam[:-1]).any():
+        lam = np.sort(lam)[::-1]
     if lam.size == 0 or float(lam[0]) <= 0.0:
         raise ValidationError("cannot choose a rank from an empty or zero spectrum")
+    theta = criterion.theta
+    if criterion.kind == "trace_ratio" and theta <= 1e-12:
+        return 1
     r = numerical_rank(lam, RANK_TOL)
     if criterion.kind == "trace_ratio":
-        theta = float(criterion.theta)
-        if theta <= 1e-12:
-            return 1
         if theta >= 1.0 - 1e-12:
             return r
         ratios = np.cumsum(lam) / np.sum(lam)
@@ -477,15 +481,17 @@ class _Frame:
     product, and a centroid (C, lam) lifts to U = W^-1/2 Q C / sqrt(r).  This
     is the concatenated-column SVD of ClustOfVar (Chavent et al., JSS 2012).
 
-    A member set S (sorted indices) is weighted uniformly, or by the frame's
-    omega, which only the whole set takes.  Fits are memoised as plain arrays
-    by member indices: per set, the spectrum of the members' mean from one
-    SVD of their scaled columns sqrt(omega_k) z_k = Q_S S V', lam = s^2 / r;
-    per (set, distance, rank h or criterion), the fit (C, lam_h, converged,
-    cosines to all K resultants), chord C = sqrt(r) Q_S[:, :h] and
-    lam_h = lam[:h] / ||lam[:h]||, or the geodesic ascent from there.  Chord
-    column signs stay as the SVD leaves them (the cosines ignore them) until
-    lift() signs a centroid.  Only the lift basis has n rows.
+    A member set S is a boolean row over the K resultants, weighted
+    uniformly, or by the frame's omega, which only the whole set takes.  One
+    memo holds plain arrays, keyed by the set's packed row: under the bare
+    key, the spectrum of the members' mean from one SVD of their scaled
+    columns sqrt(omega_k) z_k = Q_S S V', lam = s^2 / r; under (key,
+    distance, rank h or criterion), the fit (C, lam_h, converged, cosines to
+    all K resultants), chord C = sqrt(r) Q_S[:, :h] and
+    lam_h = lam[:h] / ||lam[:h]||, or the geodesic ascent from there.
+    Criteria that choose the same rank share one fit.  Chord column signs
+    stay as the SVD leaves them (the cosines ignore them) until lift() signs
+    a centroid.  Only the lift basis has n rows.
     """
 
     def __init__(self, resultants: list[Resultant], omega=None):
@@ -506,56 +512,57 @@ class _Frame:
         reduced = Weights.uniform(rank)  # the ascent's resultants, z_k on uniform weights
         self._reduced = [Resultant(self.z[:, s:s + q], reduced, True)
                          for s, q in zip(self._starts, self._widths)]
-        self.everyone = np.arange(self.k)
-        self._spectra: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-        # keyed by (set, distance, criterion) and by (set, distance, rank):
-        # criteria that choose the same rank share one fit
-        self._fits: dict[tuple, tuple] = {}
+        self.everyone = np.ones(self.k, dtype=bool)
+        self._memo: dict = {}
 
-    def spectrum(self, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(sqrt(r) Q_S, lam) of the members' mean, eigenvalues under EIGEN_DROP_TOL
-        dropped, scaled as in weighted_average(members).eigen()."""
-        key = members.tobytes()
-        if key not in self._spectra:
-            chosen = np.zeros(self.k, dtype=bool)
-            chosen[members] = True
-            share = (np.sqrt(1.0 / members.size) if self.omega is None
+    def spectrum(self, chosen: np.ndarray, key: bytes | None = None):
+        """(sqrt(r) Q_S, lam) of the mean of the members marked in `chosen`,
+        eigenvalues under EIGEN_DROP_TOL of the largest dropped, scaled as the
+        SVD of the mean's n-row factor scales them."""
+        key = np.packbits(chosen).tobytes() if key is None else key
+        spectrum = self._memo.get(key)
+        if spectrum is None:
+            share = (math.sqrt(1.0 / np.count_nonzero(chosen)) if self.omega is None
                      else np.repeat(np.sqrt(self.omega), self._widths))
             root = np.sqrt(1.0 / self.rank)
             q, s, _ = np.linalg.svd(root * (share * self.z[:, chosen[self._owner]]),
                                     full_matrices=False)
             lam = s * s
-            keep = int(np.sum(lam > EIGEN_DROP_TOL * np.max(lam, initial=0.0)))
-            self._spectra[key] = q[:, :keep] / root, lam[:keep]
-        return self._spectra[key]
+            keep = int(np.count_nonzero(lam > EIGEN_DROP_TOL * lam[0]))
+            spectrum = self._memo[key] = q[:, :keep] / root, lam[:keep]
+        return spectrum
 
-    def centroid(
-        self, members: np.ndarray, distance: str, h: int | RankCriterion
-    ) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray]:
-        """The reduced rank-h centroid (C, lam, converged) of the member indices
-        and its K cosines; an integer h must lie in [1, numerical rank]."""
-        key = members.tobytes()
-        fit = self._fits.get((key, distance, h))
-        if fit is None:
-            u, lam = self.spectrum(members)
-            if isinstance(h, RankCriterion):
-                rank = choose_rank(lam, h)
-            else:
-                rank, top = h, numerical_rank(lam, RANK_TOL)
-                if not 1 <= h <= top:
-                    raise ValidationError(
-                        f"rank {h} is outside the numerical rank {top} of the average")
-            fit = (self._fits.get((key, distance, rank))
-                   or self._fit(members, u, lam, distance, rank))
-            self._fits[(key, distance, h)] = self._fits[(key, distance, rank)] = fit
+    def centroids(self, chosen: np.ndarray, distance: str, h: int | RankCriterion) -> list[tuple]:
+        """The reduced rank-h centroid (C, lam, converged, K cosines) of each
+        member set, one boolean row of `chosen` per set; one packbits call keys
+        them all.  An integer h must lie in [1, numerical rank]."""
+        width = -(-self.k // 8)
+        keys = np.packbits(chosen, axis=1).tobytes()
+        return [self._memo.get((keys[i:i + width], distance, h))
+                or self._settle(chosen[i // width], keys[i:i + width], distance, h)
+                for i in range(0, len(keys), width)]
+
+    def _settle(self, chosen, key: bytes, distance: str, h: int | RankCriterion) -> tuple:
+        """Memoise a set's fit under h and under the rank h picks from its spectrum."""
+        u, lam = self.spectrum(chosen, key)
+        if isinstance(h, RankCriterion):
+            rank = choose_rank(lam, h)
+        else:
+            rank, top = h, numerical_rank(lam, RANK_TOL)
+            if not 1 <= h <= top:
+                raise ValidationError(f"rank {h} is outside the numerical rank {top} of the average")
+        fit = self._memo.get((key, distance, rank)) or self._fit(chosen, u, lam, distance, rank)
+        self._memo[(key, distance, h)] = self._memo[(key, distance, rank)] = fit
         return fit
 
-    def _fit(self, members, u, lam, distance: str, h: int) -> tuple:
+    def _fit(self, chosen, u, lam, distance: str, h: int) -> tuple:
         """The rank-h chord truncation of the members' mean, or the geodesic
-        ascent from it, signed as Resultant.eigen signs it: the ascent is
-        sign-equivariant only up to rounding, and so retraces the n-row one."""
-        c, lam_h, converged = u[:, :h], lam[:h] / np.linalg.norm(lam[:h]), True
+        ascent from it, signed as the n-row eigenvectors are signed: the ascent
+        is sign-equivariant only up to rounding, and so retraces the n-row one."""
+        top = lam[:h]
+        c, lam_h, converged = u[:, :h], top / math.sqrt(top.dot(top)), True
         if distance == "geodesic":
+            members = np.flatnonzero(chosen)
             c, lam_h, converged = _geodesic_from([self._reduced[i] for i in members],
                                                  as_weight_system(self.omega, members.size),
                                                  _fix_column_signs(c), lam_h)
@@ -563,7 +570,7 @@ class _Frame:
         return c, lam_h, converged, np.add.reduceat(t * t, self._starts) @ lam_h / self.rank**2
 
     def lift(self, fit: tuple) -> RankHOperator:
-        """A fit's centroid on the n observations, columns signed as Resultant.eigen signs them."""
+        """A fit's centroid on the n observations, each column's largest-magnitude entry positive."""
         c, lam, converged, _ = fit
         return RankHOperator(_fix_column_signs(self._lift @ c), lam, self.weights,
                              converged=converged)
@@ -576,7 +583,7 @@ class _Frame:
         one ascends from the lifted chord average on the n-row resultants: the
         lift keeps every cosine, but under non-uniform W it does not keep the
         n-row norm in which the fixed-point residual is judged."""
-        start = self.lift(self.centroid(self.everyone, "chord", h))
+        start = self.lift(self.centroids(self.everyone[None], "chord", h)[0])
         if distance == "chord":
             return start
         u, lam, converged = _geodesic_from(self.resultants, as_weight_system(self.omega, self.k),

@@ -205,6 +205,7 @@ def _cmd_cluster(args) -> None:
             "n_iter": model.n_iter,
             "best_start": model.best_start,
             "objective_trace": list(model.objective_trace),
+            "starts": model.starts,
             "centroid_cos": [[float(v) for v in row] for row in sep],
         },
     )

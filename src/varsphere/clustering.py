@@ -4,14 +4,18 @@ Each cluster is summarized by a rank-H average of its members (chord-optimal
 truncation in chord mode, geodesic average in geodesic mode), with H chosen
 per cluster by a rank criterion at every update.  Assignment sends each
 resultant to the centroid with the largest scalar product (equivalently the
-smallest distance), restarts are seeded independently, and the best start by
-within-cluster inertia wins.
+smallest distance), and the best start by within-cluster inertia wins (ties
+go to the earliest start).
 
 Every centroid lies in the span of the stacked factors, so K-means runs on
 the averaging frame, which reduces the dataset to that column space once (one
 QR) and fits each member set once, whatever the number of starts and
 iterations; a geodesic fit's ConvergenceWarning is therefore emitted once per
-member set.
+member set.  The starts advance in lockstep: each round takes every active
+start's member sets from the frame in one request and proposes all their
+assignments with one argmax.  Each start keeps its own seed (spawned from
+the config's), cycle rule and objective trace, so it follows the path it
+would follow alone.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ class ClusterModel:
     n_iter: int
     best_start: int
     objective_trace: list[float]
+    starts: list[dict]  # per start: within_inertia, n_iter and stop (converged, cycle or cap)
     config: ClusteringConfig
 
 
@@ -74,8 +79,8 @@ def _sq_dist_from_cos(cos: np.ndarray, distance: str) -> np.ndarray:
 
 def _assign_from_cos(cos: np.ndarray, distance: str) -> np.ndarray:
     if distance == "chord":
-        return np.argmax(cos, axis=1)
-    return np.argmin(np.arccos(np.clip(cos, -1.0, 1.0)), axis=1)
+        return np.argmax(cos, axis=-1)
+    return np.argmin(np.arccos(np.clip(cos, -1.0, 1.0)), axis=-1)
 
 
 def assign(resultant: Resultant, centroids: list[RankHOperator], distance: str) -> int:
@@ -87,18 +92,10 @@ def assign(resultant: Resultant, centroids: list[RankHOperator], distance: str) 
     return int(_assign_from_cos(cosines([resultant], centroids), distance)[0])
 
 
-def _update_centroids(
-    frame: _Frame, assignment: np.ndarray, config: ClusteringConfig
-) -> tuple[list[tuple], np.ndarray]:
-    """Each cluster's reduced fit, and the K x L cosines to them."""
-    fits = [frame.centroid(np.flatnonzero(assignment == l), config.distance, config.criterion)
-            for l in range(config.n_clusters)]
-    return fits, np.column_stack([fit[3] for fit in fits])
-
-
-def _within(cos: np.ndarray, assignment: np.ndarray, distance: str) -> float:
-    picked = cos[np.arange(cos.shape[0]), assignment]
-    return float(np.sum(_sq_dist_from_cos(picked, distance)))
+def _within(cos: np.ndarray, assignment: np.ndarray, distance: str) -> np.ndarray:
+    """Within-cluster inertia of each assignment row (..., K) against its cosines (..., K, L)."""
+    picked = np.take_along_axis(cos, assignment[..., None], axis=-1)[..., 0]
+    return np.sum(_sq_dist_from_cos(picked, distance), axis=-1)
 
 
 def _repair_empty(
@@ -117,89 +114,98 @@ def _repair_empty(
     return assignment
 
 
-def _single_start(
-    frame: _Frame, config: ClusteringConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, list[tuple], float, bool, int, list[float]]:
-    k = frame.k
-    perm = rng.permutation(k)
-    assignment = np.empty(k, dtype=int)
-    for l, chunk in enumerate(np.array_split(perm, config.n_clusters)):
-        assignment[chunk] = l
-    seen = {tuple(assignment)}
-    trace: list[float] = []
-    converged = False
-    n_iter = 0
-    for n_iter in range(1, config.max_iter + 1):
-        fits, cos = _update_centroids(frame, assignment, config)
-        trace.append(_within(cos, assignment, config.distance))
-        proposal = _assign_from_cos(cos, config.distance)
-        proposal = _repair_empty(proposal, cos, config.n_clusters, config.distance)
-        trace.append(_within(cos, proposal, config.distance))
-        if np.array_equal(proposal, assignment):
-            converged = True
-            break
-        key = tuple(proposal)
-        assignment = proposal
-        if key in seen:
-            break  # assignment cycle: adaptive ranks can oscillate
-        seen.add(key)
-    if not converged:
-        fits, cos = _update_centroids(frame, assignment, config)
-    within = _within(cos, assignment, config.distance)
-    return assignment, fits, within, converged, n_iter, trace
+def _refit(frame: _Frame, assignment: np.ndarray, config: ClusteringConfig):
+    """The fits of every cluster of each assignment row (S x K), S x L of them,
+    and the S x K x L cosines to them."""
+    n_clusters = config.n_clusters
+    chosen = assignment[:, None, :] == np.arange(n_clusters)[:, None]
+    fits = frame.centroids(chosen.reshape(-1, frame.k), config.distance, config.criterion)
+    cos = np.array([fit[3] for fit in fits]).reshape(len(assignment), n_clusters, frame.k)
+    # C order, as one start's K x L was: numpy may pick its ufunc loops, and so
+    # the rounding of arccos, by memory layout
+    return fits, np.ascontiguousarray(cos.transpose(0, 2, 1))
 
 
 def kmeans(resultants: list[Resultant], config: ClusteringConfig) -> ClusterModel:
     """Fit k-means over unit-norm resultants.
 
-    Runs `config.n_starts` restarts from random balanced partitions seeded
-    off `config.seed` and keeps the start with the lowest within-cluster
-    inertia (ties go to the earliest start).  Every centroid is fitted in the
-    column space of the resultants' factors, once per member set across all
-    starts and the global fit of `between_over_total`; only the L centroids
-    returned are lifted back to the n observations.
+    Runs `config.n_starts` starts from random balanced partitions seeded off
+    `config.seed` and keeps the start with the lowest within-cluster inertia
+    (ties go to the earliest start).  The starts advance together, one round
+    for all of them at a time, but each follows exactly the path it would
+    follow alone.  Every centroid is fitted in the column space of the
+    resultants' factors, once per member set across all starts and the
+    global fit of `between_over_total`; only the L centroids returned are
+    lifted back to the n observations.
     """
     return _kmeans(_Frame(resultants), config)
 
 
 def _kmeans(frame: _Frame, config: ClusteringConfig) -> ClusterModel:
     """kmeans() on a frame, whose memo may be shared by several configs."""
-    if frame.k < config.n_clusters:
-        raise ValidationError(
-            f"cannot split {frame.k} resultants into {config.n_clusters} clusters"
-        )
-    best = None
-    best_start = -1
+    k, n_clusters, distance = frame.k, config.n_clusters, config.distance
+    if k < n_clusters:
+        raise ValidationError(f"cannot split {k} resultants into {n_clusters} clusters")
     seeds = np.random.SeedSequence(config.seed).spawn(config.n_starts)
+    assignment = np.empty((config.n_starts, k), dtype=int)
     for s, seq in enumerate(seeds):
-        run = _single_start(frame, config, np.random.default_rng(seq))
-        if best is None or run[2] < best[2]:
-            best = run
-            best_start = s
-    assignment, fits, within, converged, n_iter, trace = best
-    if not converged:
+        perm = np.random.default_rng(seq).permutation(k)
+        for l, chunk in enumerate(np.array_split(perm, n_clusters)):
+            assignment[s, chunk] = l
+    seen = [{row.tobytes()} for row in assignment]
+    traces: list[list[float]] = [[] for _ in seeds]
+    stops, n_iter = ["cap"] * len(seeds), [config.max_iter] * len(seeds)
+    active = np.arange(len(seeds))
+    for it in range(1, config.max_iter + 1):
+        current = assignment[active]
+        cos = _refit(frame, current, config)[1]
+        proposal = _assign_from_cos(cos, distance)
+        used = np.zeros((active.size, n_clusters), dtype=bool)
+        used[np.arange(active.size)[:, None], proposal] = True
+        for i in np.flatnonzero(~used.all(axis=1)):
+            proposal[i] = _repair_empty(proposal[i], cos[i], n_clusters, distance)
+        before, after = (_within(cos, a, distance).tolist() for a in (current, proposal))
+        same = np.all(proposal == current, axis=1)
+        for i, s in enumerate(active):
+            traces[s] += [before[i], after[i]]
+            key = proposal[i].tobytes()
+            if same[i] or key in seen[s]:  # a cycle: adaptive ranks can oscillate
+                stops[s], n_iter[s] = "converged" if same[i] else "cycle", it
+            seen[s].add(key)
+        assignment[active] = proposal
+        active = np.array([s for s in active if stops[s] == "cap"], dtype=int)
+        if not active.size:
+            break
+    # every start's final fits: a start that converged finds its last round's in the memo
+    fits, cos = _refit(frame, assignment, config)
+    within = _within(cos, assignment, distance).tolist()
+    best = int(np.argmin(within))
+    fits = fits[best * n_clusters:(best + 1) * n_clusters]
+    if stops[best] != "converged":
         warnings.warn(
             "k-means stopped on an assignment cycle or the iteration cap",
             ConvergenceWarning,
         )
     return ClusterModel(
-        assignments=assignment,
+        assignments=assignment[best].copy(),
         centroids=[frame.lift(fit) for fit in fits],
         ranks=[fit[1].size for fit in fits],
-        distance=config.distance,
-        within_inertia=within,
-        between_over_total=_explained(frame, config.distance, config.criterion, within),
-        converged=converged,
-        n_iter=n_iter,
-        best_start=best_start,
-        objective_trace=trace,
+        distance=distance,
+        within_inertia=within[best],
+        between_over_total=_explained(frame, distance, config.criterion, within[best]),
+        converged=stops[best] == "converged",
+        n_iter=n_iter[best],
+        best_start=best,
+        objective_trace=traces[best],
+        starts=[{"within_inertia": w, "n_iter": n, "stop": stop}
+                for w, n, stop in zip(within, n_iter, stops)],
         config=config,
     )
 
 
 def _explained(frame: _Frame, distance: str, criterion: RankCriterion, within: float) -> float:
     """(total - within) / total, total measured from the global rank-H average."""
-    cos = frame.centroid(frame.everyone, distance, criterion)[3]
+    cos = frame.centroids(frame.everyone[None], distance, criterion)[0][3]
     total = float(np.sum(_sq_dist_from_cos(cos, distance)))
     if total <= 1e-300:
         raise ValidationError("total inertia is zero: all resultants are identical")

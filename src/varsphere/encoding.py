@@ -8,8 +8,8 @@ representation this package clusters and averages.
 
 A resultant is held only as its n x q factor Z = X M^1/2 (over sqrt(||R||)
 when normed), R = Z Z' W, and no n x n operator is ever formed:
-[R_a|R_b] = ||Z_a' W Z_b||_F^2, ||R|| = ||Z' W Z||_F and the eigenpairs come
-from a thin SVD of W^1/2 Z, all in O(n q^2).
+[R_a|R_b] = ||Z_a' W Z_b||_F^2 and ||R|| = ||Z' W Z||_F, both in O(n q^2);
+spectra are taken by the averaging frame, from a thin SVD of stacked factors.
 
 Numeric variables, categorical variables (through the projector onto their
 centred indicator space) and whole metric-weighted blocks all reduce to this
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .geometry import EIGEN_DROP_TOL, ZERO_VARIANCE_REL, Weights, _fix_column_signs, sqrt_spd
+from .geometry import ZERO_VARIANCE_REL, Weights, sqrt_spd
 
 KINDS = ("numeric", "categorical", "block")
 
@@ -80,26 +80,12 @@ class Resultant:
         if normed and abs((nrm := _gram_norm(z, weights)) - 1.0) > 1e-8:
             raise ValidationError(f"resultant flagged as normed has norm {nrm!r}")
         self.factor, self.weights, self.normed, self.label = z, weights, bool(normed), label
-        self._eigen = None
         self._norm = 1.0 if normed else None
 
     def norm(self) -> float:
         if self._norm is None:
             self._norm = _gram_norm(self.factor, self.weights)
         return self._norm
-
-    def eigen(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached spectral decomposition (U, lam) with op = U diag(lam) U' W,
-        from a thin SVD W^1/2 Z = Q S V': U = W^-1/2 Q is W-orthonormal and
-        lam = S^2 descends; eigenvalues under EIGEN_DROP_TOL of the largest are
-        dropped, and each column's largest-magnitude entry is made positive."""
-        if self._eigen is None:
-            rw = np.sqrt(self.weights.w)[:, None]
-            q, sv, _ = np.linalg.svd(rw * self.factor, full_matrices=False)
-            lam = sv * sv
-            keep = int(np.sum(lam > EIGEN_DROP_TOL * np.max(lam, initial=0.0)))
-            self._eigen = _fix_column_signs(q[:, :keep] / rw), lam[:keep]
-        return self._eigen
 
     def dot(self, other: "Resultant") -> float:
         """Trace scalar product ||Z_a' W Z_b||_F^2 with another resultant."""

@@ -82,12 +82,10 @@ def _fix_column_signs(u: np.ndarray) -> np.ndarray:
 def numerical_rank(eigenvalues, tol: float = RANK_TOL) -> int:
     """Number of eigenvalues exceeding tol times the largest one."""
     lam = np.asarray(eigenvalues, dtype=float)
-    if lam.size == 0:
-        return 0
-    top = float(np.max(lam))
+    top = float(lam.max()) if lam.size else 0.0
     if top <= 0.0:
         return 0
-    return int(np.sum(lam > tol * top))
+    return int(np.count_nonzero(lam > tol * top))
 
 
 def sqrt_spd(m) -> np.ndarray:

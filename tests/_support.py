@@ -48,7 +48,7 @@ SPSD_TOL = 1e-10
 
 def w_spsd_eigen(a, weights):
     """Spectral decomposition A = U diag(lam) U' W of a dense weighted-spsd
-    operator, with Resultant.eigen's conventions: U' W U = I, lam descending,
+    operator, with eigen()'s conventions: U' W U = I, lam descending,
     round-off eigenvalues dropped, largest-magnitude entry of each column
     positive.  Raises NumericalError when A is not weighted-spsd within SPSD_TOL."""
     rw = np.sqrt(weights.w)
@@ -65,6 +65,18 @@ def w_spsd_eigen(a, weights):
     np.clip(vals, 0.0, None, out=vals)
     keep = int(np.sum(vals > EIGEN_DROP_TOL * top))
     return _fix_column_signs(vecs[:, :keep] / rw[:, None]), vals[:keep]
+
+
+def eigen(r):
+    """Spectral decomposition (U, lam) of a resultant, op = U diag(lam) U' W,
+    from a thin SVD W^1/2 Z = Q S V': U = W^-1/2 Q is W-orthonormal and
+    lam = S^2 descends; eigenvalues under EIGEN_DROP_TOL of the largest are
+    dropped, and each column's largest-magnitude entry is made positive."""
+    rw = np.sqrt(r.weights.w)[:, None]
+    q, sv, _ = np.linalg.svd(rw * r.factor, full_matrices=False)
+    lam = sv * sv
+    keep = int(np.sum(lam > EIGEN_DROP_TOL * np.max(lam, initial=0.0)))
+    return _fix_column_signs(q[:, :keep] / rw), lam[:keep]
 
 
 def arc_line_search(r_prev, r_next, resultants, omega=None):
@@ -91,7 +103,7 @@ def refit_average(members, criterion, distance):
     from its spectrum, the chord truncation and, for the geodesic distance,
     the ascent from it."""
     mean = weighted_average(members)
-    u, lam = mean.eigen()
+    u, lam = eigen(mean)
     kept = lam[:choose_rank(lam, criterion)]
     start = RankHOperator(u[:, :kept.size], kept / np.linalg.norm(kept), mean.weights)
     if distance == "chord":
@@ -103,8 +115,9 @@ def refit_average(members, criterion, distance):
 
 def refit_kmeans(resultants, config):
     """K-means with every centroid refitted from scratch by refit_average:
-    no column-space frame and no memo.  Same starts, iteration, cycle rule,
-    tie-breaks and global fit as kmeans(); returns its fields."""
+    no column-space frame and no memo, one start after the other.  Same
+    starts, iteration, cycle rule, tie-breaks and global fit as kmeans();
+    returns its fields."""
     dist, n_clusters = config.distance, config.n_clusters
 
     def update(assignment):
@@ -112,28 +125,30 @@ def refit_kmeans(resultants, config):
                             config.criterion, dist) for l in range(n_clusters)]
         return cs, cosines(resultants, cs)
 
-    best = None
+    best, starts = None, []
     for s, seq in enumerate(np.random.SeedSequence(config.seed).spawn(config.n_starts)):
         perm = np.random.default_rng(seq).permutation(len(resultants))
         assignment = np.empty(len(resultants), dtype=int)
         for l, chunk in enumerate(np.array_split(perm, n_clusters)):
             assignment[chunk] = l
-        seen, trace, converged = {tuple(assignment)}, [], False
+        seen, trace, converged, stop = {tuple(assignment)}, [], False, "cap"
         for n_iter in range(1, config.max_iter + 1):
             cs, cos = update(assignment)
             trace.append(_within(cos, assignment, dist))
             proposal = _repair_empty(_assign_from_cos(cos, dist), cos, n_clusters, dist)
             trace.append(_within(cos, proposal, dist))
             if np.array_equal(proposal, assignment):
-                converged = True
+                converged, stop = True, "converged"
                 break
             assignment = proposal
             if tuple(proposal) in seen:
+                stop = "cycle"
                 break
             seen.add(tuple(proposal))
         if not converged:
             cs, cos = update(assignment)
         within = _within(cos, assignment, dist)
+        starts.append({"within_inertia": within, "n_iter": n_iter, "stop": stop})
         if best is None or within < best.within_inertia:
             best = SimpleNamespace(assignments=assignment, centroids=cs,
                                    ranks=[c.rank for c in cs], within_inertia=within,
@@ -142,6 +157,7 @@ def refit_kmeans(resultants, config):
     overall = refit_average(resultants, config.criterion, dist)
     total = float(np.sum(_sq_dist_from_cos(cosines(resultants, [overall])[:, 0], dist)))
     best.between_over_total = (total - best.within_inertia) / total
+    best.starts = starts
     return best
 
 

@@ -22,6 +22,7 @@ from varsphere.averaging import cosines
 
 from _support import (
     dense,
+    eigen,
     operator_dot,
     operator_norm,
     random_normed_resultant,
@@ -235,7 +236,7 @@ def test_rank_criterion_average_equals_the_average_at_the_chosen_rank(fit):
     rng = np.random.default_rng(37)
     w = random_weights(rng, 7)
     rs = [random_normed_resultant(rng, w) for _ in range(5)]
-    _, spectrum = weighted_average(rs).eigen()
+    _, spectrum = eigen(weighted_average(rs))
     criteria = (RankCriterion.trace_ratio(0.6), RankCriterion.cattell(), RankCriterion.fixed(2))
     for criterion in criteria:
         with warnings.catch_warnings():

@@ -17,6 +17,7 @@ from varsphere import (
 
 from _support import (
     dense,
+    eigen,
     operator_dot,
     operator_norm,
     random_labels,
@@ -34,7 +35,7 @@ def test_numeric_resultant_is_a_unit_rank_one_projector():
         x = rng.standard_normal(n)
         r = resultant(encode_numeric(x, w), w)
         assert r.norm() == pytest.approx(1.0)
-        _, lam = r.eigen()
+        _, lam = eigen(r)
         assert lam.size == 1
         # R equals the outer product of the standardized variable
         c = x - np.sum(w.w * x)

@@ -44,6 +44,7 @@ from varsphere.averaging import _grad_factor, cosines
 
 from _support import (
     dense,
+    eigen,
     operator_dot,
     operator_norm,
     random_labels,
@@ -117,7 +118,7 @@ def test_products_norms_and_spectra_match_the_dense_oracle(system):
         direct = (s.X @ s.M @ s.X.T) * w.w[None, :]
         _close(dense(r), direct / operator_norm(direct, w))
         assert r.norm() == pytest.approx(operator_norm(dense(r), w), abs=1e-9)
-        u, lam = r.eigen()
+        u, lam = eigen(r)
         oracle = w_spsd_eigen(dense(r), w)[1]
         assert lam.size == oracle.size
         _close(lam, oracle)
@@ -141,7 +142,7 @@ def test_averages_match_the_dense_mean(system):
     assert mean.norm() == pytest.approx(operator_norm(oracle, w), abs=1e-9)
     _close(dense(sphere_average(rs, omega)), oracle / operator_norm(oracle, w))
     du, dlam = w_spsd_eigen(oracle, w)
-    _, lam = mean.eigen()
+    _, lam = eigen(mean)
     assert lam.size == dlam.size
     _close(lam, dlam)
     for h in range(1, numerical_rank(dlam) + 1):
@@ -216,7 +217,7 @@ def test_chord_kmeans_builds_no_n_by_n_array():
 
 def test_averages_build_no_n_by_n_array():
     rs = sample_resultants(_big_sample())
-    (u, lam), peak = _traced(lambda: weighted_average(rs).eigen())
+    (u, lam), peak = _traced(lambda: eigen(weighted_average(rs)))
     assert u.shape == (BIG_N, lam.size) and lam.size > 1
     assert peak < PEAK_BYTES, f"chord spectrum: peak traced memory {peak / 1e6:.1f} MB"
     with pytest.warns(ConvergenceWarning):

@@ -10,8 +10,11 @@ import pytest
 from varsphere import (
     ClusteringConfig,
     RankCriterion,
+    Resultant,
     SimConfig,
+    Weights,
     averaging,
+    clustering,
     geodesic_inertia_profile,
     kmeans,
     rand_discrepancy,
@@ -48,31 +51,109 @@ def _resultants(rng, n, k, uniform):
 @pytest.mark.parametrize("distance", ["chord", "geodesic"])
 def test_kmeans_matches_the_refit_everything_loop(distance, uniform, size):
     n, k = SIZES[size]
-    inertia_tol, centroid_tol = TOL[distance]
     for trial, criterion in enumerate(CRITERIA[distance]):
         rng = np.random.default_rng([n, uniform, trial])
         rs = _resultants(rng, n, k, uniform)
         assert (sum(r.factor.shape[1] for r in rs) > n) == (size == "n_below_sum_q")
         config = ClusteringConfig(n_clusters=3, distance=distance, n_starts=3, seed=trial,
                                   criterion=criterion)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            got = kmeans(rs, config)
-            want = refit_kmeans(rs, config)
-        assert np.array_equal(got.assignments, want.assignments)
-        assert got.ranks == want.ranks
-        assert (got.converged, got.best_start, got.n_iter) == \
-            (want.converged, want.best_start, want.n_iter)
-        assert np.allclose(got.objective_trace, want.objective_trace,
-                           rtol=0.0, atol=inertia_tol)
-        assert got.within_inertia == pytest.approx(want.within_inertia,
+        _assert_matches_refit(rs, config)
+
+
+def _assert_matches_refit(rs, config):
+    """kmeans() against the sequential refit-everything loop: the same path
+    for every start, the same best start, and its fields within TOL."""
+    inertia_tol, centroid_tol = TOL[config.distance]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = kmeans(rs, config)
+        want = refit_kmeans(rs, config)
+    assert np.array_equal(got.assignments, want.assignments)
+    assert got.ranks == want.ranks
+    assert (got.converged, got.best_start, got.n_iter) == \
+        (want.converged, want.best_start, want.n_iter)
+    assert [(s["n_iter"], s["stop"]) for s in got.starts] == \
+        [(s["n_iter"], s["stop"]) for s in want.starts]
+    if config.distance == "chord":  # a losing geodesic start may end on capped ascents
+        assert np.allclose([s["within_inertia"] for s in got.starts],
+                           [s["within_inertia"] for s in want.starts], rtol=0.0, atol=inertia_tol)
+    assert np.allclose(got.objective_trace, want.objective_trace,
+                       rtol=0.0, atol=inertia_tol)
+    assert got.within_inertia == pytest.approx(want.within_inertia,
+                                               rel=0.0, abs=inertia_tol)
+    assert got.between_over_total == pytest.approx(want.between_over_total,
                                                    rel=0.0, abs=inertia_tol)
-        assert got.between_over_total == pytest.approx(want.between_over_total,
-                                                       rel=0.0, abs=inertia_tol)
-        for c, oracle in zip(got.centroids, want.centroids):
-            assert c.weights is rs[0].weights and c.converged == oracle.converged
-            if c.converged:
-                assert np.allclose(dense(c), dense(oracle), rtol=0.0, atol=centroid_tol)
+    for c, oracle in zip(got.centroids, want.centroids):
+        assert c.weights is rs[0].weights and c.converged == oracle.converged
+        if c.converged:
+            assert np.allclose(dense(c), dense(oracle), rtol=0.0, atol=centroid_tol)
+    return got
+
+
+def _bundled(seed, n=12, k=6):
+    """k rank-2 resultants around two directions, alternating: with L = k - 1
+    clusters an assignment round often leaves a cluster empty."""
+    rng = np.random.default_rng(seed)
+    w = random_weights(rng, n)
+    bases = [rng.standard_normal((n, 2)) for _ in range(2)]
+    return [_unit(bases[i % 2] + 0.3 * rng.standard_normal((n, 2)), w) for i in range(k)]
+
+
+def _diagonal(seed, k=7, d=4):
+    """k resultants diagonal in one basis of d uniformly weighted observations.
+    They commute, so a cluster's rank under a trace ratio jumps as members
+    come and go, and assignments can cycle."""
+    rng = np.random.default_rng(seed)
+    spectra = rng.random((k, d)) ** 3 * (rng.random((k, d)) < 0.8)
+    w = Weights.uniform(d)
+    return [_unit(np.diag(np.sqrt(lam))[:, lam > 0], w)
+            for lam in spectra[np.any(spectra > 0, axis=1)]]
+
+
+def _unit(x, w):
+    """The unit-norm resultant with factor proportional to x."""
+    return Resultant(x / np.sqrt(np.linalg.norm(x.T @ (w.w[:, None] * x))), w, True)
+
+
+@pytest.mark.parametrize("distance", ["chord", "geodesic"])
+def test_a_cycling_start_stops_while_the_others_go_on(distance):
+    got = _assert_matches_refit(_diagonal(100), ClusteringConfig(
+        n_clusters=3, distance=distance, n_starts=10, seed=0,
+        criterion=RankCriterion.trace_ratio(0.5)))
+    cycled = [s["n_iter"] for s in got.starts if s["stop"] == "cycle"]
+    assert cycled and max(s["n_iter"] for s in got.starts) > min(cycled)
+
+
+@pytest.mark.parametrize("distance", ["chord", "geodesic"])
+def test_one_round_sends_every_start_to_the_final_refit(distance):
+    rs = sample_resultants(simulate_sample(SimConfig(30, beta=np.pi / 3, sigma2=0.1, seed=0),
+                                           np.random.default_rng(0)))
+    got = _assert_matches_refit(rs, ClusteringConfig(n_clusters=3, distance=distance,
+                                                     n_starts=4, seed=2, max_iter=1))
+    assert [(s["n_iter"], s["stop"]) for s in got.starts] == [(1, "cap")] * 4
+
+
+@pytest.mark.parametrize("distance", ["chord", "geodesic"])
+def test_a_single_start_matches_the_sequential_loop(distance):
+    rs = _resultants(np.random.default_rng(12), 40, 9, uniform=True)
+    got = _assert_matches_refit(rs, ClusteringConfig(n_clusters=3, distance=distance,
+                                                     n_starts=1, seed=5))
+    assert len(got.starts) == 1 and got.best_start == 0
+
+
+@pytest.mark.parametrize("distance", ["chord", "geodesic"])
+def test_empty_cluster_repairs_match_the_sequential_loop(distance, monkeypatch):
+    # the lockstep loop repairs only rows with an empty cluster, so every call
+    # through the module attribute is a repair that fires (the oracle holds
+    # its own reference to _repair_empty and is not counted)
+    repairs = []
+    repair = clustering._repair_empty
+    monkeypatch.setattr(clustering, "_repair_empty",
+                        lambda *a: repairs.append(1) or repair(*a))
+    rs = _bundled(0)
+    _assert_matches_refit(rs, ClusteringConfig(n_clusters=len(rs) - 1, distance=distance,
+                                               n_starts=3, seed=0))
+    assert repairs
 
 
 def test_benchmark_rows_equal_independent_kmeans_per_theta():
@@ -118,13 +199,15 @@ def test_more_starts_add_no_n_row_memory():
 @pytest.mark.parametrize("distance", ["chord", "geodesic"])
 def test_kmeans_takes_one_svd_per_distinct_member_set(distance, monkeypatch):
     # every spectrum is one SVD of a column slice; a geodesic fit starts from
-    # it rather than averaging its members again, and memo hits take none
+    # it rather than averaging its members again, and memo hits take none.
+    # A request is one membership row passed to _Frame.centroids: one per
+    # (start, cluster, round), per final refit and for the global fit
     rng = np.random.default_rng(7)
     rs = _resultants(rng, 40, 9, uniform=False)
     requests, svds = [], []
-    centroid, svd = averaging._Frame.centroid, np.linalg.svd
-    monkeypatch.setattr(averaging._Frame, "centroid", lambda self, members, *a: (
-        requests.append(members.tobytes()) or centroid(self, members, *a)))
+    centroids, svd = averaging._Frame.centroids, np.linalg.svd
+    monkeypatch.setattr(averaging._Frame, "centroids", lambda self, chosen, *a: (
+        requests.extend(row.tobytes() for row in chosen) or centroids(self, chosen, *a)))
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a[0].shape) or svd(*a, **k))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
