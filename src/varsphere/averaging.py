@@ -11,8 +11,8 @@ u_j' W R_k u_j are block sums of T^2; costs are O(n sum q H) to O(n (sum q)^2).
 Every average is fitted in one place, _Frame: one QR of W^1/2 Z puts the
 resultants in its r-dimensional column space, r <= sum q, and the spectrum of
 a mean is one SVD of r x sum q columns there.  The frame serves K-means, the
-public averages, the inertia profile and the `average` command; the public
-geodesic ascent starts from its lifted chord average and runs on n rows.
+public averages, the inertia profile and the `average` command; every
+geodesic ascent runs there, and only returned averages are lifted to n rows.
 
 The geodesic counterpart maximizes
     g(lam, U) = - sum_k omega_k arccos(h_k)^2,   h_k = tr(U' A_k U Lam),
@@ -21,7 +21,9 @@ by a fixed-point ascent (rescaled gradient for lam, weighted polar factor for
 U) safeguarded by one line search per round along the normed line through
 the current point and its step.  Along that line every cosine is a scalar
 function of the line parameter, so the search needs no n x n operator, and
-its winner is truncated back to rank H by a 2H x 2H eigenproblem.
+its winner is truncated back to rank H by a 2H x 2H eigenproblem.  The
+step commutes with the lift, and the n-row stop test (residual <= 1e-6) is
+met in the frame by scaling the U part of the residual (see _Frame.average).
 """
 
 from __future__ import annotations
@@ -259,6 +261,27 @@ def geodesic_objective(avg: RankHOperator, resultants: list[Resultant], omega=No
     return float(_objective_value(cosines(resultants, [avg])[:, 0], omega))
 
 
+def _gradients(z, widths, weights: Weights, omega: np.ndarray, u: np.ndarray, lam: np.ndarray):
+    """geodesic_gradients on stacked factors Z of widths q_k: Gamma is one
+    product 2 W Z (f o T) Lam, f repeating each coefficient over its block."""
+    t, eta = _loadings(z, widths, u, weights)
+    factors = np.array([o * _grad_factor(c) for o, c in zip(omega, eta @ lam)])
+    gamma = factors @ eta
+    f_col = np.repeat(factors, widths)
+    gamma_u = 2.0 * weights.w[:, None] * (z @ (f_col[:, None] * t)) * lam[None, :]
+    return gamma, gamma_u
+
+
+def _step(z, widths, weights: Weights, omega: np.ndarray, u: np.ndarray, lam: np.ndarray):
+    """geodesic_step on stacked factors: the kernel every ascent round steps through."""
+    gamma, gamma_u = _gradients(z, widths, weights, omega, u, lam)
+    gamma = np.clip(gamma, 0.0, None)
+    nrm = float(np.linalg.norm(gamma))
+    if nrm <= 1e-300:
+        raise NumericalError("gradient vanished: the current point is already critical")
+    return w_orthonormal_polar(gamma_u, weights), gamma / nrm
+
+
 def geodesic_gradients(
     u: np.ndarray, lam: np.ndarray, resultants: list[Resultant], omega=None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -267,20 +290,10 @@ def geodesic_gradients(
     Returns (gamma, Gamma) with
         gamma = sum_k omega_k [2 arccos(h_k)/sqrt(1-h_k^2)] eta_k,
         Gamma = sum_k omega_k [2 arccos(h_k)/sqrt(1-h_k^2)] 2 W R_k U Lam,
-    the partial derivatives with respect to lam and U respectively.  Gamma is
-    one product 2 W Z (f o T) Lam, f repeating each coefficient over its block.
+    the partial derivatives with respect to lam and U respectively.
     """
-    weights = _gather(resultants)
-    omega = as_weight_system(omega, len(resultants))
-    u = np.asarray(u, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    z, widths = _stack(resultants)
-    t, eta = _loadings(z, widths, u, weights)
-    factors = np.array([o * _grad_factor(c) for o, c in zip(omega, eta @ lam)])
-    gamma = factors @ eta
-    f_col = np.repeat(factors, widths)
-    gamma_u = 2.0 * weights.w[:, None] * (z @ (f_col[:, None] * t)) * lam[None, :]
-    return gamma, gamma_u
+    return _gradients(*_stack(resultants), _gather(resultants), as_weight_system(
+        omega, len(resultants)), np.asarray(u, dtype=float), np.asarray(lam, dtype=float))
 
 
 def geodesic_step(
@@ -291,13 +304,8 @@ def geodesic_step(
     Both moves are ascent directions for g.  Tiny negative gamma components
     (possible only through round-off) are clipped to zero before norming.
     """
-    weights = _gather(resultants)
-    gamma, gamma_u = geodesic_gradients(u, lam, resultants, omega)
-    gamma = np.clip(gamma, 0.0, None)
-    nrm = float(np.linalg.norm(gamma))
-    if nrm <= 1e-300:
-        raise NumericalError("gradient vanished: the current point is already critical")
-    return w_orthonormal_polar(gamma_u, weights), gamma / nrm
+    return _step(*_stack(resultants), _gather(resultants), as_weight_system(
+        omega, len(resultants)), np.asarray(u, dtype=float), np.asarray(lam, dtype=float))
 
 
 def _span_forms(
@@ -368,11 +376,11 @@ def _align_columns(v: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return out
 
 
-def _residual(u: np.ndarray, lam: np.ndarray, step: tuple[np.ndarray, np.ndarray]) -> float:
-    """Distance from (U, lam) to its fixed-point step, columns aligned in sign."""
+def _residual(u: np.ndarray, lam: np.ndarray, step: tuple, u_scale: float = 1.0) -> float:
+    """Distance from (U, lam) to its fixed-point step, columns aligned in sign, U's scaled."""
     u_s, lam_s = step
     return max(float(np.linalg.norm(lam - lam_s)),
-               float(np.linalg.norm(u - _align_columns(u_s, u))))
+               u_scale * float(np.linalg.norm(u - _align_columns(u_s, u))))
 
 
 def fixed_point_residual(avg: RankHOperator, resultants: list[Resultant], omega=None) -> float:
@@ -381,29 +389,26 @@ def fixed_point_residual(avg: RankHOperator, resultants: list[Resultant], omega=
 
 
 def _ascend(
-    resultants: list[Resultant], omega_v: np.ndarray,
-    u: np.ndarray, lam: np.ndarray, max_iter: int, tol: float,
+    z: np.ndarray, widths: np.ndarray, weights: Weights, omega: np.ndarray,
+    u: np.ndarray, lam: np.ndarray, max_iter: int, tol: float, u_scale: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, int, str | None]:
-    """Safeguarded ascent from (U, lam): (U, lam, rounds, why it stopped or None)."""
-
-    weights = resultants[0].weights
-    z, widths = _stack(resultants)
-
+    """Safeguarded ascent from (U, lam) on stacked factors of widths q_k, its
+    residual's U part scaled by u_scale: (U, lam, rounds, why it stopped or None)."""
     def point(u_, lam_) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         c = _loadings(z, widths, u_, weights)[1] @ lam_
-        return u_, lam_, c, _objective_value(c, omega_v)
+        return u_, lam_, c, _objective_value(c, omega)
 
     u, lam, a, g_cur = point(u, lam)
     step = None  # the fixed-point step at (U, lam), once the residual check has taken it
     for rounds in range(1, max_iter + 1):
         try:
-            u_s, lam_s = step if step is not None else geodesic_step(u, lam, resultants, omega_v)
-        except NumericalError:
-            return u, lam, rounds, "the gradient vanished"
+            u_s, lam_s = step if step is not None else _step(z, widths, weights, omega, u, lam)
+        except NumericalError as err:
+            return u, lam, rounds, str(err)
         best = point(u_s, lam_s)
         q, m_p, m_s = _span_forms(u, lam, u_s, lam_s, weights)
         d2 = float(np.sum((m_s - m_p) ** 2))
-        tau, g_line = _line_search(a, best[2], d2, omega_v, TAU_MAX)
+        tau, g_line = _line_search(a, best[2], d2, omega, TAU_MAX)
         if g_line > best[3] + 1e-13:
             trunc = _truncate(q, m_p + tau * (m_s - m_p), u, weights)
             if trunc is not None and (cand := point(*trunc))[3] > best[3] + 1e-13:
@@ -416,11 +421,10 @@ def _ascend(
             u, lam, a, g_cur = best
         if stuck or small:
             try:
-                if step is None:
-                    step = geodesic_step(u, lam, resultants, omega_v)
-            except NumericalError:
-                return u, lam, rounds, "the fixed-point residual is undefined"
-            res = _residual(u, lam, step)
+                step = step or _step(z, widths, weights, omega, u, lam)
+            except NumericalError as err:
+                return u, lam, rounds, str(err)
+            res = _residual(u, lam, step, u_scale)
             if res <= 1e-6:
                 return u, lam, rounds, None
             if stuck:
@@ -429,11 +433,8 @@ def _ascend(
 
 
 def rank_h_average_geodesic(
-    resultants: list[Resultant],
-    h: int | RankCriterion,
-    omega=None,
-    max_iter: int = 500,
-    tol: float = 1e-10,
+    resultants: list[Resultant], h: int | RankCriterion, omega=None,
+    max_iter: int = 500, tol: float = 1e-10,
 ) -> RankHOperator:
     """Geodesic rank-h average of unit-norm resultants.
 
@@ -443,24 +444,23 @@ def rank_h_average_geodesic(
     point P through its fixed-point step S; tau > 1 collapses the slow
     linear tail of the fixed-point map.  The best line point, truncated to
     rank h, replaces S only if it beats it by 1e-13, and a round that cannot
-    ascend stops, so g never decreases.  Iteration converges once the
-    change in g is under `tol` and the fixed-point residual at most 1e-6.
-    Otherwise the last iterate comes back with converged=False and a
-    ConvergenceWarning naming the round count and the reason: the iteration
-    cap, a vanished gradient, no ascent with residual above 1e-6, or an
-    undefined residual.
+    ascend stops, so g never decreases.  It runs in the resultants' frame
+    (_Frame.average) and converges once g moves by under `tol` and the lifted
+    point's n-row fixed-point residual is at most 1e-6.  Otherwise the last
+    iterate comes back with converged=False and a ConvergenceWarning naming
+    the rounds and the reason: the iteration cap, no ascent with residual
+    above 1e-6, or the NumericalError that stopped a step.
     """
     return _Frame(resultants, omega).average(h, "geodesic", max_iter, tol)
 
 
 def _geodesic_from(
-    resultants: list[Resultant], omega: np.ndarray, u: np.ndarray, lam: np.ndarray,
-    max_iter: int = 500, tol: float = 1e-10,
+    z, widths, weights: Weights, omega: np.ndarray, u: np.ndarray, lam: np.ndarray,
+    max_iter: int = 500, tol: float = 1e-10, u_scale: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The ascent of rank_h_average_geodesic from a given start (U, lam) on
-    validated resultants and weights: (U, lam descending, converged), with
-    the ConvergenceWarning when it stops short."""
-    u, lam, rounds, reason = _ascend(resultants, omega, u, lam, max_iter, tol)
+    """The ascent from a start (U, lam) on validated arrays, as _ascend takes them:
+    (U, lam descending, converged), with the ConvergenceWarning when it stops short."""
+    u, lam, rounds, reason = _ascend(z, widths, weights, omega, u, lam, max_iter, tol, u_scale)
     if reason is not None:
         warnings.warn(
             f"geodesic average did not converge after {rounds} rounds: {reason}",
@@ -473,13 +473,14 @@ def _geodesic_from(
 
 class _Frame:
     """Resultants in the column space of their stacked factors: the one place
-    an average's spectrum is taken and truncated.
+    an average's spectrum is taken and truncated, and every geodesic ascent runs.
 
     A thin Householder QR W^1/2 [Z_1 ... Z_K] = Q R, taken once, puts every
     resultant and centroid in R^r, r = min(n, sum q): resultant k becomes the
     block z_k = sqrt(r) R_k on uniform weights, which keeps every scalar
     product, and a centroid (C, lam) lifts to U = W^-1/2 Q C / sqrt(r).  This
     is the concatenated-column SVD of ClustOfVar (Chavent et al., JSS 2012).
+    The fixed-point step commutes with the lift: an ascent on blocks is the n-row one.
 
     A member set S is a boolean row over the K resultants, weighted
     uniformly, or by the frame's omega, which only the whole set takes.  One
@@ -499,19 +500,15 @@ class _Frame:
         self.k = len(resultants)
         self.omega = None if omega is None else as_weight_system(omega, self.k)
         root = np.sqrt(weights.w)[:, None]
-        z = np.hstack([r.factor for r in resultants])
+        z, self._widths = _stack(resultants)
         z *= root
         q, packed = np.linalg.qr(z)
         rank = q.shape[1]
         q /= root * np.sqrt(rank)
-        self.resultants, self.weights, self._lift, self.rank = resultants, weights, q, rank
-        self.z = np.sqrt(rank) * packed
-        self._widths = np.array([r.factor.shape[1] for r in resultants])
+        self.weights, self._lift, self.rank = weights, q, rank
+        self.z, self._uniform = np.sqrt(rank) * packed, Weights.uniform(rank)
         self._owner = np.repeat(np.arange(self.k), self._widths)
         self._starts = np.cumsum(self._widths) - self._widths
-        reduced = Weights.uniform(rank)  # the ascent's resultants, z_k on uniform weights
-        self._reduced = [Resultant(self.z[:, s:s + q], reduced, True)
-                         for s, q in zip(self._starts, self._widths)]
         self.everyone = np.ones(self.k, dtype=bool)
         self._memo: dict = {}
 
@@ -562,10 +559,11 @@ class _Frame:
         top = lam[:h]
         c, lam_h, converged = u[:, :h], top / math.sqrt(top.dot(top)), True
         if distance == "geodesic":
-            members = np.flatnonzero(chosen)
-            c, lam_h, converged = _geodesic_from([self._reduced[i] for i in members],
-                                                 as_weight_system(self.omega, members.size),
-                                                 _fix_column_signs(c), lam_h)
+            # a C-order copy, as z is: BLAS rounds products by memory layout
+            blocks = np.ascontiguousarray(self.z[:, chosen[self._owner]])
+            c, lam_h, converged = _geodesic_from(
+                blocks, self._widths[chosen], self._uniform,
+                as_weight_system(self.omega, int(chosen.sum())), _fix_column_signs(c), lam_h)
         t = self.z.T @ c
         return c, lam_h, converged, np.add.reduceat(t * t, self._starts) @ lam_h / self.rank**2
 
@@ -579,13 +577,14 @@ class _Frame:
         self, h: int | RankCriterion, distance: str = "chord",
         max_iter: int = 500, tol: float = 1e-10,
     ) -> RankHOperator:
-        """The whole set's rank-h average on the n observations.  The geodesic
-        one ascends from the lifted chord average on the n-row resultants: the
-        lift keeps every cosine, but under non-uniform W it does not keep the
-        n-row norm in which the fixed-point residual is judged."""
-        start = self.lift(self.centroids(self.everyone[None], "chord", h)[0])
-        if distance == "chord":
-            return start
-        u, lam, converged = _geodesic_from(self.resultants, as_weight_system(self.omega, self.k),
-                                           start.U, start.lam, max_iter, tol)
-        return RankHOperator(u, lam, self.weights, converged=converged)
+        """The whole set's rank-h average, lifted to the n observations.  The
+        geodesic one ascends in the frame from the chord fit, its residual's U
+        part scaled by s = max_i w_i^-1/2 / sqrt(r): the lifted basis moves by
+        ||U - U_S|| <= s ||C - C_S||, so the 1e-6 stop holds on the n rows."""
+        fit = self.centroids(self.everyone[None], "chord", h)[0]
+        if distance == "geodesic":
+            scale = 1.0 / math.sqrt(float(self.weights.w.min()) * self.rank)
+            fit = (*_geodesic_from(self.z, self._widths, self._uniform,
+                                   as_weight_system(self.omega, self.k), _fix_column_signs(fit[0]),
+                                   fit[1], max_iter, tol, scale), None)
+        return self.lift(fit)

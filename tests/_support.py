@@ -19,7 +19,9 @@ from varsphere import (
     w_orthonormal_polar,
     weighted_average,
 )
-from varsphere.averaging import _gather, _geodesic_from, _line_search, _span_forms, cosines
+from varsphere.averaging import (
+    _gather, _geodesic_from, _line_search, _span_forms, _stack, cosines,
+)
 from varsphere.clustering import _assign_from_cos, _repair_empty, _sq_dist_from_cos, _within
 from varsphere.geometry import EIGEN_DROP_TOL, _fix_column_signs
 
@@ -108,8 +110,8 @@ def refit_average(members, criterion, distance):
     start = RankHOperator(u[:, :kept.size], kept / np.linalg.norm(kept), mean.weights)
     if distance == "chord":
         return start
-    u, lam, converged = _geodesic_from(members, as_weight_system(None, len(members)),
-                                       start.U, start.lam)
+    u, lam, converged = _geodesic_from(*_stack(members), mean.weights,
+                                       as_weight_system(None, len(members)), start.U, start.lam)
     return RankHOperator(u, lam, mean.weights, converged=converged)
 
 

@@ -17,6 +17,7 @@ from varsphere import (
     clustering,
     geodesic_inertia_profile,
     kmeans,
+    rank_h_average_geodesic,
     rand_discrepancy,
     run_benchmark,
     sample_resultants,
@@ -173,6 +174,32 @@ def test_benchmark_rows_equal_independent_kmeans_per_theta():
     assert [(r.theta, r.mean_rand, r.sd_rand, r.replications, r.failures) for r in rows] == [
         (t, float(np.mean(v)), float(np.std(v, ddof=1)), 3, 0) for t, v in scores.items()
     ]
+
+
+def test_no_ascent_round_runs_on_n_rows(tmp_path, monkeypatch):
+    # every public geodesic average ascends in the frame, on at most sum q rows
+    from varsphere.cli import main
+
+    sample = simulate_sample(SimConfig(2000, beta=np.pi / 3, sigma2=0.1),
+                             np.random.default_rng(4))
+    rs = sample_resultants(sample)
+    sum_q = sum(r.factor.shape[1] for r in rs)
+    path = tmp_path / "sample.csv"
+    lines = [",".join(sample.names)] + [
+        ",".join([*(repr(float(v)) for v in num), *(f"q{c}" for c in cat)])
+        for num, cat in zip(sample.numeric, sample.categorical)]
+    path.write_text("\n".join(lines) + "\n")
+    rows = []
+    step = averaging._step
+    monkeypatch.setattr(averaging, "_step", lambda z, *a: rows.append(z.shape[0]) or step(z, *a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rank_h_average_geodesic(rs, 2)
+        geodesic_inertia_profile(rs, 2)
+        code = main(["average", "--data", str(path), "--out-dir", str(tmp_path / "avg"),
+                     "--distance", "geodesic", "--criterion", "fixed", "--H", "2"])
+    assert code in (0, 4)
+    assert rows and max(rows) <= sum_q
 
 
 def test_more_starts_add_no_n_row_memory():

@@ -7,13 +7,20 @@ import pytest
 
 from varsphere import (
     ConvergenceWarning,
+    RankCriterion,
     RankHOperator,
+    SimConfig,
+    Weights,
+    encode_numeric,
     fixed_point_residual,
     geodesic_gradients,
     geodesic_objective,
     geodesic_step,
     rank_h_average_euclidean,
     rank_h_average_geodesic,
+    resultant,
+    sample_resultants,
+    simulate_sample,
 )
 from varsphere.averaging import _line_cosines, _span_forms, _truncate, cosines
 
@@ -26,6 +33,7 @@ from _support import (
     random_rank_h,
     random_w_orthonormal,
     random_weights,
+    refit_average,
     w_spsd_eigen,
 )
 
@@ -318,3 +326,38 @@ def test_shipped_ascent_never_loses_ground_round_by_round():
             previous = g
             if avg.converged:
                 break
+
+
+def test_a_failing_step_reports_its_own_error():
+    # two numeric variables a hair apart: their mean has lam_2 ~ 1.7e-7, so at
+    # H = 2 the polar factor refuses the rank-deficient Gamma' W^-1 Gamma,
+    # while the gradient is far from vanishing
+    rng = np.random.default_rng(0)
+    w = Weights.uniform(20)
+    x = rng.standard_normal(20)
+    rs = [resultant(encode_numeric(v, w), w) for v in (x, x + 1e-3 * rng.standard_normal(20))]
+    start = rank_h_average_euclidean(rs, 2)
+    assert np.linalg.norm(geodesic_gradients(start.U, start.lam, rs)[0]) > 1.0
+    with pytest.warns(ConvergenceWarning) as caught:
+        avg = rank_h_average_geodesic(rs, 2)
+    assert not avg.converged
+    assert [str(c.message) for c in caught] == [
+        "geodesic average did not converge after 1 rounds: matrix is numerically rank-deficient"]
+    assert caught[0].filename == __file__  # the stacklevel names the caller
+
+
+@pytest.mark.parametrize("h", [1, 2])
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform_w", "random_w"])
+def test_frame_ascent_meets_the_n_row_residual_far_above_sum_q(uniform, h):
+    # n = 2,000 rows against sum q = 33 columns: the ascent runs in the
+    # r = 33 frame, and its residual must still hold on the n lifted rows,
+    # where a basis error grows like sqrt(n / r) under uniform W
+    rng = np.random.default_rng([h, uniform])
+    sample = simulate_sample(SimConfig(2000, np.pi / 3, 0.1), rng)
+    rs = sample_resultants(sample, random_weights(rng, 2000, uniform=uniform))
+    avg = rank_h_average_geodesic(rs, h)
+    oracle = refit_average(rs, RankCriterion.fixed(h), "geodesic")
+    assert avg.converged and oracle.converged
+    assert fixed_point_residual(avg, rs) <= 1e-6
+    assert geodesic_objective(avg, rs) == pytest.approx(geodesic_objective(oracle, rs),
+                                                         rel=0.0, abs=1e-12)
