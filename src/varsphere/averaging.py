@@ -6,13 +6,16 @@ only its leading H eigendirections (with the eigenvalue vector rescaled to
 unit length) gives the best rank-H point of the sphere in the chord sense.
 
 All of it runs on the factors R_k = Z_k Z_k' W and on rank-H points (U, lam),
-never on an n x n operator: with Z = [Z_1 ... Z_K] and T = Z' W U, the loadings
-u_j' W R_k u_j are block sums of T^2; costs are O(n sum q H) to O(n (sum q)^2).
-Every average is fitted in one place, _Frame: one QR of W^1/2 Z puts the
-resultants in its r-dimensional column space, r <= sum q, and the spectrum of
-a mean is one SVD of r x sum q columns there.  The frame serves K-means, the
-public averages, the inertia profile and the `average` command; every
-geodesic ascent runs there, and only returned averages are lifted to n rows.
+never on an n x n operator.  The private kernels take whitened rows, where W
+is the identity: Z_k becomes W^1/2 Z_k and U becomes W^1/2 U, orthonormal, so
+T = Z' W U is a plain product and the loadings u_j' W R_k u_j are block sums
+of T^2; costs are O(n sum q H) to O(n (sum q)^2).  The public n-row functions
+whiten on the way in and out.  Every average is fitted in one place, _Frame:
+one QR of W^1/2 Z puts the resultants in its r-dimensional column space,
+r <= sum q, and the spectrum of a mean is one SVD of r x sum q columns there.
+The frame serves K-means, the public averages, the inertia profile and the
+`average` command through one memoised fit; every geodesic ascent runs there,
+and only returned averages are lifted to n rows.
 
 The geodesic counterpart maximizes
     g(lam, U) = - sum_k omega_k arccos(h_k)^2,   h_k = tr(U' A_k U Lam),
@@ -22,8 +25,9 @@ U) safeguarded by one line search per round along the normed line through
 the current point and its step.  Along that line every cosine is a scalar
 function of the line parameter, so the search needs no n x n operator, and
 its winner is truncated back to rank H by a 2H x 2H eigenproblem.  The
-step commutes with the lift, and the n-row stop test (residual <= 1e-6) is
-met in the frame by scaling the U part of the residual (see _Frame.average).
+step commutes with the lift, and every fit stops by one rule, the n-row
+fixed-point residual <= 1e-6, met in the frame by scaling the residual's U
+part by max_i w_i^-1/2 (see _Frame).
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ from .geometry import (
     RANK_TOL,
     Weights,
     _fix_column_signs,
+    inv_sqrt_spd,
     numerical_rank,
-    w_orthonormal_polar,
 )
 
 # h values this close to 1 switch the gradient factor to its analytic limit.
@@ -215,15 +219,15 @@ def choose_rank(eigenvalues, criterion: RankCriterion) -> int:
 
 
 def _stack(resultants: list[Resultant]) -> tuple[np.ndarray, np.ndarray]:
-    """The factors side by side, Z = [Z_1 ... Z_K], and the width q_k of each."""
-    return (np.hstack([r.factor for r in resultants]),
+    """The whitened factors side by side, W^1/2 [Z_1 ... Z_K], and the width q_k of each."""
+    return (np.sqrt(resultants[0].weights.w)[:, None] * np.hstack([r.factor for r in resultants]),
             np.array([r.factor.shape[1] for r in resultants]))
 
 
-def _loadings(z, widths, u: np.ndarray, weights: Weights) -> tuple[np.ndarray, np.ndarray]:
-    """T = Z' W U for stacked factors, and the loadings
-    eta_kj = u_j' W R_k u_j = ||Z_k' W u_j||^2 (K x H)."""
-    t = z.T @ (weights.w[:, None] * u)
+def _loadings(z, widths, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T = Z' U for whitened factors and basis, and the loadings
+    eta_kj = u_j' W R_k u_j = ||Z_k' u_j||^2 (K x H)."""
+    t = z.T @ u
     return t, np.add.reduceat(t * t, np.cumsum(widths) - widths, axis=0)
 
 
@@ -232,7 +236,8 @@ def cosines(resultants: list[Resultant], centroids: list[RankHOperator]) -> np.n
     weights = centroids[0].weights
     if not all(x.weights.same_as(weights) for x in (*resultants, *centroids)):
         raise ValidationError("operands live on different weight systems")
-    _, eta = _loadings(*_stack(resultants), np.hstack([c.U for c in centroids]), weights)
+    u = np.sqrt(weights.w)[:, None] * np.hstack([c.U for c in centroids])
+    _, eta = _loadings(*_stack(resultants), u)
     starts = np.cumsum([0] + [c.rank for c in centroids[:-1]])
     return np.add.reduceat(eta * np.concatenate([c.lam for c in centroids]), starts, axis=1)
 
@@ -242,18 +247,6 @@ def _objective_value(h: np.ndarray, omega: np.ndarray):
     return -(np.arccos(np.clip(h, -1.0, 1.0)) ** 2) @ omega
 
 
-def _grad_factor(h: float) -> float:
-    """d(arccos^2)/dh = -2 arccos(h)/sqrt(1-h^2), returned without the sign.
-
-    The ratio tends to 1 as h -> 1, so the factor is evaluated by its limit
-    once h is within H_SINGULAR of 1 (the clamp also shields round-off
-    values slightly above 1)."""
-    h = max(h, -1.0 + H_SINGULAR)
-    if h > 1.0 - H_SINGULAR:
-        return 2.0
-    return 2.0 * float(np.arccos(h)) / float(np.sqrt(1.0 - h * h))
-
-
 def geodesic_objective(avg: RankHOperator, resultants: list[Resultant], omega=None) -> float:
     """g = - sum_k omega_k arccos([R_k | avg])^2 (non-positive, 0 when all equal)."""
     _gather(resultants)
@@ -261,25 +254,30 @@ def geodesic_objective(avg: RankHOperator, resultants: list[Resultant], omega=No
     return float(_objective_value(cosines(resultants, [avg])[:, 0], omega))
 
 
-def _gradients(z, widths, weights: Weights, omega: np.ndarray, u: np.ndarray, lam: np.ndarray):
-    """geodesic_gradients on stacked factors Z of widths q_k: Gamma is one
-    product 2 W Z (f o T) Lam, f repeating each coefficient over its block."""
-    t, eta = _loadings(z, widths, u, weights)
-    factors = np.array([o * _grad_factor(c) for o, c in zip(omega, eta @ lam)])
+def _gradients(z, widths, omega: np.ndarray, u: np.ndarray, lam: np.ndarray):
+    """geodesic_gradients on whitened factors Z of widths q_k and a whitened
+    basis: Gamma is one product 2 Z (f o T) Lam, f repeating each coefficient
+    over its block.  f_k = omega_k d(arccos^2)/dh at h_k, without the sign:
+    2 arccos(h)/sqrt(1-h^2) tends to 2 as h -> 1, so it takes that limit once
+    h is within H_SINGULAR of 1 (the clamp also shields round-off above 1)."""
+    t, eta = _loadings(z, widths, u)
+    h = eta @ lam
+    c = np.clip(h, -1.0 + H_SINGULAR, 1.0 - H_SINGULAR)
+    factors = omega * np.where(h > 1.0 - H_SINGULAR, 2.0, 2.0 * np.arccos(c) / np.sqrt(1.0 - c * c))
     gamma = factors @ eta
     f_col = np.repeat(factors, widths)
-    gamma_u = 2.0 * weights.w[:, None] * (z @ (f_col[:, None] * t)) * lam[None, :]
-    return gamma, gamma_u
+    return gamma, 2.0 * (z @ (f_col[:, None] * t)) * lam[None, :]
 
 
-def _step(z, widths, weights: Weights, omega: np.ndarray, u: np.ndarray, lam: np.ndarray):
-    """geodesic_step on stacked factors: the kernel every ascent round steps through."""
-    gamma, gamma_u = _gradients(z, widths, weights, omega, u, lam)
+def _step(z, widths, omega: np.ndarray, u: np.ndarray, lam: np.ndarray):
+    """geodesic_step on whitened arrays, the kernel every ascent round steps
+    through: U <- the polar factor G (G'G)^-1/2 of the gradient G."""
+    gamma, gamma_u = _gradients(z, widths, omega, u, lam)
     gamma = np.clip(gamma, 0.0, None)
     nrm = float(np.linalg.norm(gamma))
     if nrm <= 1e-300:
         raise NumericalError("gradient vanished: the current point is already critical")
-    return w_orthonormal_polar(gamma_u, weights), gamma / nrm
+    return gamma_u @ inv_sqrt_spd(gamma_u.T @ gamma_u), gamma / nrm
 
 
 def geodesic_gradients(
@@ -292,32 +290,38 @@ def geodesic_gradients(
         Gamma = sum_k omega_k [2 arccos(h_k)/sqrt(1-h_k^2)] 2 W R_k U Lam,
     the partial derivatives with respect to lam and U respectively.
     """
-    return _gradients(*_stack(resultants), _gather(resultants), as_weight_system(
-        omega, len(resultants)), np.asarray(u, dtype=float), np.asarray(lam, dtype=float))
+    root = np.sqrt(_gather(resultants).w)[:, None]
+    gamma, gamma_u = _gradients(*_stack(resultants), as_weight_system(omega, len(resultants)),
+                                root * np.asarray(u, dtype=float), np.asarray(lam, dtype=float))
+    return gamma, root * gamma_u
 
 
 def geodesic_step(
     u: np.ndarray, lam: np.ndarray, resultants: list[Resultant], omega=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One fixed-point update: lam <- gamma/||gamma||, U <- polar factor of Gamma.
+    """One fixed-point update: lam <- gamma/||gamma||, U <- the weighted polar
+    factor W^-1 Gamma (Gamma' W^-1 Gamma)^-1/2.
 
     Both moves are ascent directions for g.  Tiny negative gamma components
     (possible only through round-off) are clipped to zero before norming.
     """
-    return _step(*_stack(resultants), _gather(resultants), as_weight_system(
-        omega, len(resultants)), np.asarray(u, dtype=float), np.asarray(lam, dtype=float))
+    root = np.sqrt(_gather(resultants).w)[:, None]
+    u_s, lam_s = _step(*_stack(resultants), as_weight_system(omega, len(resultants)),
+                       root * np.asarray(u, dtype=float), np.asarray(lam, dtype=float))
+    return u_s / root, lam_s
 
 
 def _span_forms(
-    u_p: np.ndarray, lam: np.ndarray, u_s: np.ndarray, mu: np.ndarray, weights: Weights
+    u_p: np.ndarray, lam: np.ndarray, u_s: np.ndarray, mu: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Q, M_P, M_S) with W^1/2 (P + tau (S - P)) W^-1/2 = Q (M_P + tau (M_S - M_P)) Q'.
+    """(Q, M_P, M_S) with W^1/2 (P + tau (S - P)) W^-1/2 = Q (M_P + tau (M_S - M_P)) Q'
+    for whitened bases U_P and U_S.
 
-    From a thin QR W^1/2 [U_P, U_S] = Q R: M_P = R diag(lam, 0) R' and
+    From a thin QR [U_P, U_S] = Q R: M_P = R diag(lam, 0) R' and
     M_S = R diag(0, mu) R' are 2H x 2H.  Householder QR keeps Q orthonormal
     when the spans (nearly) coincide, and ||S - P||^2 = ||M_S - M_P||_F^2
     keeps its relative accuracy as S approaches P."""
-    q, r = np.linalg.qr(np.sqrt(weights.w)[:, None] * np.hstack([u_p, u_s]))
+    q, r = np.linalg.qr(np.hstack([u_p, u_s]))
     h = lam.size
     return q, (r[:, :h] * lam) @ r[:, :h].T, (r[:, h:] * mu) @ r[:, h:].T
 
@@ -352,9 +356,9 @@ def _line_search(
 
 
 def _truncate(
-    q: np.ndarray, m: np.ndarray, u_ref: np.ndarray, weights: Weights
+    q: np.ndarray, m: np.ndarray, u_ref: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Rank-H truncation of W^-1/2 Q m Q' W^1/2 for a form m from _span_forms.
+    """Rank-H truncation of Q m Q' for a form m from _span_forms, in whitened rows.
 
     Returns the top H = u_ref.shape[1] eigenpairs of m lifted by Q (columns
     signed like u_ref, eigenvalues of unit norm), or None when fewer than H
@@ -364,8 +368,7 @@ def _truncate(
     vals, vecs = vals[::-1][:h], vecs[:, ::-1][:, :h]
     if vals[-1] <= EIGEN_DROP_TOL * vals[0]:
         return None
-    u = (q @ vecs) / np.sqrt(weights.w)[:, None]
-    return _align_columns(u, u_ref), vals / np.linalg.norm(vals)
+    return _align_columns(q @ vecs, u_ref), vals / np.linalg.norm(vals)
 
 
 def _align_columns(v: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -389,28 +392,28 @@ def fixed_point_residual(avg: RankHOperator, resultants: list[Resultant], omega=
 
 
 def _ascend(
-    z: np.ndarray, widths: np.ndarray, weights: Weights, omega: np.ndarray,
-    u: np.ndarray, lam: np.ndarray, max_iter: int, tol: float, u_scale: float = 1.0,
+    z: np.ndarray, widths: np.ndarray, omega: np.ndarray,
+    u: np.ndarray, lam: np.ndarray, max_iter: int, tol: float, u_scale: float,
 ) -> tuple[np.ndarray, np.ndarray, int, str | None]:
-    """Safeguarded ascent from (U, lam) on stacked factors of widths q_k, its
+    """Safeguarded ascent from (U, lam) on whitened factors of widths q_k, its
     residual's U part scaled by u_scale: (U, lam, rounds, why it stopped or None)."""
     def point(u_, lam_) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        c = _loadings(z, widths, u_, weights)[1] @ lam_
+        c = _loadings(z, widths, u_)[1] @ lam_
         return u_, lam_, c, _objective_value(c, omega)
 
     u, lam, a, g_cur = point(u, lam)
     step = None  # the fixed-point step at (U, lam), once the residual check has taken it
     for rounds in range(1, max_iter + 1):
         try:
-            u_s, lam_s = step if step is not None else _step(z, widths, weights, omega, u, lam)
+            u_s, lam_s = step if step is not None else _step(z, widths, omega, u, lam)
         except NumericalError as err:
             return u, lam, rounds, str(err)
         best = point(u_s, lam_s)
-        q, m_p, m_s = _span_forms(u, lam, u_s, lam_s, weights)
+        q, m_p, m_s = _span_forms(u, lam, u_s, lam_s)
         d2 = float(np.sum((m_s - m_p) ** 2))
         tau, g_line = _line_search(a, best[2], d2, omega, TAU_MAX)
         if g_line > best[3] + 1e-13:
-            trunc = _truncate(q, m_p + tau * (m_s - m_p), u, weights)
+            trunc = _truncate(q, m_p + tau * (m_s - m_p), u)
             if trunc is not None and (cand := point(*trunc))[3] > best[3] + 1e-13:
                 best = cand
         stuck = best[3] < g_cur - 1e-13
@@ -421,7 +424,7 @@ def _ascend(
             u, lam, a, g_cur = best
         if stuck or small:
             try:
-                step = step or _step(z, widths, weights, omega, u, lam)
+                step = step or _step(z, widths, omega, u, lam)
             except NumericalError as err:
                 return u, lam, rounds, str(err)
             res = _residual(u, lam, step, u_scale)
@@ -444,28 +447,30 @@ def rank_h_average_geodesic(
     point P through its fixed-point step S; tau > 1 collapses the slow
     linear tail of the fixed-point map.  The best line point, truncated to
     rank h, replaces S only if it beats it by 1e-13, and a round that cannot
-    ascend stops, so g never decreases.  It runs in the resultants' frame
-    (_Frame.average) and converges once g moves by under `tol` and the lifted
-    point's n-row fixed-point residual is at most 1e-6.  Otherwise the last
+    ascend stops, so g never decreases.  It is the frame's fit of the whole
+    set, the same fit a K-means centroid gets, lifted to the n observations,
+    and converges once g moves by under `tol` and the lifted point's n-row
+    fixed-point residual is at most 1e-6.  Otherwise the last
     iterate comes back with converged=False and a ConvergenceWarning naming
     the rounds and the reason: the iteration cap, no ascent with residual
     above 1e-6, or the NumericalError that stopped a step.
     """
-    return _Frame(resultants, omega).average(h, "geodesic", max_iter, tol)
+    return _Frame(resultants, omega, max_iter, tol).average(h, "geodesic")
 
 
 def _geodesic_from(
-    z, widths, weights: Weights, omega: np.ndarray, u: np.ndarray, lam: np.ndarray,
-    max_iter: int = 500, tol: float = 1e-10, u_scale: float = 1.0,
+    z, widths, omega: np.ndarray, u: np.ndarray, lam: np.ndarray,
+    max_iter: int, tol: float, u_scale: float,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """The ascent from a start (U, lam) on validated arrays, as _ascend takes them:
-    (U, lam descending, converged), with the ConvergenceWarning when it stops short."""
-    u, lam, rounds, reason = _ascend(z, widths, weights, omega, u, lam, max_iter, tol, u_scale)
+    (U, lam descending, converged), with the ConvergenceWarning when it stops short,
+    whose stacklevel names the caller of rank_h_average_geodesic."""
+    u, lam, rounds, reason = _ascend(z, widths, omega, u, lam, max_iter, tol, u_scale)
     if reason is not None:
         warnings.warn(
             f"geodesic average did not converge after {rounds} rounds: {reason}",
             ConvergenceWarning,
-            stacklevel=4,
+            stacklevel=7,
         )
     order = np.argsort(-lam, kind="stable")
     return u[:, order], lam[order], reason is None
@@ -476,57 +481,53 @@ class _Frame:
     an average's spectrum is taken and truncated, and every geodesic ascent runs.
 
     A thin Householder QR W^1/2 [Z_1 ... Z_K] = Q R, taken once, puts every
-    resultant and centroid in R^r, r = min(n, sum q): resultant k becomes the
-    block z_k = sqrt(r) R_k on uniform weights, which keeps every scalar
-    product, and a centroid (C, lam) lifts to U = W^-1/2 Q C / sqrt(r).  This
-    is the concatenated-column SVD of ClustOfVar (Chavent et al., JSS 2012).
-    The fixed-point step commutes with the lift: an ascent on blocks is the n-row one.
+    resultant and centroid in R^r, r = min(n, sum q), with orthonormal rows:
+    resultant k becomes the block R_k, which keeps every scalar product, and a
+    centroid (C, lam) with C'C = I lifts to U = W^-1/2 Q C.  This is the
+    concatenated-column SVD of ClustOfVar (Chavent et al., JSS 2012).  The
+    fixed-point step commutes with the lift, so an ascent on blocks is the
+    n-row one, and every fit stops by the n-row rule: its residual's U part is
+    scaled by s = max_i w_i^-1/2, since ||U - U_S|| <= s ||C - C_S||.  The
+    frame holds s and the ascent's max_iter and tol.
 
     A member set S is a boolean row over the K resultants, weighted
     uniformly, or by the frame's omega, which only the whole set takes.  One
     memo holds plain arrays, keyed by the set's packed row: under the bare
     key, the spectrum of the members' mean from one SVD of their scaled
-    columns sqrt(omega_k) z_k = Q_S S V', lam = s^2 / r; under (key,
-    distance, rank h or criterion), the fit (C, lam_h, converged, cosines to
-    all K resultants), chord C = sqrt(r) Q_S[:, :h] and
-    lam_h = lam[:h] / ||lam[:h]||, or the geodesic ascent from there.
-    Criteria that choose the same rank share one fit.  Chord column signs
-    stay as the SVD leaves them (the cosines ignore them) until lift() signs
-    a centroid.  Only the lift basis has n rows.
+    columns sqrt(omega_k) R_k = Q_S S V', lam = s^2; under (key, distance,
+    rank h or criterion), the fit (C, lam_h, converged, cosines to all K
+    resultants), chord C = Q_S[:, :h] and lam_h = lam[:h] / ||lam[:h]||, or
+    the geodesic ascent from there.  Criteria that choose the same rank share
+    one fit.  Chord column signs stay as the SVD leaves them (the cosines
+    ignore them) until lift() signs a centroid.  Only the lift basis has n rows.
     """
 
-    def __init__(self, resultants: list[Resultant], omega=None):
+    def __init__(self, resultants: list[Resultant], omega=None,
+                 max_iter: int = 500, tol: float = 1e-10):
         weights = _gather(resultants)
         self.k = len(resultants)
         self.omega = None if omega is None else as_weight_system(omega, self.k)
-        root = np.sqrt(weights.w)[:, None]
         z, self._widths = _stack(resultants)
-        z *= root
-        q, packed = np.linalg.qr(z)
-        rank = q.shape[1]
-        q /= root * np.sqrt(rank)
-        self.weights, self._lift, self.rank = weights, q, rank
-        self.z, self._uniform = np.sqrt(rank) * packed, Weights.uniform(rank)
+        q, self.z = np.linalg.qr(z)
+        self.weights, self._lift = weights, q / np.sqrt(weights.w)[:, None]
+        self._stop = max_iter, tol, 1.0 / math.sqrt(float(weights.w.min()))
         self._owner = np.repeat(np.arange(self.k), self._widths)
         self._starts = np.cumsum(self._widths) - self._widths
         self.everyone = np.ones(self.k, dtype=bool)
         self._memo: dict = {}
 
     def spectrum(self, chosen: np.ndarray, key: bytes | None = None):
-        """(sqrt(r) Q_S, lam) of the mean of the members marked in `chosen`,
-        eigenvalues under EIGEN_DROP_TOL of the largest dropped, scaled as the
-        SVD of the mean's n-row factor scales them."""
+        """(Q_S, lam) of the mean of the members marked in `chosen`,
+        eigenvalues under EIGEN_DROP_TOL of the largest dropped."""
         key = np.packbits(chosen).tobytes() if key is None else key
         spectrum = self._memo.get(key)
         if spectrum is None:
             share = (math.sqrt(1.0 / np.count_nonzero(chosen)) if self.omega is None
                      else np.repeat(np.sqrt(self.omega), self._widths))
-            root = np.sqrt(1.0 / self.rank)
-            q, s, _ = np.linalg.svd(root * (share * self.z[:, chosen[self._owner]]),
-                                    full_matrices=False)
+            q, s, _ = np.linalg.svd(share * self.z[:, chosen[self._owner]], full_matrices=False)
             lam = s * s
             keep = int(np.count_nonzero(lam > EIGEN_DROP_TOL * lam[0]))
-            spectrum = self._memo[key] = q[:, :keep] / root, lam[:keep]
+            spectrum = self._memo[key] = q[:, :keep], lam[:keep]
         return spectrum
 
     def centroids(self, chosen: np.ndarray, distance: str, h: int | RankCriterion) -> list[tuple]:
@@ -535,9 +536,11 @@ class _Frame:
         them all.  An integer h must lie in [1, numerical rank]."""
         width = -(-self.k // 8)
         keys = np.packbits(chosen, axis=1).tobytes()
-        return [self._memo.get((keys[i:i + width], distance, h))
-                or self._settle(chosen[i // width], keys[i:i + width], distance, h)
-                for i in range(0, len(keys), width)]
+        fits = []
+        for i in range(0, len(keys), width):  # a loop, not a comprehension: see _geodesic_from
+            fits.append(self._memo.get((keys[i:i + width], distance, h))
+                        or self._settle(chosen[i // width], keys[i:i + width], distance, h))
+        return fits
 
     def _settle(self, chosen, key: bytes, distance: str, h: int | RankCriterion) -> tuple:
         """Memoise a set's fit under h and under the rank h picks from its spectrum."""
@@ -562,10 +565,10 @@ class _Frame:
             # a C-order copy, as z is: BLAS rounds products by memory layout
             blocks = np.ascontiguousarray(self.z[:, chosen[self._owner]])
             c, lam_h, converged = _geodesic_from(
-                blocks, self._widths[chosen], self._uniform,
-                as_weight_system(self.omega, int(chosen.sum())), _fix_column_signs(c), lam_h)
+                blocks, self._widths[chosen], as_weight_system(self.omega, int(chosen.sum())),
+                _fix_column_signs(c), lam_h, *self._stop)
         t = self.z.T @ c
-        return c, lam_h, converged, np.add.reduceat(t * t, self._starts) @ lam_h / self.rank**2
+        return c, lam_h, converged, np.add.reduceat(t * t, self._starts) @ lam_h
 
     def lift(self, fit: tuple) -> RankHOperator:
         """A fit's centroid on the n observations, each column's largest-magnitude entry positive."""
@@ -573,18 +576,7 @@ class _Frame:
         return RankHOperator(_fix_column_signs(self._lift @ c), lam, self.weights,
                              converged=converged)
 
-    def average(
-        self, h: int | RankCriterion, distance: str = "chord",
-        max_iter: int = 500, tol: float = 1e-10,
-    ) -> RankHOperator:
-        """The whole set's rank-h average, lifted to the n observations.  The
-        geodesic one ascends in the frame from the chord fit, its residual's U
-        part scaled by s = max_i w_i^-1/2 / sqrt(r): the lifted basis moves by
-        ||U - U_S|| <= s ||C - C_S||, so the 1e-6 stop holds on the n rows."""
-        fit = self.centroids(self.everyone[None], "chord", h)[0]
-        if distance == "geodesic":
-            scale = 1.0 / math.sqrt(float(self.weights.w.min()) * self.rank)
-            fit = (*_geodesic_from(self.z, self._widths, self._uniform,
-                                   as_weight_system(self.omega, self.k), _fix_column_signs(fit[0]),
-                                   fit[1], max_iter, tol, scale), None)
-        return self.lift(fit)
+    def average(self, h: int | RankCriterion, distance: str = "chord") -> RankHOperator:
+        """The whole set's rank-h fit, the one K-means takes for its global
+        inertia, lifted to the n observations."""
+        return self.lift(self.centroids(self.everyone[None], distance, h)[0])

@@ -26,7 +26,7 @@ from .averaging import RankCriterion, _Frame, geodesic_objective
 from .clustering import (
     DISTANCES,
     ClusteringConfig,
-    _geodesic_inertia,
+    _geodesic_profile,
     _sq_dist_from_cos,
     centroid_separation,
     classical_mds,
@@ -213,7 +213,8 @@ def _cmd_cluster(args) -> None:
 
 def _cmd_average(args) -> None:
     resultants, weights = _load_resultants(args)
-    # one frame, one SVD: the scree and every rank's chord fit and geodesic start
+    # one frame, one SVD: the scree, every rank's chord fit and geodesic start,
+    # and one memo, so the profile's rank h is the average fitted here
     frame = _Frame(resultants)
     criterion = _criterion(args)
     avg = frame.average(criterion, args.distance)
@@ -239,13 +240,10 @@ def _cmd_average(args) -> None:
         [(i + 1, *avg.U[i]) for i in range(weights.n)],
     )
     if args.distance == "geodesic":
-        # ranks below h ascend from the frame's spectrum; rank h is the average just fitted
-        profile = [*(_geodesic_inertia(resultants, frame.average(j, "geodesic"))
-                     for j in range(1, h)), _geodesic_inertia(resultants, avg)]
         _write_csv(
             os.path.join(out, "geodesic_inertia.csv"),
             ["h", "inertia"],
-            [(i + 1, v) for i, v in enumerate(profile)],
+            [(i + 1, v) for i, v in enumerate(_geodesic_profile(frame, resultants, h))],
         )
     _write_json(
         os.path.join(out, "average.json"),

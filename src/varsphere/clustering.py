@@ -10,12 +10,12 @@ go to the earliest start).
 Every centroid lies in the span of the stacked factors, so K-means runs on
 the averaging frame, which reduces the dataset to that column space once (one
 QR) and fits each member set once, whatever the number of starts and
-iterations; a geodesic fit's ConvergenceWarning is therefore emitted once per
-member set.  The starts advance in lockstep: each round takes every active
-start's member sets from the frame in one request and proposes all their
-assignments with one argmax.  Each start keeps its own seed (spawned from
-the config's), cycle rule and objective trace, so it follows the path it
-would follow alone.
+iterations, as the public averages fit the whole set, under one stop rule;
+a geodesic fit's ConvergenceWarning is emitted once per member set.  The
+starts advance in lockstep: each round takes every active start's member
+sets from the frame in one request and proposes all their assignments with
+one argmax.  Each start keeps its own seed (spawned from the config's),
+cycle rule and objective trace, so it follows the path it would follow alone.
 """
 
 from __future__ import annotations
@@ -227,9 +227,14 @@ def geodesic_inertia_profile(resultants: list[Resultant], h_max: int) -> np.ndar
     where avg_H is the uniform geodesic rank-H average of the resultants."""
     if h_max < 1:
         raise ValidationError("h_max must be at least 1")
-    frame = _Frame(resultants)  # one SVD: every rank's chord start
-    return np.array([_geodesic_inertia(resultants, frame.average(h, "geodesic"))
-                     for h in range(1, h_max + 1)])
+    return np.array(_geodesic_profile(_Frame(resultants), resultants, h_max))
+
+
+def _geodesic_profile(frame: _Frame, resultants: list[Resultant], h_max: int) -> list[float]:
+    """The inertia profile on a frame of the resultants: one SVD for every
+    rank's chord start, and a rank the frame has fitted already is a memo hit."""
+    return [_geodesic_inertia(resultants, frame.average(h, "geodesic"))
+            for h in range(1, h_max + 1)]
 
 
 def _geodesic_inertia(resultants: list[Resultant], avg: RankHOperator) -> float:

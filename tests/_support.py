@@ -20,7 +20,7 @@ from varsphere import (
     weighted_average,
 )
 from varsphere.averaging import (
-    _gather, _geodesic_from, _line_search, _span_forms, _stack, cosines,
+    H_SINGULAR, _gather, _geodesic_from, _line_search, _span_forms, _stack, cosines,
 )
 from varsphere.clustering import _assign_from_cos, _repair_empty, _sq_dist_from_cos, _within
 from varsphere.geometry import EIGEN_DROP_TOL, _fix_column_signs
@@ -81,6 +81,17 @@ def eigen(r):
     return _fix_column_signs(q[:, :keep] / rw), lam[:keep]
 
 
+def grad_factor(h):
+    """d(arccos^2)/dh = -2 arccos(h)/sqrt(1-h^2), returned without the sign,
+    one scalar at a time: the ratio tends to 1 as h -> 1, so the factor is
+    evaluated by its limit once h is within H_SINGULAR of 1 (the clamp also
+    shields round-off values slightly above 1)."""
+    h = max(h, -1.0 + H_SINGULAR)
+    if h > 1.0 - H_SINGULAR:
+        return 2.0
+    return 2.0 * float(np.arccos(h)) / float(np.sqrt(1.0 - h * h))
+
+
 def arc_line_search(r_prev, r_next, resultants, omega=None):
     """Best point of the normed chord arc between two rank-H operators.
 
@@ -92,7 +103,8 @@ def arc_line_search(r_prev, r_next, resultants, omega=None):
     _gather(resultants)
     omega = as_weight_system(omega, len(resultants))
     ends = cosines(resultants, [r_prev, r_next])
-    _, m_p, m_s = _span_forms(r_prev.U, r_prev.lam, r_next.U, r_next.lam, r_prev.weights)
+    root = np.sqrt(r_prev.weights.w)[:, None]
+    _, m_p, m_s = _span_forms(root * r_prev.U, r_prev.lam, root * r_next.U, r_next.lam)
     d2 = float(np.sum((m_s - m_p) ** 2))
     tau, _ = _line_search(ends[:, 0], ends[:, 1], d2, omega, 1.0)
     op = (1.0 - tau) * dense(r_prev) + tau * dense(r_next)
@@ -110,9 +122,12 @@ def refit_average(members, criterion, distance):
     start = RankHOperator(u[:, :kept.size], kept / np.linalg.norm(kept), mean.weights)
     if distance == "chord":
         return start
-    u, lam, converged = _geodesic_from(*_stack(members), mean.weights,
-                                       as_weight_system(None, len(members)), start.U, start.lam)
-    return RankHOperator(u, lam, mean.weights, converged=converged)
+    w = mean.weights.w
+    root = np.sqrt(w)[:, None]
+    u, lam, converged = _geodesic_from(*_stack(members), as_weight_system(None, len(members)),
+                                       root * start.U, start.lam, 500, 1e-10,
+                                       1.0 / np.sqrt(w.min()))
+    return RankHOperator(u / root, lam, mean.weights, converged=converged)
 
 
 def refit_kmeans(resultants, config):

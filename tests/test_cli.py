@@ -309,8 +309,8 @@ def test_geodesic_profile_ends_at_the_reported_average(data_csv, tmp_path, monke
 
     ascents = []
     ascend = averaging._geodesic_from
-    monkeypatch.setattr(averaging, "_geodesic_from", lambda z, widths, w, omega, u, lam, *a: (
-        ascents.append(lam.size) or ascend(z, widths, w, omega, u, lam, *a)))
+    monkeypatch.setattr(averaging, "_geodesic_from", lambda z, widths, omega, u, lam, *a: (
+        ascents.append(lam.size) or ascend(z, widths, omega, u, lam, *a)))
     out = tmp_path / "avg"
     code = main(["average", "--data", data_csv, "--out-dir", str(out),
                  "--distance", "geodesic", "--criterion", "fixed", "--H", "2"])

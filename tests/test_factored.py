@@ -40,11 +40,12 @@ from varsphere import (
     sphere_average,
     weighted_average,
 )
-from varsphere.averaging import _grad_factor, cosines
+from varsphere.averaging import cosines
 
 from _support import (
     dense,
     eigen,
+    grad_factor,
     operator_dot,
     operator_norm,
     random_labels,
@@ -175,7 +176,7 @@ def test_gradients_match_the_dense_formula(system):
     u, lam = c.U, c.lam
     ru = [dense(r) @ u for r in rs]  # dense R_k U
     eta = np.array([np.sum((w.w[:, None] * u) * x, axis=0) for x in ru])
-    f = np.array([o * _grad_factor(h) for o, h in zip(omega, eta @ lam)])
+    f = np.array([o * grad_factor(h) for o, h in zip(omega, eta @ lam)])
     gamma, gamma_u = geodesic_gradients(u, lam, rs, omega)
     _close(gamma, f @ eta, rel=1e-8)
     dense_u = sum(fk * 2.0 * w.w[:, None] * x * lam[None, :] for fk, x in zip(f, ru))

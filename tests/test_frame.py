@@ -9,12 +9,14 @@ import pytest
 
 from varsphere import (
     ClusteringConfig,
+    ConvergenceWarning,
     RankCriterion,
     Resultant,
     SimConfig,
     Weights,
     averaging,
     clustering,
+    fixed_point_residual,
     geodesic_inertia_profile,
     kmeans,
     rank_h_average_geodesic,
@@ -252,3 +254,42 @@ def test_inertia_profile_takes_one_svd(monkeypatch):
         warnings.simplefilter("ignore")
         profile = geodesic_inertia_profile(rs, 3)
     assert profile.shape == (3,) and len(svds) == 1
+
+
+def _simulated(n, seed):
+    sample = simulate_sample(SimConfig(n, beta=np.pi / 3, sigma2=0.1), np.random.default_rng(seed))
+    return sample_resultants(sample)
+
+
+@pytest.mark.parametrize("n", [40, 400])
+def test_converged_kmeans_centroids_meet_the_n_row_residual(n):
+    # a K-means fit stops by the public average's rule: a centroid flagged
+    # converged sits within 1e-6 of its own fixed-point step on the n rows
+    rs = _simulated(n, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        model = kmeans(rs, ClusteringConfig(n_clusters=3, distance="geodesic", n_starts=2,
+                                            criterion=RankCriterion.fixed(1), seed=0))
+    converged = [(l, c) for l, c in enumerate(model.centroids) if c.converged]
+    assert converged
+    for l, c in converged:
+        members = [r for r, a in zip(rs, model.assignments) if a == l]
+        assert fixed_point_residual(c, members) <= 1e-6
+
+
+def test_kmeans_global_fit_is_the_public_average():
+    # at n >> sum q one memoised fit serves both: the global geodesic fit
+    # behind between_over_total, lifted, is rank_h_average_geodesic's average
+    rs = _simulated(2000, 1)
+    criterion = RankCriterion.trace_ratio(0.5)
+    frame = averaging._Frame(rs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        clustering._kmeans(frame, ClusteringConfig(n_clusters=3, distance="geodesic",
+                                                   n_starts=2, criterion=criterion, seed=1))
+        fits = len(frame._memo)
+        ours = frame.lift(frame.centroids(frame.everyone[None], "geodesic", criterion)[0])
+        assert len(frame._memo) == fits  # kmeans had fitted it
+        public = rank_h_average_geodesic(rs, criterion)
+    assert np.allclose(ours.U, public.U, rtol=0.0, atol=1e-12)
+    assert np.allclose(ours.lam, public.lam, rtol=0.0, atol=1e-12)

@@ -179,7 +179,8 @@ def test_line_cosines_match_the_dense_interpolated_operator():
         a, partners = line_ends(rng, w, h)
         for b in partners:
             ends = cosines(rs, [a, b])
-            _, m_p, m_s = _span_forms(a.U, a.lam, b.U, b.lam, w)
+            root = np.sqrt(w.w)[:, None]
+            _, m_p, m_s = _span_forms(root * a.U, a.lam, root * b.U, b.lam)
             fast = _line_cosines(ends[:, 0], ends[:, 1], np.sum((m_s - m_p) ** 2), taus)
             for tau, row in zip(taus, fast):
                 x = dense(a) + tau * (dense(b) - dense(a))
@@ -196,9 +197,11 @@ def test_truncation_matches_the_dense_eigensolver():
         w = random_weights(rng, 8)
         a, partners = line_ends(rng, w, h)
         for b in partners:
-            q, m_p, m_s = _span_forms(a.U, a.lam, b.U, b.lam, w)
+            root = np.sqrt(w.w)[:, None]
+            q, m_p, m_s = _span_forms(root * a.U, a.lam, root * b.U, b.lam)
             for tau in (0.0, 0.3, 0.7, 1.0):
-                u, lam = _truncate(q, m_p + tau * (m_s - m_p), a.U, w)
+                u, lam = _truncate(q, m_p + tau * (m_s - m_p), root * a.U)
+                u = u / root
                 vecs, vals = w_spsd_eigen((1 - tau) * dense(a) + tau * dense(b), w)
                 assert np.allclose(lam, vals[:h] / np.linalg.norm(vals[:h]), rtol=0.0, atol=1e-10)
                 assert np.allclose(align_signs(u, vecs[:, :h]), vecs[:, :h], atol=1e-8)
