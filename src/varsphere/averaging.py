@@ -21,11 +21,11 @@ The geodesic counterpart maximizes
     g(lam, U) = - sum_k omega_k arccos(h_k)^2,   h_k = tr(U' A_k U Lam),
 over W-orthonormal U and unit-length lam, where A_k = W R_k.  It is computed
 by a fixed-point ascent (rescaled gradient for lam, weighted polar factor for
-U) safeguarded by one line search per round along the normed line through
-the current point and its step.  Along that line every cosine is a scalar
-function of the line parameter, so the search needs no n x n operator, and
-its winner is truncated back to rank H by a 2H x 2H eigenproblem.  The
-step commutes with the lift, and every fit stops by one rule, the n-row
+U) accelerated by type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal.
+2011): each round combines the last ANDERSON_MEMORY differences of iterates
+and step residuals into one candidate, retracts it to the sphere (polar factor
+for U, clipped and normed lam) and keeps it only if it beats the plain step.
+The step commutes with the lift, and every fit stops by one rule, the n-row
 fixed-point residual <= 1e-6, met in the frame by scaling the residual's U
 part by max_i w_i^-1/2 (see _Frame).
 """
@@ -51,11 +51,10 @@ from .geometry import (
 
 # h values this close to 1 switch the gradient factor to its analytic limit.
 H_SINGULAR = 1e-9
-# Reach of the line search (the fixed-point step is tau = 1), its first grid
-# and the number of zooms into the best bracket.
-TAU_MAX = 513.0
-_TAU_GRID = np.concatenate(([0.0], np.geomspace(1.0 / 64.0, TAU_MAX, 61)))
-LINE_ZOOMS = 8
+# A geodesic ascent has settled once a round moves g by less than this.
+TOL = 1e-10
+# Most differences of past iterates and their step residuals one Anderson round combines.
+ANDERSON_MEMORY = 5
 
 
 @dataclass(frozen=True)
@@ -311,66 +310,6 @@ def geodesic_step(
     return u_s / root, lam_s
 
 
-def _span_forms(
-    u_p: np.ndarray, lam: np.ndarray, u_s: np.ndarray, mu: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Q, M_P, M_S) with W^1/2 (P + tau (S - P)) W^-1/2 = Q (M_P + tau (M_S - M_P)) Q'
-    for whitened bases U_P and U_S.
-
-    From a thin QR [U_P, U_S] = Q R: M_P = R diag(lam, 0) R' and
-    M_S = R diag(0, mu) R' are 2H x 2H.  Householder QR keeps Q orthonormal
-    when the spans (nearly) coincide, and ||S - P||^2 = ||M_S - M_P||_F^2
-    keeps its relative accuracy as S approaches P."""
-    q, r = np.linalg.qr(np.hstack([u_p, u_s]))
-    h = lam.size
-    return q, (r[:, :h] * lam) @ r[:, :h].T, (r[:, h:] * mu) @ r[:, h:].T
-
-
-def _line_cosines(a: np.ndarray, s: np.ndarray, d2: float, tau) -> np.ndarray:
-    """Cosines [R_k | C/||C||] on the line C(tau) = P + tau (S - P), one row per tau.
-
-    With a_k = [R_k|P], s_k = [R_k|S] and d2 = ||S - P||^2 for unit-norm P
-    and S, ||C(tau)||^2 = 1 + tau (tau - 1) d2.  For weighted-spsd P and S,
-    [P|S] >= 0 gives d2 <= 2, so the norm never falls below sqrt(1/2)."""
-    tau = np.asarray(tau, dtype=float)[..., None]
-    return ((1.0 - tau) * a + tau * s) / np.sqrt(1.0 + tau * (tau - 1.0) * d2)
-
-
-def _line_search(
-    a: np.ndarray, s: np.ndarray, d2: float, omega: np.ndarray, tau_max: float
-) -> tuple[float, float]:
-    """(tau, g) maximizing g along the normed line C(tau), tau in [0, tau_max].
-
-    Each probe costs O(K).  The best node of a grid (0, then geometric up to
-    tau_max, a node too) is refined by zooming into its bracket, so g is
-    never below its value at either end."""
-    taus = np.append(_TAU_GRID[_TAU_GRID < tau_max], tau_max)
-    best_tau, best_g = 0.0, -np.inf
-    for _ in range(LINE_ZOOMS):
-        values = _objective_value(_line_cosines(a, s, d2, taus), omega)
-        i = int(np.argmax(values))
-        if values[i] > best_g:
-            best_tau, best_g = float(taus[i]), float(values[i])
-        taus = np.linspace(taus[max(i - 1, 0)], taus[min(i + 1, taus.size - 1)], 33)
-    return best_tau, best_g
-
-
-def _truncate(
-    q: np.ndarray, m: np.ndarray, u_ref: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Rank-H truncation of Q m Q' for a form m from _span_forms, in whitened rows.
-
-    Returns the top H = u_ref.shape[1] eigenpairs of m lifted by Q (columns
-    signed like u_ref, eigenvalues of unit norm), or None when fewer than H
-    eigenvalues are meaningfully positive."""
-    vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
-    h = u_ref.shape[1]
-    vals, vecs = vals[::-1][:h], vecs[:, ::-1][:, :h]
-    if vals[-1] <= EIGEN_DROP_TOL * vals[0]:
-        return None
-    return _align_columns(q @ vecs, u_ref), vals / np.linalg.norm(vals)
-
-
 def _align_columns(v: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Flip columns of v so each matches the sign pattern of ref."""
     flip = np.sum(v * ref, axis=0) < 0.0
@@ -393,35 +332,45 @@ def fixed_point_residual(avg: RankHOperator, resultants: list[Resultant], omega=
 
 def _ascend(
     z: np.ndarray, widths: np.ndarray, omega: np.ndarray,
-    u: np.ndarray, lam: np.ndarray, max_iter: int, tol: float, u_scale: float,
+    u: np.ndarray, lam: np.ndarray, max_iter: int, u_scale: float,
 ) -> tuple[np.ndarray, np.ndarray, int, str | None]:
-    """Safeguarded ascent from (U, lam) on whitened factors of widths q_k, its
-    residual's U part scaled by u_scale: (U, lam, rounds, why it stopped or None)."""
-    def point(u_, lam_) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        c = _loadings(z, widths, u_)[1] @ lam_
-        return u_, lam_, c, _objective_value(c, omega)
+    """Safeguarded Anderson ascent from (U, lam) on whitened factors of widths q_k,
+    its residual's U part scaled by u_scale: (U, lam, rounds, why it stopped or None)."""
+    def point(u_, lam_) -> tuple[np.ndarray, np.ndarray, float]:
+        return u_, lam_, _objective_value(_loadings(z, widths, u_)[1] @ lam_, omega)
 
-    u, lam, a, g_cur = point(u, lam)
+    u, lam, g_cur = point(u, lam)
+    xs, fs = [], []  # the mixing window: flattened iterates and their step residuals
     step = None  # the fixed-point step at (U, lam), once the residual check has taken it
     for rounds in range(1, max_iter + 1):
         try:
             u_s, lam_s = step if step is not None else _step(z, widths, omega, u, lam)
         except NumericalError as err:
             return u, lam, rounds, str(err)
+        u_s = _align_columns(u_s, u)
         best = point(u_s, lam_s)
-        q, m_p, m_s = _span_forms(u, lam, u_s, lam_s)
-        d2 = float(np.sum((m_s - m_p) ** 2))
-        tau, g_line = _line_search(a, best[2], d2, omega, TAU_MAX)
-        if g_line > best[3] + 1e-13:
-            trunc = _truncate(q, m_p + tau * (m_s - m_p), u)
-            if trunc is not None and (cand := point(*trunc))[3] > best[3] + 1e-13:
+        x = np.concatenate((u.ravel(), lam))
+        xs = xs[-ANDERSON_MEMORY:] + [x]
+        fs = fs[-ANDERSON_MEMORY:] + [np.concatenate((u_s.ravel(), lam_s)) - x]
+        if len(xs) > 1:
+            dx, df = np.diff(xs, axis=0).T, np.diff(fs, axis=0).T
+            y = x + fs[-1] - (dx + df) @ np.linalg.lstsq(df, fs[-1], rcond=None)[0]
+            c, mu = y[:u.size].reshape(u.shape), np.clip(y[u.size:], 0.0, None)
+            nrm = float(np.linalg.norm(mu))
+            try:
+                cand = nrm > 0.0 and point(c @ inv_sqrt_spd(c.T @ c), mu / nrm)
+            except NumericalError:
+                cand = False
+            if cand and cand[2] > best[2] + 1e-13:
                 best = cand
-        stuck = best[3] < g_cur - 1e-13
+            else:
+                xs, fs = xs[-1:], fs[-1:]
+        stuck = best[2] < g_cur - 1e-13
         # a stuck round stays at (U, lam), where this round's step was taken
         step = (u_s, lam_s) if stuck else None
         if not stuck:
-            small = abs(best[3] - g_cur) < tol
-            u, lam, a, g_cur = best
+            small = abs(best[2] - g_cur) < TOL
+            u, lam, g_cur = best
         if stuck or small:
             try:
                 step = step or _step(z, widths, omega, u, lam)
@@ -436,36 +385,36 @@ def _ascend(
 
 
 def rank_h_average_geodesic(
-    resultants: list[Resultant], h: int | RankCriterion, omega=None,
-    max_iter: int = 500, tol: float = 1e-10,
+    resultants: list[Resultant], h: int | RankCriterion, omega=None, max_iter: int = 500,
 ) -> RankHOperator:
     """Geodesic rank-h average of unit-norm resultants.
 
     Starts from the chord-optimal rank-h average (`h` is a rank or a
-    RankCriterion, as for rank_h_average_euclidean).  Each round searches
-    the normed line P + tau (S - P), tau in [0, TAU_MAX], from the current
-    point P through its fixed-point step S; tau > 1 collapses the slow
-    linear tail of the fixed-point map.  The best line point, truncated to
-    rank h, replaces S only if it beats it by 1e-13, and a round that cannot
-    ascend stops, so g never decreases.  It is the frame's fit of the whole
-    set, the same fit a K-means centroid gets, lifted to the n observations,
-    and converges once g moves by under `tol` and the lifted point's n-row
-    fixed-point residual is at most 1e-6.  Otherwise the last
-    iterate comes back with converged=False and a ConvergenceWarning naming
-    the rounds and the reason: the iteration cap, no ascent with residual
-    above 1e-6, or the NumericalError that stopped a step.
+    RankCriterion, as for rank_h_average_euclidean).  Each round takes the
+    fixed-point step S from the current point and mixes it with the last
+    ANDERSON_MEMORY rounds by type-II Anderson mixing, which collapses the
+    slow linear tail of the fixed-point map.  The mixed point, retracted to
+    the sphere, replaces S only if it beats it by 1e-13, else the mixing
+    restarts; a round that cannot ascend stops, so g never decreases.  It is
+    the frame's fit of the whole set, the same fit a K-means centroid gets,
+    lifted to the n observations, and converges once g moves by under TOL
+    and the lifted point's n-row fixed-point residual is at most 1e-6.
+    Otherwise the last iterate comes back with converged=False and a
+    ConvergenceWarning naming the rounds and the reason: the iteration cap,
+    no ascent with residual above 1e-6, or the NumericalError that stopped
+    a step.
     """
-    return _Frame(resultants, omega, max_iter, tol).average(h, "geodesic")
+    return _Frame(resultants, omega, max_iter).average(h, "geodesic")
 
 
 def _geodesic_from(
     z, widths, omega: np.ndarray, u: np.ndarray, lam: np.ndarray,
-    max_iter: int, tol: float, u_scale: float,
+    max_iter: int, u_scale: float,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """The ascent from a start (U, lam) on validated arrays, as _ascend takes them:
     (U, lam descending, converged), with the ConvergenceWarning when it stops short,
     whose stacklevel names the caller of rank_h_average_geodesic."""
-    u, lam, rounds, reason = _ascend(z, widths, omega, u, lam, max_iter, tol, u_scale)
+    u, lam, rounds, reason = _ascend(z, widths, omega, u, lam, max_iter, u_scale)
     if reason is not None:
         warnings.warn(
             f"geodesic average did not converge after {rounds} rounds: {reason}",
@@ -488,7 +437,7 @@ class _Frame:
     fixed-point step commutes with the lift, so an ascent on blocks is the
     n-row one, and every fit stops by the n-row rule: its residual's U part is
     scaled by s = max_i w_i^-1/2, since ||U - U_S|| <= s ||C - C_S||.  The
-    frame holds s and the ascent's max_iter and tol.
+    frame holds s and the ascent's max_iter.
 
     A member set S is a boolean row over the K resultants, weighted
     uniformly, or by the frame's omega, which only the whole set takes.  One
@@ -502,15 +451,14 @@ class _Frame:
     ignore them) until lift() signs a centroid.  Only the lift basis has n rows.
     """
 
-    def __init__(self, resultants: list[Resultant], omega=None,
-                 max_iter: int = 500, tol: float = 1e-10):
+    def __init__(self, resultants: list[Resultant], omega=None, max_iter: int = 500):
         weights = _gather(resultants)
         self.k = len(resultants)
         self.omega = None if omega is None else as_weight_system(omega, self.k)
         z, self._widths = _stack(resultants)
         q, self.z = np.linalg.qr(z)
         self.weights, self._lift = weights, q / np.sqrt(weights.w)[:, None]
-        self._stop = max_iter, tol, 1.0 / math.sqrt(float(weights.w.min()))
+        self._stop = max_iter, 1.0 / math.sqrt(float(weights.w.min()))
         self._owner = np.repeat(np.arange(self.k), self._widths)
         self._starts = np.cumsum(self._widths) - self._widths
         self.everyone = np.ones(self.k, dtype=bool)

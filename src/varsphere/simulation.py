@@ -192,13 +192,11 @@ def run_benchmark(
     grid: list[SimConfig],
     n_starts: int = 10,
     distance: str = "chord",
-    max_iter: int = 100,
-    n_clusters: int = 3,
 ) -> list[BenchmarkRow]:
     """Simulate, cluster, and score every cell of the design grid.
 
-    Each replication draws one sample, encodes it once, and clusters it at
-    every theta of the cell's grid (the rank criterion is trace_ratio(theta))
+    Each replication draws one sample, encodes it once, and clusters it into
+    the design's three bundles at every theta of the cell's grid (the rank criterion is trace_ratio(theta))
     so scores across theta are paired; the theta runs share one column-space
     frame, so a member set's spectrum is computed once per replication and
     two thetas that choose the same rank share its centroid.  Replication
@@ -222,10 +220,9 @@ def run_benchmark(
                     model = _kmeans(
                         frame,
                         ClusteringConfig(
-                            n_clusters=n_clusters,
+                            n_clusters=int(TRUTH.max()) + 1,
                             distance=distance,
                             criterion=RankCriterion.trace_ratio(theta),
-                            max_iter=max_iter,
                             n_starts=n_starts,
                             seed=kmeans_seed,
                         ),

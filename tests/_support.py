@@ -20,7 +20,7 @@ from varsphere import (
     weighted_average,
 )
 from varsphere.averaging import (
-    H_SINGULAR, _gather, _geodesic_from, _line_search, _span_forms, _stack, cosines,
+    H_SINGULAR, _gather, _geodesic_from, _objective_value, _stack, cosines,
 )
 from varsphere.clustering import _assign_from_cos, _repair_empty, _sq_dist_from_cos, _within
 from varsphere.geometry import EIGEN_DROP_TOL, _fix_column_signs
@@ -92,6 +92,57 @@ def grad_factor(h):
     return 2.0 * float(np.arccos(h)) / float(np.sqrt(1.0 - h * h))
 
 
+# Reach of the line search (the fixed-point step is tau = 1), its first grid
+# and the number of zooms into the best bracket.
+TAU_MAX = 513.0
+_TAU_GRID = np.concatenate(([0.0], np.geomspace(1.0 / 64.0, TAU_MAX, 61)))
+LINE_ZOOMS = 8
+
+
+def _span_forms(
+    u_p: np.ndarray, lam: np.ndarray, u_s: np.ndarray, mu: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Q, M_P, M_S) with W^1/2 (P + tau (S - P)) W^-1/2 = Q (M_P + tau (M_S - M_P)) Q'
+    for whitened bases U_P and U_S.
+
+    From a thin QR [U_P, U_S] = Q R: M_P = R diag(lam, 0) R' and
+    M_S = R diag(0, mu) R' are 2H x 2H.  Householder QR keeps Q orthonormal
+    when the spans (nearly) coincide, and ||S - P||^2 = ||M_S - M_P||_F^2
+    keeps its relative accuracy as S approaches P."""
+    q, r = np.linalg.qr(np.hstack([u_p, u_s]))
+    h = lam.size
+    return q, (r[:, :h] * lam) @ r[:, :h].T, (r[:, h:] * mu) @ r[:, h:].T
+
+
+def _line_cosines(a: np.ndarray, s: np.ndarray, d2: float, tau) -> np.ndarray:
+    """Cosines [R_k | C/||C||] on the line C(tau) = P + tau (S - P), one row per tau.
+
+    With a_k = [R_k|P], s_k = [R_k|S] and d2 = ||S - P||^2 for unit-norm P
+    and S, ||C(tau)||^2 = 1 + tau (tau - 1) d2.  For weighted-spsd P and S,
+    [P|S] >= 0 gives d2 <= 2, so the norm never falls below sqrt(1/2)."""
+    tau = np.asarray(tau, dtype=float)[..., None]
+    return ((1.0 - tau) * a + tau * s) / np.sqrt(1.0 + tau * (tau - 1.0) * d2)
+
+
+def _line_search(
+    a: np.ndarray, s: np.ndarray, d2: float, omega: np.ndarray, tau_max: float
+) -> tuple[float, float]:
+    """(tau, g) maximizing g along the normed line C(tau), tau in [0, tau_max].
+
+    Each probe costs O(K).  The best node of a grid (0, then geometric up to
+    tau_max, a node too) is refined by zooming into its bracket, so g is
+    never below its value at either end."""
+    taus = np.append(_TAU_GRID[_TAU_GRID < tau_max], tau_max)
+    best_tau, best_g = 0.0, -np.inf
+    for _ in range(LINE_ZOOMS):
+        values = _objective_value(_line_cosines(a, s, d2, taus), omega)
+        i = int(np.argmax(values))
+        if values[i] > best_g:
+            best_tau, best_g = float(taus[i]), float(values[i])
+        taus = np.linspace(taus[max(i - 1, 0)], taus[min(i + 1, taus.size - 1)], 33)
+    return best_tau, best_g
+
+
 def arc_line_search(r_prev, r_next, resultants, omega=None):
     """Best point of the normed chord arc between two rank-H operators.
 
@@ -125,8 +176,7 @@ def refit_average(members, criterion, distance):
     w = mean.weights.w
     root = np.sqrt(w)[:, None]
     u, lam, converged = _geodesic_from(*_stack(members), as_weight_system(None, len(members)),
-                                       root * start.U, start.lam, 500, 1e-10,
-                                       1.0 / np.sqrt(w.min()))
+                                       root * start.U, start.lam, 500, 1.0 / np.sqrt(w.min()))
     return RankHOperator(u / root, lam, mean.weights, converged=converged)
 
 
