@@ -65,11 +65,13 @@ class Resultant:
     """An operator X M X' W, optionally scaled to unit trace norm, held as its
     factor Z (n x q) with op = Z Z' W.  Any factor gives a weighted-spsd
     operator, so the constructor only checks the shape, the entries and, for
-    a normed resultant, ||Z' W Z||_F = 1.  The factor is held C-contiguous:
-    BLAS rounds products by memory layout, so results would otherwise depend
-    on how the caller built it."""
+    a normed resultant, ||Z' W Z||_F = 1, which `resultant` skips
+    (_scaled) for the factors it divides by their own norm.  The factor is
+    held C-contiguous: BLAS rounds products by memory layout, so results
+    would otherwise depend on how the caller built it."""
 
-    def __init__(self, factor, weights: Weights, normed: bool, label: str = ""):
+    def __init__(self, factor, weights: Weights, normed: bool, label: str = "",
+                 *, _scaled: bool = False):
         z = np.ascontiguousarray(factor, dtype=float)
         if z.ndim != 2 or z.shape[0] != weights.n:
             raise ValidationError(
@@ -77,7 +79,7 @@ class Resultant:
             )
         if not np.isfinite(z).all():
             raise ValidationError("factor contains non-finite entries")
-        if normed and abs((nrm := _gram_norm(z, weights)) - 1.0) > 1e-8:
+        if normed and not _scaled and abs((nrm := _gram_norm(z, weights)) - 1.0) > 1e-8:
             raise ValidationError(f"resultant flagged as normed has norm {nrm!r}")
         self.factor, self.weights, self.normed, self.label = z, weights, bool(normed), label
         self._norm = 1.0 if normed else None
@@ -102,16 +104,26 @@ class Resultant:
 def resultant(structure: VariableStructure, weights: Weights, normed: bool = True) -> Resultant:
     """R = X M X' W for a structure, normed to unit norm by default.  Its factor
     is X M^1/2; sqrt_spd certifies R as weighted-spsd by rejecting any M that
-    is not symmetric positive definite."""
+    is not symmetric positive definite.  A one-column structure (a numeric
+    variable) needs no eigensolve: its factor is the column scaled by the
+    root of its positive metric, the standardised column."""
     if structure.X.shape[0] != weights.n:
         raise ValidationError("structure and weights disagree on the number of observations")
-    z = structure.X @ sqrt_spd(structure.M)
+    m = np.asarray(structure.M, dtype=float)
+    if m.shape == (1, 1):
+        if not m[0, 0] > 0.0:
+            raise ValidationError("matrix is not positive definite")
+        z = structure.X * np.sqrt(m[0, 0])
+    else:
+        z = structure.X @ sqrt_spd(m)
     nrm = _gram_norm(z, weights)
     if nrm <= 1e-300:
         raise NumericalError(f"structure {structure.label!r} has a zero resultant")
+    if nrm == np.inf:  # dividing by it would leave a zero factor flagged normed
+        raise NumericalError(f"structure {structure.label!r} has a resultant too large to norm")
     if normed:
         z = z / np.sqrt(nrm)
-    return Resultant(z, weights, normed=normed, label=structure.label)
+    return Resultant(z, weights, normed=normed, label=structure.label, _scaled=True)
 
 
 def _center_columns(x: np.ndarray, weights: Weights) -> np.ndarray:

@@ -6,11 +6,15 @@ latents), and two one-dimensional bundles, one of which can be rotated
 towards the plane by an angle beta to make the problem harder.  Four
 categorical variables are carved from the latents by quintile cuts.  The
 benchmark clusters each simulated sample and scores the recovered partition
-against the ground truth.
+against the ground truth.  Its replications are independent, so they run on
+min(usable cores, replications) processes, forked from this one, with
+results, warnings and errors that do not depend on that number.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 import warnings
 from dataclasses import dataclass
 
@@ -188,6 +192,91 @@ class BenchmarkRow:
     failures: int
 
 
+def _replicate(config: SimConfig, rep: int, n_starts: int, distance: str):
+    """One replication's scores at each theta of its cell, or the text of
+    the VarsphereError that failed it."""
+    seq = np.random.SeedSequence((config.seed, rep))
+    rng = np.random.default_rng(seq)
+    kmeans_seed = int(seq.generate_state(1)[0])
+    try:
+        sample = simulate_sample(config, rng)
+        frame = _Frame(sample_resultants(sample))
+        scores = []
+        for theta in config.theta_grid:
+            model = _kmeans(
+                frame,
+                ClusteringConfig(
+                    n_clusters=int(TRUTH.max()) + 1,
+                    distance=distance,
+                    criterion=RankCriterion.trace_ratio(theta),
+                    n_starts=n_starts,
+                    seed=kmeans_seed,
+                ),
+            )
+            scores.append(rand_discrepancy(sample.truth, model.assignments))
+        return scores
+    except VarsphereError as exc:
+        return str(exc)
+
+
+def _fork_worker(tasks: list, n_starts: int, distance: str):
+    """(pid, pipe) of a forked process that runs the tasks and pickles back
+    each one's outcome and warnings; a defect comes back as its exception."""
+    read, write = os.pipe()
+    if (pid := os.fork()) == 0:
+        try:  # never return into the caller, nor flush its buffers
+            with os.fdopen(write, "wb") as out:
+                for config, rep in tasks:
+                    with warnings.catch_warnings(record=True) as caught:
+                        warnings.simplefilter("always")
+                        try:
+                            outcome = _replicate(config, rep, n_starts, distance)
+                        except Exception as exc:  # a defect: the caller raises it
+                            outcome = exc
+                    pickle.dump((outcome, [(str(w.message), w.category) for w in caught]), out)
+                    out.flush()
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
+def _outcomes(grid: list[SimConfig], n_starts: int, distance: str) -> list:
+    """Every replication's outcome, in grid order, from w = min(usable
+    cores, replications) processes: this one runs every w-th replication,
+    forked workers the others.  A worker's warnings are issued again here,
+    in replication order, and its defect is raised here."""
+    tasks = [(config, rep) for config in grid for rep in range(config.replications)]
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n_proc = min(cores, len(tasks))
+    outcomes, workers = [], []
+    try:
+        with warnings.catch_warnings():  # Python >= 3.12 warns of forking
+            # beside threads; OpenBLAS, the only one that runs them, stops them
+            warnings.simplefilter("ignore", DeprecationWarning)
+            for i in range(1, n_proc):
+                workers.append(_fork_worker(tasks[i::n_proc], n_starts, distance))
+        for k, (config, rep) in enumerate(tasks):
+            if k % n_proc == 0:
+                outcome = _replicate(config, rep, n_starts, distance)
+            else:
+                outcome, caught = pickle.load(workers[k % n_proc - 1][1])
+                for message, category in caught:
+                    warnings.warn(message, category)
+                if isinstance(outcome, Exception):
+                    raise outcome
+            if isinstance(outcome, str):  # a bad draw must not sink the grid
+                warnings.warn(f"replication {rep} failed and was excluded: {outcome}")
+            outcomes.append(outcome)
+    finally:
+        import signal  # only the workers need it: not imported with the package
+        for pid, reader in workers:
+            reader.close()
+            os.kill(pid, signal.SIGKILL)  # every record is read, or the run failed
+            os.waitpid(pid, 0)
+    return outcomes
+
+
 def run_benchmark(
     grid: list[SimConfig],
     n_starts: int = 10,
@@ -204,33 +293,23 @@ def run_benchmark(
     grid order.  A replication that raises a VarsphereError is counted as
     failed, reported with a warning naming the reason, and excluded from the
     cell statistics; any other exception is a defect and propagates.
+
+    The replications run on w = min(usable cores, replications) processes,
+    and every warning reaches the caller once, in replication order, so the
+    rows, warnings and errors do not depend on w.
     """
+    outcomes = iter(_outcomes(grid, n_starts, distance))
     rows: list[BenchmarkRow] = []
     for config in grid:
         scores: dict[float, list[float]] = {t: [] for t in config.theta_grid}
         failures = 0
-        for rep in range(config.replications):
-            seq = np.random.SeedSequence((config.seed, rep))
-            rng = np.random.default_rng(seq)
-            kmeans_seed = int(seq.generate_state(1)[0])
-            try:
-                sample = simulate_sample(config, rng)
-                frame = _Frame(sample_resultants(sample))
-                for theta in config.theta_grid:
-                    model = _kmeans(
-                        frame,
-                        ClusteringConfig(
-                            n_clusters=int(TRUTH.max()) + 1,
-                            distance=distance,
-                            criterion=RankCriterion.trace_ratio(theta),
-                            n_starts=n_starts,
-                            seed=kmeans_seed,
-                        ),
-                    )
-                    scores[theta].append(rand_discrepancy(sample.truth, model.assignments))
-            except VarsphereError as exc:  # a bad draw must not sink the grid
+        for _ in range(config.replications):
+            outcome = next(outcomes)
+            if isinstance(outcome, str):
                 failures += 1
-                warnings.warn(f"replication {rep} failed and was excluded: {exc}")
+                continue
+            for theta, score in zip(config.theta_grid, outcome):
+                scores[theta].append(score)
         for theta in config.theta_grid:
             vals = np.asarray(scores[theta])
             mean = float(np.mean(vals)) if vals.size else float("nan")

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from varsphere import (
+    NumericalError,
     Resultant,
     ValidationError,
+    VariableStructure,
     Weights,
     compound_structure,
     encode_block,
@@ -14,6 +16,9 @@ from varsphere import (
     resultant,
     sphere_average,
 )
+
+from varsphere import encoding
+from varsphere.geometry import sqrt_spd
 
 from _support import (
     dense,
@@ -43,6 +48,29 @@ def test_numeric_resultant_is_a_unit_rank_one_projector():
         assert np.allclose(dense(r), np.outer(z, z) * w.w[None, :], atol=1e-10)
         # projector: R^2 = R
         assert np.allclose(dense(r) @ dense(r), dense(r), atol=1e-10)
+
+
+def test_one_column_factors_skip_the_eigensolve_and_the_norm_recheck(monkeypatch):
+    rng = np.random.default_rng(7)
+    w = random_weights(rng, 12)
+    norms = []
+    gram_norm = encoding._gram_norm
+    monkeypatch.setattr(encoding, "_gram_norm", lambda z, ws: norms.append(1) or gram_norm(z, ws))
+    for _ in range(20):
+        s = encode_numeric(rng.standard_normal(12) * 10.0 ** rng.uniform(-6, 6), w)
+        raw = s.X @ sqrt_spd(s.M)
+        norms.clear()
+        r = resultant(s, w)
+        # the eigensolver's factor, bit for bit, normed with one norm
+        assert np.array_equal(r.factor, raw / np.sqrt(gram_norm(raw, w)))
+        assert len(norms) == 1
+    x = s.X
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValidationError, match="not positive definite"):
+            resultant(VariableStructure(X=x, M=np.array([[bad]]), label="v", kind="block"), w)
+    # a norm that overflows would leave a zero factor flagged normed
+    with pytest.raises(NumericalError, match="too large to norm"), np.errstate(over="ignore"):
+        resultant(encode_block(rng.standard_normal((12, 2)) * 1e200, np.eye(2), w), w)
 
 
 def test_numeric_affine_invariance():

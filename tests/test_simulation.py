@@ -1,9 +1,16 @@
 """The three-bundle simulation design and its recovery benchmark."""
 
+import contextlib
+import os
+import signal
+import warnings
+
 import numpy as np
 import pytest
 
 from varsphere import (
+    ConvergenceWarning,
+    NumericalError,
     SimConfig,
     ValidationError,
     Weights,
@@ -12,7 +19,9 @@ from varsphere import (
     sample_resultants,
     simulate_latents,
     simulate_sample,
+    simulation,
 )
+from varsphere.cli import main
 from varsphere.simulation import TRUTH, _quintile_codes
 
 
@@ -177,3 +186,121 @@ def test_single_replication_reports_zero_sd():
     row = run_benchmark([cfg], n_starts=2)[0]
     assert row.sd_rand == 0.0
     assert row.replications == 1
+
+
+def _plant(monkeypatch, fault=None, in_worker_only=False):
+    """Make every replication warn with a text unique to its draw and, when
+    a fault is given, raise fault(text) on draws whose first value is
+    negative (on every draw of a forked worker when in_worker_only)."""
+    encode = simulation.sample_resultants
+    parent = os.getpid()
+
+    def planted(sample, weights=None):
+        x = float(sample.numeric[0, 0])
+        warnings.warn(f"planted warning {x!r}", ConvergenceWarning)
+        hit = os.getpid() != parent if in_worker_only else x < 0.0
+        if fault is not None and hit:
+            raise fault(f"planted fault {x!r}")
+        return encode(sample, weights)
+
+    monkeypatch.setattr(simulation, "sample_resultants", planted)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail instead of hanging when a run waits on a worker forever."""
+    def expire(*_):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _counting_warn(monkeypatch):
+    """Count ConvergenceWarnings the way the benchmark worker does: by
+    wrapping warnings.warn and reading its category argument."""
+    count = [0]
+    original = warnings.warn
+
+    def warn(message, category=None, stacklevel=1, **kwargs):
+        if isinstance(category, type) and issubclass(category, ConvergenceWarning):
+            count[0] += 1
+        return original(message, category, stacklevel + 1, **kwargs)
+
+    monkeypatch.setattr(warnings, "warn", warn)
+    return count
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="runs serially here")
+def test_outputs_and_warnings_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, capsys):
+    _plant(monkeypatch, NumericalError)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    count = _counting_warn(monkeypatch)
+    runs = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        out = tmp_path / str(cores)
+        forks.clear()
+        count[0] = 0
+        with _deadline(120):
+            rc = main(["simulate", "--n", "30", "--beta", "pi/4,pi/2", "--sigma2", "0.1",
+                       "--theta-grid", "0,1", "--reps", "3", "--starts", "2", "--seed", "5",
+                       "--out-dir", str(out)])
+        assert len(forks) == cores - 1
+        runs.append((rc, capsys.readouterr().err, count[0],
+                     (out / "benchmark.csv").read_text(), (out / "simulate.json").read_text()))
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+    rc, err, n_convergence, table, _ = runs[0]
+    lines = err.splitlines()
+    # six replications, each warning once; the failed ones are reported
+    # right after their own warning
+    assert rc == 4 and n_convergence == 6
+    assert sum(line.startswith("warning: planted warning") for line in lines) == 6
+    failed = [i for i, line in enumerate(lines) if "failed and was excluded: planted fault" in line]
+    assert failed and len(failed) < 6
+    for i in failed:
+        assert lines[i - 1].split()[-1] == lines[i].split()[-1]
+    failures = [int(row.split(",")[-1]) for row in table.splitlines()[1:]]
+    assert sum(failures) == 2 * len(failed)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="runs serially here")
+def test_a_failed_replication_in_a_worker_is_counted_warned_and_excluded(monkeypatch):
+    _plant(monkeypatch, NumericalError, in_worker_only=True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    config = SimConfig(n=30, beta=np.pi / 2.0, sigma2=0.1, seed=3, replications=5,
+                       theta_grid=(1.0,))
+    with warnings.catch_warnings(record=True) as caught, _deadline(120):
+        warnings.simplefilter("always")
+        (row,) = run_benchmark([config], n_starts=2)
+    # the worker takes replications 1 and 3, this process 0, 2 and 4
+    assert (row.replications, row.failures) == (3, 2)
+    failed = [str(w.message) for w in caught if "excluded" in str(w.message)]
+    assert [m.split(":")[0] for m in failed] == [
+        "replication 1 failed and was excluded", "replication 3 failed and was excluded"]
+    assert all(": planted fault " in m for m in failed)
+    assert [w.category for w in caught].count(ConvergenceWarning) == 5
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="runs serially here")
+def test_a_defect_in_a_worker_is_raised_in_the_caller(monkeypatch):
+    _plant(monkeypatch, ZeroDivisionError, in_worker_only=True)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    config = SimConfig(n=30, beta=np.pi / 2.0, sigma2=0.1, seed=3, replications=6,
+                       theta_grid=(1.0,))
+    with warnings.catch_warnings(), _deadline(120):
+        warnings.simplefilter("ignore")
+        with pytest.raises(ZeroDivisionError, match="planted fault"):
+            run_benchmark([config], n_starts=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
