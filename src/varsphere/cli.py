@@ -137,7 +137,7 @@ def _criterion(args) -> RankCriterion:
 def _load_resultants(args) -> tuple[list[Resultant], Weights]:
     if args.data and args.manifest:
         raise ValidationError("pass either --data or --manifest, not both")
-    table = None  # a bare CSV is read once, for typing and for ingestion
+    table = None  # a bare CSV is read and parsed once, for typing and for ingestion
     if args.manifest:
         manifest = load_manifest(args.manifest)
     elif args.data:

@@ -4,12 +4,15 @@ The manifest declares which columns are numeric, which are categorical,
 an optional weight column, and optional named blocks of columns that are
 encoded together under a shared metric.  A bare CSV can also be ingested
 without a manifest, in which case every column is typed by inspection
-(numeric when every cell parses as a float).
+(numeric when every cell parses as a float).  A blank or whitespace-only
+cell is a missing value in any column, and a leading byte-order mark in
+either file is ignored.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 import os
 import re
 from dataclasses import dataclass
@@ -70,7 +73,7 @@ def load_manifest(path: str) -> DatasetManifest:
     start of a line or after whitespace, so `numeric = a#1` names column a#1.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ValidationError(f"cannot read manifest {path}: {exc}") from exc
@@ -127,9 +130,11 @@ def load_manifest(path: str) -> DatasetManifest:
     )
 
 
-def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
+def _read_csv(path: str) -> tuple[list[str], int, list[list[str]], list]:
+    """A CSV's header, row count and columns, with each column as parsed once
+    by _parse_floats."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise ValidationError(f"cannot read data file {path}: {exc}") from exc
@@ -145,30 +150,41 @@ def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
             raise ValidationError(
                 f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
             )
-    return header, data
+    columns = list(map(list, zip(*data)))
+    return header, len(data), columns, [_parse_floats(c) for c in columns]
 
 
-def _parse_floats(values: list[str]) -> np.ndarray | None:
-    """The cells as floats in one pass, or None when some cell does not parse."""
+def _parse_floats(cells: list[str]) -> np.ndarray | int:
+    """The cells parsed as by float(), or the index of the first one that does
+    not parse.  A blank or whitespace-only cell never parses."""
+    rest = iter(cells)
     try:
-        return np.fromiter(map(float, values), dtype=float, count=len(values))
-    except ValueError:
-        return None
+        return np.fromiter(map(float, rest), dtype=float, count=len(cells))
+    except ValueError:  # the failing cell is the last one taken from rest
+        return len(cells) - operator.length_hint(rest) - 1
+
+
+def _present(path: str, name: str, cells: list[str]) -> list[str]:
+    """The cells, after rejecting the first blank or whitespace-only one as missing."""
+    if not all(map(str.strip, cells)):
+        lineno = 2 + list(map(str.strip, cells)).index("")
+        raise ValidationError(f"{path}:{lineno}: missing value in column {name!r}")
+    return cells
 
 
 def infer_manifest(csv_path: str, *, table=None) -> DatasetManifest:
     """Type every column of a bare CSV: numeric when all cells parse as floats.
 
-    `table` is the (header, rows) of csv_path when the caller has already read
-    it with _read_csv; otherwise the file is read here."""
-    header, data = table if table is not None else _read_csv(csv_path)
+    `table` is csv_path as read by _read_csv when the caller has already read
+    it; otherwise the file is read here."""
+    header, _, columns, floats = table if table is not None else _read_csv(csv_path)
     numeric, categorical = [], []
-    for j, name in enumerate(header):
-        values = [row[j] for row in data]
-        if any(v.strip() == "" for v in values):
-            lineno = 2 + next(i for i, v in enumerate(values) if v.strip() == "")
-            raise ValidationError(f"{csv_path}:{lineno}: missing value in column {name!r}")
-        (categorical if _parse_floats(values) is None else numeric).append(name)
+    for name, cells, parsed in zip(header, columns, floats):
+        if isinstance(parsed, np.ndarray):
+            numeric.append(name)
+        else:
+            _present(csv_path, name, cells)
+            categorical.append(name)
     return DatasetManifest(
         data_path=os.path.abspath(csv_path),
         numeric=tuple(numeric),
@@ -181,10 +197,11 @@ def ingest(manifest: DatasetManifest, *, table=None) -> Dataset:
 
     Rows with missing or non-finite values are rejected with the row and
     column named; the weight column, when present, must be positive and is
-    normalized to sum to one.  `table` is the file's (header, rows) when the
-    caller has already read it with _read_csv.
+    normalized to sum to one.  `table` is the file as read by _read_csv when
+    the caller has already read it.
     """
-    header, data = table if table is not None else _read_csv(manifest.data_path)
+    path = manifest.data_path
+    header, n, columns, floats = table if table is not None else _read_csv(path)
     positions = {name: j for j, name in enumerate(header)}
     declared = list(manifest.numeric) + list(manifest.categorical)
     if manifest.weight_column:
@@ -193,41 +210,21 @@ def ingest(manifest: DatasetManifest, *, table=None) -> Dataset:
         declared.extend(block.columns)
     for name in declared:
         if name not in positions:
-            raise ValidationError(
-                f"{manifest.data_path}: declared column {name!r} is not in the header"
-            )
+            raise ValidationError(f"{path}: declared column {name!r} is not in the header")
     overlap = set(manifest.numeric) & set(manifest.categorical)
     if overlap:
         raise ValidationError(f"columns declared both numeric and categorical: {sorted(overlap)}")
-    n = len(data)
-
-    def column(name: str) -> list[str]:
-        j = positions[name]
-        values = [row[j] for row in data]
-        for i, v in enumerate(values):
-            if v.strip() == "":
-                raise ValidationError(
-                    f"{manifest.data_path}:{i + 2}: missing value in column {name!r}"
-                )
-        return values
 
     def numeric_column(name: str) -> np.ndarray:
-        values = column(name)
-        out = _parse_floats(values)
-        if out is not None and np.all(np.isfinite(out)):
-            return out
-        for i, v in enumerate(values):  # some cell is bad: name the first one
-            try:
-                x = float(v)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{manifest.data_path}:{i + 2}: column {name!r}: cannot parse {v!r}"
-                ) from exc
-            if not np.isfinite(x):
-                raise ValidationError(
-                    f"{manifest.data_path}:{i + 2}: column {name!r}: non-finite value"
-                )
-        raise AssertionError(f"column {name!r} failed to parse, yet every cell parses")
+        cells, parsed = columns[positions[name]], floats[positions[name]]
+        if isinstance(parsed, np.ndarray) and np.all(np.isfinite(parsed)):
+            return parsed
+        _present(path, name, cells)  # some cell is bad: name the first one
+        bad = parsed if isinstance(parsed, int) else len(cells)
+        infinite = np.flatnonzero(~np.isfinite(_parse_floats(cells[:bad])))
+        if infinite.size:
+            raise ValidationError(f"{path}:{infinite[0] + 2}: column {name!r}: non-finite value")
+        raise ValidationError(f"{path}:{bad + 2}: column {name!r}: cannot parse {cells[bad]!r}")
 
     if manifest.weight_column:
         raw_w = numeric_column(manifest.weight_column)
@@ -239,7 +236,7 @@ def ingest(manifest: DatasetManifest, *, table=None) -> Dataset:
 
     blocked = {c for b in manifest.blocks for c in b.columns}
     numeric_cols = {name: numeric_column(name) for name in manifest.numeric}
-    categorical_cols = {name: column(name) for name in manifest.categorical}
+    categorical_cols = {c: _present(path, c, columns[positions[c]]) for c in manifest.categorical}
     for block in manifest.blocks:
         for name in block.columns:
             if name in numeric_cols or name in categorical_cols:

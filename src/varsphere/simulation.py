@@ -245,11 +245,12 @@ def _outcomes(grid: list[SimConfig], n_starts: int, distance: str) -> list:
     """Every replication's outcome, in grid order, from w = min(usable
     cores, replications) processes: this one runs every w-th replication,
     forked workers the others.  A worker's warnings are issued again here,
-    in replication order, and its defect is raised here."""
+    in replication order, and its defect is raised here, as is the death of
+    a worker before it reports."""
     tasks = [(config, rep) for config in grid for rep in range(config.replications)]
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     n_proc = min(cores, len(tasks))
-    outcomes, workers = [], []
+    outcomes, workers, statuses, lost = [], [], {}, None
     try:
         with warnings.catch_warnings():  # Python >= 3.12 warns of forking
             # beside threads; OpenBLAS, the only one that runs them, stops them
@@ -260,7 +261,12 @@ def _outcomes(grid: list[SimConfig], n_starts: int, distance: str) -> list:
             if k % n_proc == 0:
                 outcome = _replicate(config, rep, n_starts, distance)
             else:
-                outcome, caught = pickle.load(workers[k % n_proc - 1][1])
+                pid, reader = workers[k % n_proc - 1]
+                try:
+                    outcome, caught = pickle.load(reader)
+                except (EOFError, pickle.UnpicklingError):
+                    lost = pid, config, rep  # raised once every worker is reaped
+                    break
                 for message, category in caught:
                     warnings.warn(message, category)
                 if isinstance(outcome, Exception):
@@ -273,7 +279,14 @@ def _outcomes(grid: list[SimConfig], n_starts: int, distance: str) -> list:
         for pid, reader in workers:
             reader.close()
             os.kill(pid, signal.SIGKILL)  # every record is read, or the run failed
-            os.waitpid(pid, 0)
+            statuses[pid] = os.waitpid(pid, 0)[1]
+    if lost is not None:
+        pid, config, rep = lost
+        raise RuntimeError(
+            f"the worker running replication {rep} of the cell n={config.n}, "
+            f"beta={config.beta:g}, sigma2={config.sigma2:g} exited before reporting it "
+            f"(pid {pid}, wait status {statuses[pid]})"
+        )
     return outcomes
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import io
 import json
 import math
 
@@ -331,14 +332,20 @@ def test_bare_csv_is_read_once(data_csv, tmp_path, monkeypatch):
     import varsphere.cli as cli
     import varsphere.dataset as dataset
 
-    reads = []
-    read = dataset._read_csv
+    reads, parses = [], []
+    read, parse = dataset._read_csv, dataset._parse_floats
     counting = lambda path: reads.append(path) or read(path)  # noqa: E731
     monkeypatch.setattr(dataset, "_read_csv", counting)
     monkeypatch.setattr(cli, "_read_csv", counting)
+    monkeypatch.setattr(dataset, "_parse_floats",
+                        lambda cells: parses.append(tuple(cells)) or parse(cells))
     resultants, weights = cli._load_resultants(argparse.Namespace(data=data_csv, manifest=None))
     assert reads == [data_csv]
     assert len(resultants) == 6 and weights.n == 8
+    # typing and ingestion share one float parse of each column
+    rows = list(csv.reader(io.StringIO(CSV_TEXT)))[1:]
+    assert len(parses) == len(set(parses)) <= 6
+    assert set(parses) <= set(zip(*rows))
     manifest = tmp_path / "vars.manifest"
     manifest.write_text("data = vars.csv\nnumeric = v1, v2\ncategorical = color\n")
     cli._load_resultants(argparse.Namespace(data=None, manifest=str(manifest)))

@@ -93,9 +93,13 @@ def test_infer_manifest_types_by_inspection(tmp_path):
 
 def test_infer_manifest_reports_missing_cells(tmp_path):
     data = tmp_path / "holes.csv"
-    data.write_text("a,b\n1,x\n,y\n3,z\n")
-    with pytest.raises(ValidationError, match=r"holes\.csv:3: missing value in column 'a'"):
-        infer_manifest(str(data))
+    for hole in ("", " \t "):
+        data.write_text(f"a,b\n1,x\n{hole},y\n3,z\n")
+        # the same text and row whether the column is typed or declared numeric
+        for read in (lambda: infer_manifest(str(data)),
+                     lambda: ingest(DatasetManifest(data_path=str(data), numeric=("a",)))):
+            with pytest.raises(ValidationError, match=r"holes\.csv:3: missing value in column 'a'"):
+                read()
 
 
 def test_read_csv_structural_errors(tmp_path):
@@ -267,3 +271,32 @@ def test_ingest_names_a_non_finite_weight_cell(tmp_path):
     _, path = write_toy(tmp_path, manifest_text="data = w.csv\nnumeric = x\nweights = wt\n")
     with pytest.raises(ValidationError, match=r"w\.csv:4: column 'wt': non-finite value"):
         ingest(load_manifest(str(path)))
+    # a nan column parses, so it is typed numeric, and is then rejected
+    nan = tmp_path / "nan.csv"
+    nan.write_text("x,y\n1,2\n2,nan\n3,1\n")
+    m = infer_manifest(str(nan))
+    assert m.numeric == ("x", "y")
+    with pytest.raises(ValidationError, match=r"nan\.csv:3: column 'y': non-finite value"):
+        ingest(m)
+
+
+def test_numeric_cells_ingest_as_float_parses_them(tmp_path):
+    cells = [" 1.5", "1e-3", "+.5", "1_000", "5.", "-0", "1.5 "]
+    data = tmp_path / "spell.csv"
+    data.write_text("x,c\n" + "".join(f"{v},{i % 2}\n" for i, v in enumerate(cells)))
+    ds = ingest(infer_manifest(str(data)))
+    assert ds.numeric["x"].tobytes() == np.array([float(v) for v in cells]).tobytes()
+
+
+def test_a_byte_order_mark_is_ignored(tmp_path):
+    bom = "\ufeff"
+    data = tmp_path / "bom.csv"
+    data.write_text(bom + "a,b,c\n1,2,x\n2,1,y\n3,5,x\n", encoding="utf-8")
+    bare = infer_manifest(str(data))
+    assert (bare.numeric, bare.categorical) == (("a", "b"), ("c",))
+    manifest = tmp_path / "bom.manifest"
+    for text in ("data = bom.csv\nnumeric = a, b\n", bom + "data = bom.csv\nnumeric = a, b\n"):
+        manifest.write_text(text, encoding="utf-8")
+        ds = ingest(load_manifest(str(manifest)))
+        assert ds.order == ["a", "b"]
+        assert ds.numeric["a"].tolist() == [1.0, 2.0, 3.0]

@@ -304,3 +304,25 @@ def test_a_defect_in_a_worker_is_raised_in_the_caller(monkeypatch):
             run_benchmark([config], n_starts=2)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="runs serially here")
+def test_a_worker_that_dies_is_named_once_every_worker_is_reaped(monkeypatch):
+    replicate, parent = simulation._replicate, os.getpid()
+
+    def dying(config, rep, n_starts, distance):
+        if os.getpid() != parent:
+            os._exit(3)
+        return replicate(config, rep, n_starts, distance)
+
+    monkeypatch.setattr(simulation, "_replicate", dying)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    config = SimConfig(n=30, beta=np.pi / 2.0, sigma2=0.1, seed=3, replications=4,
+                       theta_grid=(1.0,))
+    with _deadline(120), pytest.raises(RuntimeError) as info:
+        run_benchmark([config], n_starts=2)
+    # the worker takes replications 1 and 3 and dies on the first
+    assert "replication 1 of the cell n=30, beta=1.5708, sigma2=0.1" in str(info.value)
+    assert "wait status 768" in str(info.value)  # exit code 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
