@@ -14,8 +14,8 @@ whiten on the way in and out.  Every average is fitted in one place, _Frame:
 one QR of W^1/2 Z puts the resultants in its r-dimensional column space,
 r <= sum q, and the spectrum of a mean is one SVD of r x sum q columns there.
 The frame serves K-means, the public averages, the inertia profile and the
-`average` command through one memoised fit; every geodesic ascent runs there,
-and only returned averages are lifted to n rows.
+`average` command through one memoised fit, whose K cosines every report reads;
+every geodesic ascent runs there, and only returned averages are lifted to n rows.
 
 The geodesic counterpart maximizes
     g(lam, U) = - sum_k omega_k arccos(h_k)^2,   h_k = tr(U' A_k U Lam),
@@ -33,13 +33,12 @@ part by max_i w_i^-1/2 (see _Frame).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encoding import Resultant
-from .errors import ConvergenceWarning, NumericalError, ValidationError
+from .errors import ConvergenceWarning, NumericalError, ValidationError, warn
 from .geometry import (
     EIGEN_DROP_TOL,
     RANK_TOL,
@@ -181,7 +180,8 @@ def rank_h_average_euclidean(
     `h` is either the rank itself, which must lie in [1, numerical rank of the
     average], or a RankCriterion applied to the average's spectrum.  The
     eigenpairs come from the column-space frame of the resultants."""
-    return _Frame(resultants, omega).average(h)
+    frame = _Frame(resultants, omega)
+    return frame.lift(frame.fit(h))
 
 
 def choose_rank(eigenvalues, criterion: RankCriterion) -> int:
@@ -404,7 +404,8 @@ def rank_h_average_geodesic(
     no ascent with residual above 1e-6, or the NumericalError that stopped
     a step.
     """
-    return _Frame(resultants, omega, max_iter).average(h, "geodesic")
+    frame = _Frame(resultants, omega, max_iter)
+    return frame.lift(frame.fit(h, "geodesic"))
 
 
 def _geodesic_from(
@@ -412,15 +413,11 @@ def _geodesic_from(
     max_iter: int, u_scale: float,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """The ascent from a start (U, lam) on validated arrays, as _ascend takes them:
-    (U, lam descending, converged), with the ConvergenceWarning when it stops short,
-    whose stacklevel names the caller of rank_h_average_geodesic."""
+    (U, lam descending, converged), with the ConvergenceWarning when it stops short."""
     u, lam, rounds, reason = _ascend(z, widths, omega, u, lam, max_iter, u_scale)
     if reason is not None:
-        warnings.warn(
-            f"geodesic average did not converge after {rounds} rounds: {reason}",
-            ConvergenceWarning,
-            stacklevel=7,
-        )
+        warn(f"geodesic average did not converge after {rounds} rounds: {reason}",
+             ConvergenceWarning)
     order = np.argsort(-lam, kind="stable")
     return u[:, order], lam[order], reason is None
 
@@ -484,11 +481,9 @@ class _Frame:
         them all.  An integer h must lie in [1, numerical rank]."""
         width = -(-self.k // 8)
         keys = np.packbits(chosen, axis=1).tobytes()
-        fits = []
-        for i in range(0, len(keys), width):  # a loop, not a comprehension: see _geodesic_from
-            fits.append(self._memo.get((keys[i:i + width], distance, h))
-                        or self._settle(chosen[i // width], keys[i:i + width], distance, h))
-        return fits
+        return [self._memo.get((keys[i:i + width], distance, h))
+                or self._settle(chosen[i // width], keys[i:i + width], distance, h)
+                for i in range(0, len(keys), width)]
 
     def _settle(self, chosen, key: bytes, distance: str, h: int | RankCriterion) -> tuple:
         """Memoise a set's fit under h and under the rank h picks from its spectrum."""
@@ -524,7 +519,6 @@ class _Frame:
         return RankHOperator(_fix_column_signs(self._lift @ c), lam, self.weights,
                              converged=converged)
 
-    def average(self, h: int | RankCriterion, distance: str = "chord") -> RankHOperator:
-        """The whole set's rank-h fit, the one K-means takes for its global
-        inertia, lifted to the n observations."""
-        return self.lift(self.centroids(self.everyone[None], distance, h)[0])
+    def fit(self, h: int | RankCriterion, distance: str = "chord") -> tuple:
+        """The whole set's rank-h fit (C, lam, converged, K cosines), as K-means' global fit."""
+        return self.centroids(self.everyone[None], distance, h)[0]

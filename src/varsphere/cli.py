@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from .averaging import RankCriterion, _Frame, geodesic_objective
+from .averaging import RankCriterion, _Frame
 from .clustering import (
     DISTANCES,
     ClusteringConfig,
@@ -217,11 +217,8 @@ def _cmd_average(args) -> None:
     # and one memo, so the profile's rank h is the average fitted here
     frame = _Frame(resultants)
     criterion = _criterion(args)
-    avg = frame.average(criterion, args.distance)
-    if args.distance == "geodesic":
-        objective = geodesic_objective(avg, resultants)
-    else:
-        objective = sum(avg.dot(r) for r in resultants) / len(resultants)
+    fit = frame.fit(criterion, args.distance)
+    avg = frame.lift(fit)
     h = avg.rank
     out = _out_dir(args)
     _write_csv(
@@ -237,13 +234,13 @@ def _cmd_average(args) -> None:
     _write_csv(
         os.path.join(out, "factors_u.csv"),
         ["observation"] + [f"u{j + 1}" for j in range(avg.rank)],
-        [(i + 1, *avg.U[i]) for i in range(weights.n)],
+        ((i + 1, *avg.U[i]) for i in range(weights.n)),
     )
     if args.distance == "geodesic":
         _write_csv(
             os.path.join(out, "geodesic_inertia.csv"),
             ["h", "inertia"],
-            [(i + 1, v) for i, v in enumerate(_geodesic_profile(frame, resultants, h))],
+            [(i + 1, v) for i, v in enumerate(_geodesic_profile(frame, h))],
         )
     _write_json(
         os.path.join(out, "average.json"),
@@ -255,7 +252,8 @@ def _cmd_average(args) -> None:
             "n_variables": len(resultants),
             "n_observations": weights.n,
             "converged": bool(avg.converged),
-            "objective": float(objective),
+            "objective": float(np.mean(fit[3] if args.distance == "chord"
+                                       else -_sq_dist_from_cos(fit[3], "geodesic"))),
         },
     )
 

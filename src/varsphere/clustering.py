@@ -11,7 +11,8 @@ Every centroid lies in the span of the stacked factors, so K-means runs on
 the averaging frame, which reduces the dataset to that column space once (one
 QR) and fits each member set once, whatever the number of starts and
 iterations, as the public averages fit the whole set, under one stop rule;
-a geodesic fit's ConvergenceWarning is emitted once per member set.  The
+a geodesic fit's ConvergenceWarning is emitted once per member set.  Every
+inertia, cosine and assignment reported is read from the fits' K cosines.  The
 starts advance in lockstep: each round takes every active start's member
 sets from the frame in one request and proposes all their assignments with
 one argmax.  Each start keeps its own seed (spawned from the config's),
@@ -20,14 +21,13 @@ cycle rule and objective trace, so it follows the path it would follow alone.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .averaging import RankCriterion, RankHOperator, _Frame, cosines
 from .encoding import Resultant
-from .errors import ConvergenceWarning, ValidationError
+from .errors import ConvergenceWarning, ValidationError, warn
 from .geometry import _fix_column_signs
 
 DISTANCES = ("chord", "geodesic")
@@ -59,6 +59,7 @@ class ClusterModel:
 
     assignments: np.ndarray
     centroids: list[RankHOperator]
+    cosines: np.ndarray  # K x L: each resultant's cosine to each centroid, from their fits
     ranks: list[int]
     distance: str
     within_inertia: float
@@ -182,13 +183,11 @@ def _kmeans(frame: _Frame, config: ClusteringConfig) -> ClusterModel:
     best = int(np.argmin(within))
     fits = fits[best * n_clusters:(best + 1) * n_clusters]
     if stops[best] != "converged":
-        warnings.warn(
-            "k-means stopped on an assignment cycle or the iteration cap",
-            ConvergenceWarning,
-        )
+        warn("k-means stopped on an assignment cycle or the iteration cap", ConvergenceWarning)
     return ClusterModel(
         assignments=assignment[best].copy(),
         centroids=[frame.lift(fit) for fit in fits],
+        cosines=cos[best].copy(),
         ranks=[fit[1].size for fit in fits],
         distance=distance,
         within_inertia=within[best],
@@ -205,8 +204,7 @@ def _kmeans(frame: _Frame, config: ClusteringConfig) -> ClusterModel:
 
 def _explained(frame: _Frame, distance: str, criterion: RankCriterion, within: float) -> float:
     """(total - within) / total, total measured from the global rank-H average."""
-    cos = frame.centroids(frame.everyone[None], distance, criterion)[0][3]
-    total = float(np.sum(_sq_dist_from_cos(cos, distance)))
+    total = float(np.sum(_sq_dist_from_cos(frame.fit(criterion, distance)[3], distance)))
     if total <= 1e-300:
         raise ValidationError("total inertia is zero: all resultants are identical")
     return (total - within) / total
@@ -227,20 +225,14 @@ def geodesic_inertia_profile(resultants: list[Resultant], h_max: int) -> np.ndar
     where avg_H is the uniform geodesic rank-H average of the resultants."""
     if h_max < 1:
         raise ValidationError("h_max must be at least 1")
-    return np.array(_geodesic_profile(_Frame(resultants), resultants, h_max))
+    return np.array(_geodesic_profile(_Frame(resultants), h_max))
 
 
-def _geodesic_profile(frame: _Frame, resultants: list[Resultant], h_max: int) -> list[float]:
-    """The inertia profile on a frame of the resultants: one SVD for every
-    rank's chord start, and a rank the frame has fitted already is a memo hit."""
-    return [_geodesic_inertia(resultants, frame.average(h, "geodesic"))
+def _geodesic_profile(frame: _Frame, h_max: int) -> list[float]:
+    """The inertia profile on a frame, read from each rank's fit: one SVD for
+    every rank's chord start, and a rank the frame has fitted is a memo hit."""
+    return [float(np.sum(_sq_dist_from_cos(frame.fit(h, "geodesic")[3], "geodesic")))
             for h in range(1, h_max + 1)]
-
-
-def _geodesic_inertia(resultants: list[Resultant], avg: RankHOperator) -> float:
-    """Geodesic inertia sum_k arccos([R_k | avg])^2 of the resultants about avg."""
-    cos = cosines(resultants, [avg])[:, 0]
-    return float(np.sum(_sq_dist_from_cos(cos, "geodesic")))
 
 
 def centroid_separation(model: ClusterModel) -> np.ndarray:
@@ -258,13 +250,13 @@ def centroid_separation(model: ClusterModel) -> np.ndarray:
 def cluster_summary(
     model: ClusterModel, resultants: list[Resultant], labels: list[str] | None = None
 ) -> list[dict]:
-    """Per-variable membership table: cluster, cosine with the centroid, and
-    both distances to it."""
+    """Per-variable membership table of the resultants the model clustered:
+    cluster, cosine with the centroid (as within_inertia read it), and both distances to it."""
     if labels is None:
         labels = [r.label or f"var{k}" for k, r in enumerate(resultants)]
-    if len(labels) != len(resultants):
-        raise ValidationError("need one label per resultant")
-    cos = cosines(resultants, model.centroids)[np.arange(len(labels)), model.assignments]
+    if not len(labels) == len(resultants) == len(model.assignments):
+        raise ValidationError("need one label per resultant the model clustered")
+    cos = model.cosines[np.arange(len(labels)), model.assignments]
     chord = np.sqrt(_sq_dist_from_cos(cos, "chord"))
     geodesic = np.sqrt(_sq_dist_from_cos(cos, "geodesic"))
     return [
@@ -300,9 +292,7 @@ def classical_mds(distances: np.ndarray, dims: int) -> np.ndarray:
     vecs = vecs[:, ::-1]
     n_pos = int(np.sum(vals > 1e-12 * max(float(vals[0]), 0.0)))
     if dims > n_pos:
-        warnings.warn(
-            f"only {n_pos} positive eigenvalues: extra coordinates are zero-padded"
-        )
+        warn(f"only {n_pos} positive eigenvalues: extra coordinates are zero-padded")
     take = min(dims, n)
     coords = np.zeros((n, dims))
     coords[:, :take] = vecs[:, :take] * np.sqrt(np.clip(vals[:take], 0.0, None))[None, :]

@@ -132,12 +132,14 @@ def load_manifest(path: str) -> DatasetManifest:
 
 def _read_csv(path: str) -> tuple[list[str], int, list[list[str]], list]:
     """A CSV's header, row count and columns, with each column as parsed once
-    by _parse_floats."""
+    by _parse_floats; empty lines at the end are dropped."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise ValidationError(f"cannot read data file {path}: {exc}") from exc
+    while rows and not rows[-1]:
+        rows.pop()
     if not rows:
         raise ValidationError(f"{path}: the file is empty")
     header, data = rows[0], rows[1:]
@@ -146,6 +148,8 @@ def _read_csv(path: str) -> tuple[list[str], int, list[list[str]], list]:
     if not data:
         raise ValidationError(f"{path}: no data rows")
     for lineno, row in enumerate(data, start=2):
+        if not row and len(header) == 1:  # csv reads a blank cell of one column as no row
+            row.append("")
         if len(row) != len(header):
             raise ValidationError(
                 f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"

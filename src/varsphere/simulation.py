@@ -23,7 +23,7 @@ import numpy as np
 from .averaging import RankCriterion, _Frame
 from .clustering import ClusteringConfig, _kmeans
 from .encoding import Resultant, encode_categorical, encode_numeric, resultant
-from .errors import ValidationError, VarsphereError
+from .errors import ValidationError, VarsphereError, warn
 from .geometry import Weights
 
 N_NUMERIC = 17
@@ -268,11 +268,11 @@ def _outcomes(grid: list[SimConfig], n_starts: int, distance: str) -> list:
                     lost = pid, config, rep  # raised once every worker is reaped
                     break
                 for message, category in caught:
-                    warnings.warn(message, category)
+                    warn(message, category)
                 if isinstance(outcome, Exception):
                     raise outcome
             if isinstance(outcome, str):  # a bad draw must not sink the grid
-                warnings.warn(f"replication {rep} failed and was excluded: {outcome}")
+                warn(f"replication {rep} failed and was excluded: {outcome}")
             outcomes.append(outcome)
     finally:
         import signal  # only the workers need it: not imported with the package

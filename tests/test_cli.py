@@ -301,12 +301,13 @@ def test_non_finite_cell_is_reported_with_location(tmp_path, capsys):
 
 def test_geodesic_profile_ends_at_the_reported_average(data_csv, tmp_path, monkeypatch):
     # the profile ascends once per rank below the chosen one, as the public
-    # profile does; its last entry is the inertia of the average written to
-    # factors_*.csv, bit for bit
+    # profile does; its last entry and the objective are read, bit for bit,
+    # from the cosines of the one fit written to factors_*.csv, and agree with
+    # the n-row inertia of the written average
     import varsphere.averaging as averaging
-    from varsphere import RankHOperator, geodesic_inertia_profile
+    from varsphere import RankHOperator, geodesic_inertia_profile, geodesic_objective
+    from varsphere.averaging import cosines
     from varsphere.cli import _load_resultants
-    from varsphere.clustering import _geodesic_inertia
 
     ascents = []
     ascend = averaging._geodesic_from
@@ -324,7 +325,16 @@ def test_geodesic_profile_ends_at_the_reported_average(data_csv, tmp_path, monke
     lam = np.array([float(r[1]) for r in read_rows(out / "factors_lambda.csv")[1:]])
     u = np.array([[float(v) for v in r[1:]] for r in read_rows(out / "factors_u.csv")[1:]])
     profile = [float(r[1]) for r in read_rows(out / "geodesic_inertia.csv")[1:]]
-    assert profile[-1] == _geodesic_inertia(resultants, RankHOperator(u, lam, weights))
+    objective = json.loads((out / "average.json").read_text())["objective"]
+    frame = averaging._Frame(resultants)
+    fit = frame.fit(2, "geodesic")
+    assert np.array_equal(u, frame.lift(fit).U) and np.array_equal(lam, fit[1])
+    sq = np.arccos(np.clip(fit[3], -1.0, 1.0)) ** 2
+    assert profile[-1] == float(np.sum(sq)) and objective == float(np.mean(-sq))
+    written = RankHOperator(u, lam, weights)
+    n_row = float(np.sum(np.arccos(cosines(resultants, [written])) ** 2))
+    assert profile[-1] == pytest.approx(n_row, rel=1e-12, abs=0.0)
+    assert objective == pytest.approx(geodesic_objective(written, resultants), rel=1e-12, abs=0.0)
     assert profile[:-1] == list(geodesic_inertia_profile(resultants, 1))
 
 

@@ -102,6 +102,29 @@ def test_infer_manifest_reports_missing_cells(tmp_path):
                 read()
 
 
+def test_a_blank_line_in_one_column_is_a_missing_value(tmp_path):
+    data = tmp_path / "one.csv"
+    data.write_text("a\n1\n\n3\n")
+    for read in (lambda: infer_manifest(str(data)),
+                 lambda: ingest(DatasetManifest(data_path=str(data), numeric=("a",)))):
+        with pytest.raises(ValidationError, match=r"one\.csv:3: missing value in column 'a'"):
+            read()
+    wide = tmp_path / "wide.csv"
+    wide.write_text("a,b\n1,x\n\n3,y\n")
+    with pytest.raises(ValidationError, match=r"wide\.csv:3: expected 2 fields, got 0"):
+        infer_manifest(str(wide))
+
+
+def test_blank_lines_after_the_last_row_are_ignored(tmp_path):
+    data = tmp_path / "tail.csv"
+    for text in ("a,b\n1,x\n2,y\n\n", "a,b\n1,x\n2,y\n\n\n", "a\n1\n2\n\n"):
+        data.write_text(text)
+        manifest = infer_manifest(str(data))
+        assert manifest.numeric == ("a",)
+        ds = ingest(manifest)
+        assert ds.n == 2 and ds.numeric["a"].tolist() == [1.0, 2.0]
+
+
 def test_read_csv_structural_errors(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

@@ -25,6 +25,7 @@ from varsphere import (
     Resultant,
     SimConfig,
     Weights,
+    cluster_summary,
     compound_structure,
     encode_block,
     encode_categorical,
@@ -40,6 +41,7 @@ from varsphere import (
     sphere_average,
     weighted_average,
 )
+from varsphere import averaging, cli, clustering
 from varsphere.averaging import cosines
 
 from _support import (
@@ -225,6 +227,29 @@ def test_averages_build_no_n_by_n_array():
         avg, peak = _traced(lambda: rank_h_average_geodesic(rs, 2, max_iter=5))
     assert avg.U.shape == (BIG_N, 2) and not avg.converged
     assert peak < PEAK_BYTES, f"geodesic average: peak traced memory {peak / 1e6:.1f} MB"
+
+
+def test_reports_after_the_qr_allocate_no_n_row_block(tmp_path, monkeypatch):
+    # the `average` objective and inertia profile and the cluster summary read
+    # the frame fits' K cosines: once the frame's QR is taken, the `average`
+    # command allocates no n x sum q block (its one n-row array is the lifted
+    # average it writes), and the summary not even one n-row column
+    n = 20_000
+    rs = sample_resultants(simulate_sample(SimConfig(n=n, beta=np.pi / 3, sigma2=0.1),
+                                           np.random.default_rng(0)))
+    block = 8 * n * sum(r.factor.shape[1] for r in rs)
+    frame = averaging._Frame(rs)
+    model = clustering._kmeans(frame, ClusteringConfig(n_clusters=3, n_starts=2, seed=0))
+    monkeypatch.setattr(cli, "_load_resultants", lambda args: (rs, rs[0].weights))
+    monkeypatch.setattr(cli, "_Frame", lambda resultants: frame)
+    argv = ["average", "--data", "unread.csv", "--distance", "geodesic", "--criterion", "fixed",
+            "--H", "3", "--out-dir", str(tmp_path)]
+    code, peak = _traced(lambda: cli.main(argv))
+    assert code in (0, 4) and (tmp_path / "geodesic_inertia.csv").read_text().count("\n") == 4
+    assert peak < block / 2, f"average: peak {peak / 1e6:.2f} MB, n x sum q {block / 1e6:.1f} MB"
+    rows, peak = _traced(lambda: cluster_summary(model, rs))
+    assert len(rows) == 21
+    assert peak < 8 * n, f"summary: peak traced memory {peak / 1e6:.3f} MB"
 
 
 def test_public_names_resolve_once():
