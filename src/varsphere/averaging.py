@@ -32,6 +32,7 @@ part by max_i w_i^-1/2 (see _Frame).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,6 +74,11 @@ class RankCriterion:
                 raise ValidationError("fixed rank must be a positive integer")
         elif self.kind != "cattell":
             raise ValidationError(f"unknown rank criterion {self.kind!r}")
+
+    @property
+    def full(self) -> bool:
+        """A trace ratio of 1, within 1e-12: keep the mean's whole numerical rank."""
+        return self.kind == "trace_ratio" and self.theta >= 1.0 - 1e-12
 
     @classmethod
     def trace_ratio(cls, theta: float) -> "RankCriterion":
@@ -186,7 +192,9 @@ def rank_h_average_euclidean(
 
 def choose_rank(eigenvalues, criterion: RankCriterion) -> int:
     """Number of eigendirections to keep from a spectrum.  A descending one,
-    as every SVD returns it, is used as it is; any other is sorted first."""
+    as every SVD returns it, is used as it is; any other is sorted first.  A
+    full criterion keeps the numerical rank, so the full-rank chord centroid
+    is the normalised mean less its eigenvalues under RANK_TOL of lam_1 (_Frame)."""
     lam = np.asarray(eigenvalues, dtype=float)
     if (lam[1:] > lam[:-1]).any():
         lam = np.sort(lam)[::-1]
@@ -196,9 +204,9 @@ def choose_rank(eigenvalues, criterion: RankCriterion) -> int:
     if criterion.kind == "trace_ratio" and theta <= 1e-12:
         return 1
     r = numerical_rank(lam, RANK_TOL)
+    if criterion.full:
+        return r
     if criterion.kind == "trace_ratio":
-        if theta >= 1.0 - 1e-12:
-            return r
         ratios = np.cumsum(lam) / np.sum(lam)
         hit = np.nonzero(ratios >= theta - 1e-12)[0]
         h = int(hit[0]) + 1 if hit.size else r
@@ -217,17 +225,19 @@ def choose_rank(eigenvalues, criterion: RankCriterion) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _stack(resultants: list[Resultant]) -> tuple[np.ndarray, np.ndarray]:
-    """The whitened factors side by side, W^1/2 [Z_1 ... Z_K], and the width q_k of each."""
+def _stack(resultants: list[Resultant]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The whitened factors side by side, W^1/2 [Z_1 ... Z_K], the width q_k of
+    each and the column each starts at."""
+    widths = np.array([r.factor.shape[1] for r in resultants])
     return (np.sqrt(resultants[0].weights.w)[:, None] * np.hstack([r.factor for r in resultants]),
-            np.array([r.factor.shape[1] for r in resultants]))
+            widths, np.cumsum(widths) - widths)
 
 
-def _loadings(z, widths, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """T = Z' U for whitened factors and basis, and the loadings
+def _loadings(z, starts, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """T = Z' U for whitened blocks from `starts` and basis, and the loadings
     eta_kj = u_j' W R_k u_j = ||Z_k' u_j||^2 (K x H)."""
     t = z.T @ u
-    return t, np.add.reduceat(t * t, np.cumsum(widths) - widths, axis=0)
+    return t, np.add.reduceat(t * t, starts, axis=0)
 
 
 def cosines(resultants: list[Resultant], centroids: list[RankHOperator]) -> np.ndarray:
@@ -235,8 +245,8 @@ def cosines(resultants: list[Resultant], centroids: list[RankHOperator]) -> np.n
     weights = centroids[0].weights
     if not all(x.weights.same_as(weights) for x in (*resultants, *centroids)):
         raise ValidationError("operands live on different weight systems")
-    u = np.sqrt(weights.w)[:, None] * np.hstack([c.U for c in centroids])
-    _, eta = _loadings(*_stack(resultants), u)
+    z, _, blocks = _stack(resultants)
+    _, eta = _loadings(z, blocks, np.sqrt(weights.w)[:, None] * np.hstack([c.U for c in centroids]))
     starts = np.cumsum([0] + [c.rank for c in centroids[:-1]])
     return np.add.reduceat(eta * np.concatenate([c.lam for c in centroids]), starts, axis=1)
 
@@ -253,13 +263,13 @@ def geodesic_objective(avg: RankHOperator, resultants: list[Resultant], omega=No
     return float(_objective_value(cosines(resultants, [avg])[:, 0], omega))
 
 
-def _gradients(z, widths, omega: np.ndarray, u: np.ndarray, lam: np.ndarray):
-    """geodesic_gradients on whitened factors Z of widths q_k and a whitened
+def _gradients(z, widths, starts, omega: np.ndarray, u: np.ndarray, lam: np.ndarray):
+    """geodesic_gradients on whitened blocks Z of widths q_k and starts, and a whitened
     basis: Gamma is one product 2 Z (f o T) Lam, f repeating each coefficient
     over its block.  f_k = omega_k d(arccos^2)/dh at h_k, without the sign:
     2 arccos(h)/sqrt(1-h^2) tends to 2 as h -> 1, so it takes that limit once
     h is within H_SINGULAR of 1 (the clamp also shields round-off above 1)."""
-    t, eta = _loadings(z, widths, u)
+    t, eta = _loadings(z, starts, u)
     h = eta @ lam
     c = np.clip(h, -1.0 + H_SINGULAR, 1.0 - H_SINGULAR)
     factors = omega * np.where(h > 1.0 - H_SINGULAR, 2.0, 2.0 * np.arccos(c) / np.sqrt(1.0 - c * c))
@@ -268,10 +278,10 @@ def _gradients(z, widths, omega: np.ndarray, u: np.ndarray, lam: np.ndarray):
     return gamma, 2.0 * (z @ (f_col[:, None] * t)) * lam[None, :]
 
 
-def _step(z, widths, omega: np.ndarray, u: np.ndarray, lam: np.ndarray):
+def _step(z, widths, starts, omega: np.ndarray, u: np.ndarray, lam: np.ndarray):
     """geodesic_step on whitened arrays, the kernel every ascent round steps
     through: U <- the polar factor G (G'G)^-1/2 of the gradient G."""
-    gamma, gamma_u = _gradients(z, widths, omega, u, lam)
+    gamma, gamma_u = _gradients(z, widths, starts, omega, u, lam)
     gamma = np.clip(gamma, 0.0, None)
     nrm = float(np.linalg.norm(gamma))
     if nrm <= 1e-300:
@@ -331,20 +341,20 @@ def fixed_point_residual(avg: RankHOperator, resultants: list[Resultant], omega=
 
 
 def _ascend(
-    z: np.ndarray, widths: np.ndarray, omega: np.ndarray,
+    z: np.ndarray, widths: np.ndarray, starts: np.ndarray, omega: np.ndarray,
     u: np.ndarray, lam: np.ndarray, max_iter: int, u_scale: float,
 ) -> tuple[np.ndarray, np.ndarray, int, str | None]:
-    """Safeguarded Anderson ascent from (U, lam) on whitened factors of widths q_k,
-    its residual's U part scaled by u_scale: (U, lam, rounds, why it stopped or None)."""
+    """Safeguarded Anderson ascent from (U, lam) on whitened blocks (widths, starts), its
+    residual's U part scaled by u_scale: (U, lam, rounds, why it stopped or None)."""
     def point(u_, lam_) -> tuple[np.ndarray, np.ndarray, float]:
-        return u_, lam_, _objective_value(_loadings(z, widths, u_)[1] @ lam_, omega)
+        return u_, lam_, _objective_value(_loadings(z, starts, u_)[1] @ lam_, omega)
 
     u, lam, g_cur = point(u, lam)
     xs, fs = [], []  # the mixing window: flattened iterates and their step residuals
     step = None  # the fixed-point step at (U, lam), once the residual check has taken it
     for rounds in range(1, max_iter + 1):
         try:
-            u_s, lam_s = step if step is not None else _step(z, widths, omega, u, lam)
+            u_s, lam_s = step if step is not None else _step(z, widths, starts, omega, u, lam)
         except NumericalError as err:
             return u, lam, rounds, str(err)
         u_s = _align_columns(u_s, u)
@@ -373,7 +383,7 @@ def _ascend(
             u, lam, g_cur = best
         if stuck or small:
             try:
-                step = step or _step(z, widths, omega, u, lam)
+                step = step or _step(z, widths, starts, omega, u, lam)
             except NumericalError as err:
                 return u, lam, rounds, str(err)
             res = _residual(u, lam, step, u_scale)
@@ -412,9 +422,10 @@ def _geodesic_from(
     z, widths, omega: np.ndarray, u: np.ndarray, lam: np.ndarray,
     max_iter: int, u_scale: float,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The ascent from a start (U, lam) on validated arrays, as _ascend takes them:
-    (U, lam descending, converged), with the ConvergenceWarning when it stops short."""
-    u, lam, rounds, reason = _ascend(z, widths, omega, u, lam, max_iter, u_scale)
+    """The ascent from a start (U, lam) on validated arrays, as _ascend takes them bar the
+    block starts: (U, lam descending, converged), with a ConvergenceWarning if it stops short."""
+    u, lam, rounds, reason = _ascend(z, widths, np.cumsum(widths) - widths, omega,
+                                     u, lam, max_iter, u_scale)
     if reason is not None:
         warn(f"geodesic average did not converge after {rounds} rounds: {reason}",
              ConvergenceWarning)
@@ -446,18 +457,22 @@ class _Frame:
     the geodesic ascent from there.  Criteria that choose the same rank share
     one fit.  Chord column signs stay as the SVD leaves them (the cosines
     ignore them) until lift() signs a centroid.  Only the lift basis has n rows.
+    The full-rank (RankCriterion.full) chord centroid is the normalised mean
+    M_S/||M_S||, whose cosines fit_cosines reads with no SVD from the K x K
+    cosine matrix A_km = [R_k | R_m] = ||R_k' R_m||_F^2 of ClustOfVar, built
+    once; its rank is the mean's numerical rank, and the eigenvalues under
+    RANK_TOL of lam_1 that the fit drops move each cosine by at most their sum / lam_1.
     """
 
     def __init__(self, resultants: list[Resultant], omega=None, max_iter: int = 500):
         weights = _gather(resultants)
         self.k = len(resultants)
         self.omega = None if omega is None else as_weight_system(omega, self.k)
-        z, self._widths = _stack(resultants)
+        z, self._widths, self._starts = _stack(resultants)
         q, self.z = np.linalg.qr(z)
         self.weights, self._lift = weights, q / np.sqrt(weights.w)[:, None]
         self._stop = max_iter, 1.0 / math.sqrt(float(weights.w.min()))
         self._owner = np.repeat(np.arange(self.k), self._widths)
-        self._starts = np.cumsum(self._widths) - self._widths
         self.everyone = np.ones(self.k, dtype=bool)
         self._memo: dict = {}
 
@@ -474,6 +489,20 @@ class _Frame:
             keep = int(np.count_nonzero(lam > EIGEN_DROP_TOL * lam[0]))
             spectrum = self._memo[key] = q[:, :keep], lam[:keep]
         return spectrum
+
+    @functools.cached_property
+    def _cosine_matrix(self) -> np.ndarray:  # A, the block sums of the squared Gram Z'Z
+        gram = self.z.T @ self.z
+        return np.add.reduceat(np.add.reduceat(gram * gram, self._starts), self._starts, axis=1)
+
+    def fit_cosines(self, chosen: np.ndarray, distance: str, h: int | RankCriterion) -> np.ndarray:
+        """Each member set's K cosines to its centroid; at full rank in chord,
+        (a A)_k / sqrt(a A a') for a = the set's row, uniform as in K-means."""
+        if distance != "chord" or not isinstance(h, RankCriterion) or not h.full:
+            return np.array([fit[3] for fit in self.centroids(chosen, distance, h)])
+        share = chosen.astype(float)  # a float row: mixed types would cast through ufunc buffers
+        dots = share @ self._cosine_matrix
+        return dots / np.sqrt(np.sum(dots * share, axis=1))[:, None]
 
     def centroids(self, chosen: np.ndarray, distance: str, h: int | RankCriterion) -> list[tuple]:
         """The reduced rank-h centroid (C, lam, converged, K cosines) of each

@@ -12,7 +12,11 @@ the averaging frame, which reduces the dataset to that column space once (one
 QR) and fits each member set once, whatever the number of starts and
 iterations, as the public averages fit the whole set, under one stop rule;
 a geodesic fit's ConvergenceWarning is emitted once per member set.  Every
-inertia, cosine and assignment reported is read from the fits' K cosines.  The
+inertia, cosine and assignment reported is read from the fits' K cosines.
+At trace ratio 1 a chord centroid is the normalised mean of its members,
+read from the frame's K x K cosine matrix with no spectrum, and only the best
+start's L centroids are fitted, for their lifts and ranks (numerical ranks,
+which drop eigenvalues under RANK_TOL of the largest; see _Frame).  The
 starts advance in lockstep: each round takes every active start's member
 sets from the frame in one request and proposes all their assignments with
 one argmax.  Each start keeps its own seed (spawned from the config's),
@@ -115,16 +119,15 @@ def _repair_empty(
     return assignment
 
 
-def _refit(frame: _Frame, assignment: np.ndarray, config: ClusteringConfig):
-    """The fits of every cluster of each assignment row (S x K), S x L of them,
-    and the S x K x L cosines to them."""
-    n_clusters = config.n_clusters
-    chosen = assignment[:, None, :] == np.arange(n_clusters)[:, None]
-    fits = frame.centroids(chosen.reshape(-1, frame.k), config.distance, config.criterion)
-    cos = np.array([fit[3] for fit in fits]).reshape(len(assignment), n_clusters, frame.k)
+def _refit(frame: _Frame, assignment: np.ndarray, config: ClusteringConfig) -> np.ndarray:
+    """The S x K x L cosines of each assignment row's (S x K) resultants to
+    the fits of its clusters."""
+    chosen = assignment[:, None, :] == np.arange(config.n_clusters)[:, None]
+    cos = frame.fit_cosines(chosen.reshape(-1, frame.k), config.distance, config.criterion)
+    cos = cos.reshape(len(assignment), config.n_clusters, frame.k)
     # C order, as one start's K x L was: numpy may pick its ufunc loops, and so
     # the rounding of arccos, by memory layout
-    return fits, np.ascontiguousarray(cos.transpose(0, 2, 1))
+    return np.ascontiguousarray(cos.transpose(0, 2, 1))
 
 
 def kmeans(resultants: list[Resultant], config: ClusteringConfig) -> ClusterModel:
@@ -136,8 +139,8 @@ def kmeans(resultants: list[Resultant], config: ClusteringConfig) -> ClusterMode
     for all of them at a time, but each follows exactly the path it would
     follow alone.  Every centroid is fitted in the column space of the
     resultants' factors, once per member set across all starts and the
-    global fit of `between_over_total`; only the L centroids returned are
-    lifted back to the n observations.
+    global fit of `between_over_total` (a full-rank chord run fits only the
+    L centroids returned); only those are lifted back to the n observations.
     """
     return _kmeans(_Frame(resultants), config)
 
@@ -159,7 +162,7 @@ def _kmeans(frame: _Frame, config: ClusteringConfig) -> ClusterModel:
     active = np.arange(len(seeds))
     for it in range(1, config.max_iter + 1):
         current = assignment[active]
-        cos = _refit(frame, current, config)[1]
+        cos = _refit(frame, current, config)
         proposal = _assign_from_cos(cos, distance)
         used = np.zeros((active.size, n_clusters), dtype=bool)
         used[np.arange(active.size)[:, None], proposal] = True
@@ -178,10 +181,11 @@ def _kmeans(frame: _Frame, config: ClusteringConfig) -> ClusterModel:
         if not active.size:
             break
     # every start's final fits: a start that converged finds its last round's in the memo
-    fits, cos = _refit(frame, assignment, config)
+    cos = _refit(frame, assignment, config)
     within = _within(cos, assignment, distance).tolist()
     best = int(np.argmin(within))
-    fits = fits[best * n_clusters:(best + 1) * n_clusters]
+    fits = frame.centroids(assignment[best] == np.arange(n_clusters)[:, None], distance,
+                           config.criterion)
     if stops[best] != "converged":
         warn("k-means stopped on an assignment cycle or the iteration cap", ConvergenceWarning)
     return ClusterModel(
@@ -204,7 +208,8 @@ def _kmeans(frame: _Frame, config: ClusteringConfig) -> ClusterModel:
 
 def _explained(frame: _Frame, distance: str, criterion: RankCriterion, within: float) -> float:
     """(total - within) / total, total measured from the global rank-H average."""
-    total = float(np.sum(_sq_dist_from_cos(frame.fit(criterion, distance)[3], distance)))
+    cos = frame.fit_cosines(frame.everyone[None], distance, criterion)[0]
+    total = float(np.sum(_sq_dist_from_cos(cos, distance)))
     if total <= 1e-300:
         raise ValidationError("total inertia is zero: all resultants are identical")
     return (total - within) / total

@@ -132,7 +132,7 @@ def load_manifest(path: str) -> DatasetManifest:
 
 def _read_csv(path: str) -> tuple[list[str], int, list[list[str]], list]:
     """A CSV's header, row count and columns, with each column as parsed once
-    by _parse_floats; empty lines at the end are dropped."""
+    by _parse_floats; an empty first line is rejected, empty last ones dropped."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
@@ -143,6 +143,8 @@ def _read_csv(path: str) -> tuple[list[str], int, list[list[str]], list]:
     if not rows:
         raise ValidationError(f"{path}: the file is empty")
     header, data = rows[0], rows[1:]
+    if not header:
+        raise ValidationError(f"{path}:1: the header line is empty")
     if len(set(header)) != len(header):
         raise ValidationError(f"{path}: duplicate column names in the header")
     if not data:

@@ -300,8 +300,10 @@ def run_benchmark(
     Each replication draws one sample, encodes it once, and clusters it into
     the design's three bundles at every theta of the cell's grid (the rank criterion is trace_ratio(theta))
     so scores across theta are paired; the theta runs share one column-space
-    frame, so a member set's spectrum is computed once per replication and
-    two thetas that choose the same rank share its centroid.  Replication
+    frame, so a member set's spectrum is computed once per replication, two
+    thetas below 1 that choose the same rank share its centroid, and theta = 1
+    reads its cosines from the frame's K x K cosine matrix, with no spectrum
+    but for the best start's L centroids.  Replication
     seeds derive from the cell seed by counter, so results do not depend on
     grid order.  A replication that raises a VarsphereError is counted as
     failed, reported with a warning naming the reason, and excluded from the

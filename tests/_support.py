@@ -175,7 +175,7 @@ def refit_average(members, criterion, distance):
         return start
     w = mean.weights.w
     root = np.sqrt(w)[:, None]
-    u, lam, converged = _geodesic_from(*_stack(members), as_weight_system(None, len(members)),
+    u, lam, converged = _geodesic_from(*_stack(members)[:2], as_weight_system(None, len(members)),
                                        root * start.U, start.lam, 500, 1.0 / np.sqrt(w.min()))
     return RankHOperator(u / root, lam, mean.weights, converged=converged)
 

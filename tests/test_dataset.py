@@ -125,6 +125,18 @@ def test_blank_lines_after_the_last_row_are_ignored(tmp_path):
         assert ds.n == 2 and ds.numeric["a"].tolist() == [1.0, 2.0]
 
 
+def test_an_empty_first_line_is_rejected_as_the_header(tmp_path):
+    # it would otherwise be read as a header of no columns, and the first
+    # real line rejected as ragged
+    data = tmp_path / "lead.csv"
+    for text in ("\na\n1\n2\n", "\n\na,b\n1,x\n"):
+        data.write_text(text)
+        for read in (lambda: infer_manifest(str(data)),
+                     lambda: ingest(DatasetManifest(data_path=str(data), numeric=("a",)))):
+            with pytest.raises(ValidationError, match=r"lead\.csv:1: the header line is empty"):
+                read()
+
+
 def test_read_csv_structural_errors(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

@@ -15,6 +15,7 @@ from varsphere import (
     SimConfig,
     Weights,
     averaging,
+    choose_rank,
     clustering,
     fixed_point_residual,
     geodesic_inertia_profile,
@@ -25,6 +26,8 @@ from varsphere import (
     sample_resultants,
     simulate_sample,
 )
+
+from varsphere.geometry import EIGEN_DROP_TOL, RANK_TOL
 
 from _support import dense, random_normed_resultant, random_weights, refit_kmeans
 
@@ -244,6 +247,19 @@ def test_kmeans_takes_one_svd_per_distinct_member_set(distance, monkeypatch):
     assert len(svds) == len(set(requests)) < len(requests)
 
 
+def test_full_rank_chord_kmeans_fits_only_the_returned_centroids(monkeypatch):
+    # at trace ratio 1 every round and the global fit read their cosines from
+    # the K x K cosine matrix; only the best start's L centroids take a
+    # spectrum, to be lifted and to report their ranks
+    rs = _resultants(np.random.default_rng(7), 40, 9, uniform=False)
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    model = kmeans(rs, ClusteringConfig(n_clusters=3, n_starts=10, seed=1,
+                                        criterion=RankCriterion.trace_ratio(1.0)))
+    assert len(svds) <= len(model.centroids) + 1
+
+
 def test_inertia_profile_takes_one_svd(monkeypatch):
     # every rank's chord start comes from the one spectrum of the mean
     rs = _resultants(np.random.default_rng(8), 40, 9, uniform=False)
@@ -293,3 +309,47 @@ def test_kmeans_global_fit_is_the_public_average():
         public = rank_h_average_geodesic(rs, criterion)
     assert np.allclose(ours.U, public.U, rtol=0.0, atol=1e-12)
     assert np.allclose(ours.lam, public.lam, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [30, 40])
+def test_full_rank_chord_cosines_match_the_spectrum_path(n):
+    # at trace ratio 1 a chord centroid's cosines come from the K x K cosine
+    # matrix; the spectrum path truncates the same normalised mean at its
+    # numerical rank, which here drops only round-off.  At n = 30, sum q = 33
+    # exceeds n, so the stacked blocks are rank-deficient
+    rs = _simulated(n, 3)
+    k = len(rs)
+    assert (sum(r.factor.shape[1] for r in rs) > n) == (n == 30)
+    chosen = np.random.default_rng(n).random((200, k)) < 0.4
+    chosen = np.vstack([chosen[chosen.any(axis=1)], np.eye(k, dtype=bool), np.ones(k, bool)])
+    full = RankCriterion.trace_ratio(1.0)
+    frame = averaging._Frame(rs)
+    got = frame.fit_cosines(chosen, "chord", full)
+    want = np.array([fit[3] for fit in frame.centroids(chosen, "chord", full)])
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_full_rank_cosines_differ_by_at_most_the_dropped_eigenvalues():
+    # a member whose operator has an eigenvalue between EIGEN_DROP_TOL and
+    # RANK_TOL of its largest: the spectrum keeps it, the full rank drops it
+    # from the centroid, and the K x K cosines keep it.  Each cosine may then
+    # move by the dropped eigenvalues' sum over lam_1, and one along the
+    # dropped direction does
+    n = 10
+    w = Weights.uniform(n)
+    rng = np.random.default_rng(5)
+    e = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    tilt = 1e-11
+    rs = [_unit(np.column_stack([e[:, 0], np.sqrt(tilt) * e[:, 1]]), w), _unit(e[:, 1:2], w),
+          *(random_normed_resultant(rng, w, rank=2) for _ in range(3))]
+    frame = averaging._Frame(rs)
+    planted = np.eye(len(rs), dtype=bool)[:1]
+    full = RankCriterion.trace_ratio(1.0)
+    lam = frame.spectrum(planted[0])[1]
+    assert lam.size == 2 and EIGEN_DROP_TOL < lam[1] / lam[0] < RANK_TOL
+    assert choose_rank(lam, full) == 1
+    fit = frame.centroids(planted, "chord", full)[0]
+    gap = np.abs(frame.fit_cosines(planted, "chord", full)[0] - fit[3])
+    bound = lam[1:].sum() / lam[0]
+    assert gap.max() <= bound + 1e-15
+    assert gap[1] > 0.99 * bound
