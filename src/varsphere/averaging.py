@@ -12,7 +12,8 @@ T = Z' W U is a plain product and the loadings u_j' W R_k u_j are block sums
 of T^2; costs are O(n sum q H) to O(n (sum q)^2).  The public n-row functions
 whiten on the way in and out.  Every average is fitted in one place, _Frame:
 one QR of W^1/2 Z puts the resultants in its r-dimensional column space,
-r <= sum q, and the spectrum of a mean is one SVD of r x sum q columns there.
+r <= sum q, and the spectrum of a mean is one eigh of its members' q_S x q_S
+block of the Gram Z'Z, which the frame forms once.
 The frame serves K-means, the public averages, the inertia profile and the
 `average` command through one memoised fit, whose K cosines every report reads;
 every geodesic ascent runs there, and only returned averages are lifted to n rows.
@@ -192,7 +193,7 @@ def rank_h_average_euclidean(
 
 def choose_rank(eigenvalues, criterion: RankCriterion) -> int:
     """Number of eigendirections to keep from a spectrum.  A descending one,
-    as every SVD returns it, is used as it is; any other is sorted first.  A
+    as the frame's spectrum is, is used as it is; any other is sorted first.  A
     full criterion keeps the numerical rank, so the full-rank chord centroid
     is the normalised mean less its eigenvalues under RANK_TOL of lam_1 (_Frame)."""
     lam = np.asarray(eigenvalues, dtype=float)
@@ -450,18 +451,22 @@ class _Frame:
     A member set S is a boolean row over the K resultants, weighted
     uniformly, or by the frame's omega, which only the whole set takes.  One
     memo holds plain arrays, keyed by the set's packed row: under the bare
-    key, the spectrum of the members' mean from one SVD of their scaled
-    columns sqrt(omega_k) R_k = Q_S S V', lam = s^2; under (key, distance,
+    key, the spectrum of the members' mean, from one eigh of the scaled block
+    D G_SS D = V diag(lam) V' of the frame's Gram G = Z'Z, D = sqrt(omega_k)
+    over the set's columns, and Q_S = Z_S D V lam^-1/2; under (key, distance,
     rank h or criterion), the fit (C, lam_h, converged, cosines to all K
     resultants), chord C = Q_S[:, :h] and lam_h = lam[:h] / ||lam[:h]||, or
     the geodesic ascent from there.  Criteria that choose the same rank share
-    one fit.  Chord column signs stay as the SVD leaves them (the cosines
-    ignore them) until lift() signs a centroid.  Only the lift basis has n rows.
-    The full-rank (RankCriterion.full) chord centroid is the normalised mean
-    M_S/||M_S||, whose cosines fit_cosines reads with no SVD from the K x K
-    cosine matrix A_km = [R_k | R_m] = ||R_k' R_m||_F^2 of ClustOfVar, built
-    once; its rank is the mean's numerical rank, and the eigenvalues under
-    RANK_TOL of lam_1 that the fit drops move each cosine by at most their sum / lam_1.
+    one fit.  Chord column signs stay as eigh leaves them (the cosines ignore
+    them) until lift() signs a centroid.  G squares the condition number, so a
+    column of eigenvalue near RANK_TOL lam_1 is orthonormal only to ~1e-6, its
+    weight in a cosine ~1e-10: lift() takes the polar factor C (C'C)^-1/2.
+    Only the lift basis has n rows.  The full-rank (RankCriterion.full) chord
+    centroid is the normalised mean M_S/||M_S||, whose cosines fit_cosines
+    reads with no spectrum from the K x K cosine matrix A_km = [R_k | R_m] =
+    ||R_k' R_m||_F^2 of ClustOfVar, built once from G; its rank is the mean's
+    numerical rank, and the eigenvalues under RANK_TOL of lam_1 that the fit
+    drops move each cosine by at most their sum / lam_1.
     """
 
     def __init__(self, resultants: list[Resultant], omega=None, max_iter: int = 500):
@@ -470,6 +475,7 @@ class _Frame:
         self.omega = None if omega is None else as_weight_system(omega, self.k)
         z, self._widths, self._starts = _stack(resultants)
         q, self.z = np.linalg.qr(z)
+        self._gram = self.z.T @ self.z
         self.weights, self._lift = weights, q / np.sqrt(weights.w)[:, None]
         self._stop = max_iter, 1.0 / math.sqrt(float(weights.w.min()))
         self._owner = np.repeat(np.arange(self.k), self._widths)
@@ -477,23 +483,26 @@ class _Frame:
         self._memo: dict = {}
 
     def spectrum(self, chosen: np.ndarray, key: bytes | None = None):
-        """(Q_S, lam) of the mean of the members marked in `chosen`,
-        eigenvalues under EIGEN_DROP_TOL of the largest dropped."""
+        """(Q_S, lam) of the mean of the members marked in `chosen`, from one
+        eigh of their scaled Gram block, eigenvalues under EIGEN_DROP_TOL of the
+        largest dropped before any square root is taken."""
         key = np.packbits(chosen).tobytes() if key is None else key
         spectrum = self._memo.get(key)
         if spectrum is None:
-            share = (math.sqrt(1.0 / np.count_nonzero(chosen)) if self.omega is None
-                     else np.repeat(np.sqrt(self.omega), self._widths))
-            q, s, _ = np.linalg.svd(share * self.z[:, chosen[self._owner]], full_matrices=False)
-            lam = s * s
-            keep = int(np.count_nonzero(lam > EIGEN_DROP_TOL * lam[0]))
-            spectrum = self._memo[key] = q[:, :keep], lam[:keep]
+            cols = np.flatnonzero(chosen[self._owner])
+            root = (math.sqrt(1.0 / np.count_nonzero(chosen)) if self.omega is None
+                    else np.repeat(np.sqrt(self.omega), self._widths))  # D, or its one value
+            lam, v = np.linalg.eigh(self._gram[cols[:, None], cols] * np.multiply.outer(root, root))
+            keep = int(np.count_nonzero(lam > EIGEN_DROP_TOL * lam[-1]))
+            lam, v = lam[:-keep - 1:-1], v[:, :-keep - 1:-1]  # the kept, descending
+            scaled = v * np.multiply.outer(root, 1.0 / np.sqrt(lam))  # D V lam^-1/2
+            spectrum = self._memo[key] = self.z[:, cols] @ scaled, lam
         return spectrum
 
     @functools.cached_property
     def _cosine_matrix(self) -> np.ndarray:  # A, the block sums of the squared Gram Z'Z
-        gram = self.z.T @ self.z
-        return np.add.reduceat(np.add.reduceat(gram * gram, self._starts), self._starts, axis=1)
+        squares = self._gram * self._gram
+        return np.add.reduceat(np.add.reduceat(squares, self._starts), self._starts, axis=1)
 
     def fit_cosines(self, chosen: np.ndarray, distance: str, h: int | RankCriterion) -> np.ndarray:
         """Each member set's K cosines to its centroid; at full rank in chord,
@@ -545,6 +554,7 @@ class _Frame:
     def lift(self, fit: tuple) -> RankHOperator:
         """A fit's centroid on the n observations, each column's largest-magnitude entry positive."""
         c, lam, converged, _ = fit
+        c = c @ inv_sqrt_spd(c.T @ c)  # orthonormal to rounding, as the Gram route may not be
         return RankHOperator(_fix_column_signs(self._lift @ c), lam, self.weights,
                              converged=converged)
 

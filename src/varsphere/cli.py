@@ -213,7 +213,7 @@ def _cmd_cluster(args) -> None:
 
 def _cmd_average(args) -> None:
     resultants, weights = _load_resultants(args)
-    # one frame, one SVD: the scree, every rank's chord fit and geodesic start,
+    # one frame, one spectrum: the scree, every rank's chord fit and geodesic start,
     # and one memo, so the profile's rank h is the average fitted here
     frame = _Frame(resultants)
     criterion = _criterion(args)

@@ -4,8 +4,9 @@ Each cluster is summarized by a rank-H average of its members (chord-optimal
 truncation in chord mode, geodesic average in geodesic mode), with H chosen
 per cluster by a rank criterion at every update.  Assignment sends each
 resultant to the centroid with the largest scalar product (equivalently the
-smallest distance), and the best start by within-cluster inertia wins (ties
-go to the earliest start).
+smallest distance, by either), the first within 1e-12 of it, so rounding
+cannot turn a tie; the best start by within-cluster inertia wins (ties go
+to the earliest start).
 
 Every centroid lies in the span of the stacked factors, so K-means runs on
 the averaging frame, which reduces the dataset to that column space once (one
@@ -17,10 +18,12 @@ At trace ratio 1 a chord centroid is the normalised mean of its members,
 read from the frame's K x K cosine matrix with no spectrum, and only the best
 start's L centroids are fitted, for their lifts and ranks (numerical ranks,
 which drop eigenvalues under RANK_TOL of the largest; see _Frame).  The
-starts advance in lockstep: each round takes every active start's member
-sets from the frame in one request and proposes all their assignments with
-one argmax.  Each start keeps its own seed (spawned from the config's),
-cycle rule and objective trace, so it follows the path it would follow alone.
+starts advance in lockstep (_lockstep): each round takes every active
+start's member sets from the frame in one request and proposes all their
+assignments at once.  Each start keeps its own seed (spawned from the
+config's), cycle rule and objective trace, so it follows the path it would
+follow alone.  Only kmeans() assembles a model (lifts, ranks, the global
+fit); the simulate benchmark reads the best start's partition alone.
 """
 
 from __future__ import annotations
@@ -82,19 +85,20 @@ def _sq_dist_from_cos(cos: np.ndarray, distance: str) -> np.ndarray:
     return np.arccos(np.clip(cos, -1.0, 1.0)) ** 2
 
 
-def _assign_from_cos(cos: np.ndarray, distance: str) -> np.ndarray:
-    if distance == "chord":
-        return np.argmax(cos, axis=-1)
-    return np.argmin(np.arccos(np.clip(cos, -1.0, 1.0)), axis=-1)
+def _assign_from_cos(cos: np.ndarray) -> np.ndarray:
+    """The nearest centroid by either distance: the first whose cosine lies
+    within 1e-12 of the largest."""
+    return np.argmax(cos >= cos.max(axis=-1, keepdims=True) - 1e-12, axis=-1)
 
 
 def assign(resultant: Resultant, centroids: list[RankHOperator], distance: str) -> int:
-    """Index of the closest centroid (ties go to the lowest index)."""
+    """Index of the closest centroid: the first whose cosine is within 1e-12
+    of the largest, so ties, and rounding's near-ties, go to the lowest index."""
     if distance not in DISTANCES:
         raise ValidationError(f"distance must be one of {DISTANCES}")
     if not centroids:
         raise ValidationError("need at least one centroid")
-    return int(_assign_from_cos(cosines([resultant], centroids), distance)[0])
+    return int(_assign_from_cos(cosines([resultant], centroids))[0])
 
 
 def _within(cos: np.ndarray, assignment: np.ndarray, distance: str) -> np.ndarray:
@@ -146,24 +150,57 @@ def kmeans(resultants: list[Resultant], config: ClusteringConfig) -> ClusterMode
 
 
 def _kmeans(frame: _Frame, config: ClusteringConfig) -> ClusterModel:
-    """kmeans() on a frame, whose memo may be shared by several configs."""
-    k, n_clusters, distance = frame.k, config.n_clusters, config.distance
-    if k < n_clusters:
-        raise ValidationError(f"cannot split {k} resultants into {n_clusters} clusters")
-    seeds = np.random.SeedSequence(config.seed).spawn(config.n_starts)
-    assignment = np.empty((config.n_starts, k), dtype=int)
-    for s, seq in enumerate(seeds):
-        perm = np.random.default_rng(seq).permutation(k)
-        for l, chunk in enumerate(np.array_split(perm, n_clusters)):
-            assignment[s, chunk] = l
+    """kmeans() on a frame, whose memo may be shared by several configs: the
+    lockstep loop, then the best start's lifted centroids and the global fit."""
+    best, assignment, cos, starts, traces = _lockstep(frame, config, _partitions(config, frame.k))
+    fits = frame.centroids(assignment[best] == np.arange(config.n_clusters)[:, None],
+                           config.distance, config.criterion)
+    within = starts[best]["within_inertia"]
+    return ClusterModel(
+        assignments=assignment[best].copy(),
+        centroids=[frame.lift(fit) for fit in fits],
+        cosines=cos[best].copy(),
+        ranks=[fit[1].size for fit in fits],
+        distance=config.distance,
+        within_inertia=within,
+        between_over_total=_explained(frame, config.distance, config.criterion, within),
+        converged=starts[best]["stop"] == "converged",
+        n_iter=starts[best]["n_iter"],
+        best_start=best,
+        objective_trace=traces[best],
+        starts=starts,
+        config=config,
+    )
+
+
+def _partitions(config: ClusteringConfig, k: int) -> np.ndarray:
+    """Each start's random balanced partition of k resultants, one row per
+    start: cluster sizes as np.array_split deals them, laid on a permutation
+    drawn from the start's seed."""
+    l = config.n_clusters
+    if k < l:
+        raise ValidationError(f"cannot split {k} resultants into {l} clusters")
+    labels = np.repeat(np.arange(l), k // l + (np.arange(l) < k % l))
+    rows = np.empty((config.n_starts, k), dtype=int)
+    for s, seq in enumerate(np.random.SeedSequence(config.seed).spawn(config.n_starts)):
+        rows[s, np.random.default_rng(seq).permutation(k)] = labels
+    return rows
+
+
+def _lockstep(frame: _Frame, config: ClusteringConfig, partitions: np.ndarray) -> tuple:
+    """Every start run from its row of `partitions` to its stop: (the best
+    start, every start's final row, their S x K x L cosines, per-start records
+    and objective traces), with a ConvergenceWarning if the best did not converge."""
+    n_clusters, distance = config.n_clusters, config.distance
+    assignment = partitions.copy()
     seen = [{row.tobytes()} for row in assignment]
-    traces: list[list[float]] = [[] for _ in seeds]
-    stops, n_iter = ["cap"] * len(seeds), [config.max_iter] * len(seeds)
-    active = np.arange(len(seeds))
+    traces: list[list[float]] = [[] for _ in assignment]
+    stops, n_iter = ["cap"] * len(assignment), [config.max_iter] * len(assignment)
+    active = np.arange(len(assignment))
     for it in range(1, config.max_iter + 1):
         current = assignment[active]
         cos = _refit(frame, current, config)
-        proposal = _assign_from_cos(cos, distance)
+        proposal = _assign_from_cos(cos)
         used = np.zeros((active.size, n_clusters), dtype=bool)
         used[np.arange(active.size)[:, None], proposal] = True
         for i in np.flatnonzero(~used.all(axis=1)):
@@ -184,26 +221,11 @@ def _kmeans(frame: _Frame, config: ClusteringConfig) -> ClusterModel:
     cos = _refit(frame, assignment, config)
     within = _within(cos, assignment, distance).tolist()
     best = int(np.argmin(within))
-    fits = frame.centroids(assignment[best] == np.arange(n_clusters)[:, None], distance,
-                           config.criterion)
     if stops[best] != "converged":
         warn("k-means stopped on an assignment cycle or the iteration cap", ConvergenceWarning)
-    return ClusterModel(
-        assignments=assignment[best].copy(),
-        centroids=[frame.lift(fit) for fit in fits],
-        cosines=cos[best].copy(),
-        ranks=[fit[1].size for fit in fits],
-        distance=distance,
-        within_inertia=within[best],
-        between_over_total=_explained(frame, distance, config.criterion, within[best]),
-        converged=stops[best] == "converged",
-        n_iter=n_iter[best],
-        best_start=best,
-        objective_trace=traces[best],
-        starts=[{"within_inertia": w, "n_iter": n, "stop": stop}
-                for w, n, stop in zip(within, n_iter, stops)],
-        config=config,
-    )
+    starts = [{"within_inertia": w, "n_iter": n, "stop": stop}
+              for w, n, stop in zip(within, n_iter, stops)]
+    return best, assignment, cos, starts, traces
 
 
 def _explained(frame: _Frame, distance: str, criterion: RankCriterion, within: float) -> float:
@@ -234,8 +256,8 @@ def geodesic_inertia_profile(resultants: list[Resultant], h_max: int) -> np.ndar
 
 
 def _geodesic_profile(frame: _Frame, h_max: int) -> list[float]:
-    """The inertia profile on a frame, read from each rank's fit: one SVD for
-    every rank's chord start, and a rank the frame has fitted is a memo hit."""
+    """The inertia profile on a frame, read from each rank's fit: one spectrum
+    for every rank's chord start, and a rank the frame has fitted is a memo hit."""
     return [float(np.sum(_sq_dist_from_cos(frame.fit(h, "geodesic")[3], "geodesic")))
             for h in range(1, h_max + 1)]
 

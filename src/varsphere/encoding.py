@@ -9,7 +9,7 @@ representation this package clusters and averages.
 A resultant is held only as its n x q factor Z = X M^1/2 (over sqrt(||R||)
 when normed), R = Z Z' W, and no n x n operator is ever formed:
 [R_a|R_b] = ||Z_a' W Z_b||_F^2 and ||R|| = ||Z' W Z||_F, both in O(n q^2);
-spectra are taken by the averaging frame, from a thin SVD of stacked factors.
+spectra are taken by the averaging frame, from the Gram of stacked factors.
 
 Numeric variables, categorical variables (through the projector onto their
 centred indicator space) and whole metric-weighted blocks all reduce to this

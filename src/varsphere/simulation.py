@@ -16,12 +16,12 @@ from __future__ import annotations
 import os
 import pickle
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .averaging import RankCriterion, _Frame
-from .clustering import ClusteringConfig, _kmeans
+from .clustering import ClusteringConfig, _lockstep, _partitions
 from .encoding import Resultant, encode_categorical, encode_numeric, resultant
 from .errors import ValidationError, VarsphereError, warn
 from .geometry import Weights
@@ -201,19 +201,14 @@ def _replicate(config: SimConfig, rep: int, n_starts: int, distance: str):
     try:
         sample = simulate_sample(config, rng)
         frame = _Frame(sample_resultants(sample))
+        base = ClusteringConfig(n_clusters=int(TRUTH.max()) + 1, distance=distance,
+                                n_starts=n_starts, seed=kmeans_seed)
+        partitions = _partitions(base, frame.k)
         scores = []
         for theta in config.theta_grid:
-            model = _kmeans(
-                frame,
-                ClusteringConfig(
-                    n_clusters=int(TRUTH.max()) + 1,
-                    distance=distance,
-                    criterion=RankCriterion.trace_ratio(theta),
-                    n_starts=n_starts,
-                    seed=kmeans_seed,
-                ),
-            )
-            scores.append(rand_discrepancy(sample.truth, model.assignments))
+            criterion = RankCriterion.trace_ratio(theta)
+            best, rows = _lockstep(frame, replace(base, criterion=criterion), partitions)[:2]
+            scores.append(rand_discrepancy(sample.truth, rows[best]))
         return scores
     except VarsphereError as exc:
         return str(exc)
@@ -300,10 +295,12 @@ def run_benchmark(
     Each replication draws one sample, encodes it once, and clusters it into
     the design's three bundles at every theta of the cell's grid (the rank criterion is trace_ratio(theta))
     so scores across theta are paired; the theta runs share one column-space
-    frame, so a member set's spectrum is computed once per replication, two
-    thetas below 1 that choose the same rank share its centroid, and theta = 1
-    reads its cosines from the frame's K x K cosine matrix, with no spectrum
-    but for the best start's L centroids.  Replication
+    frame and one draw of start partitions, so a member set's spectrum is
+    computed once per replication, two thetas below 1 that choose the same
+    rank share its centroid, and theta = 1 reads its cosines from the frame's
+    K x K cosine matrix, with no spectrum at all: a replication runs only the
+    K-means rounds and scores each theta's best partition, lifting no
+    centroid and fitting no global average.  Replication
     seeds derive from the cell seed by counter, so results do not depend on
     grid order.  A replication that raises a VarsphereError is counted as
     failed, reported with a warning naming the reason, and excluded from the

@@ -2,6 +2,8 @@
 unit-norm operators on the weighted sphere, and the dense n x n oracles that
 the factored package is checked against."""
 
+import sys
+
 import numpy as np
 
 from types import SimpleNamespace
@@ -20,10 +22,25 @@ from varsphere import (
     weighted_average,
 )
 from varsphere.averaging import (
-    H_SINGULAR, _gather, _geodesic_from, _objective_value, _stack, cosines,
+    H_SINGULAR, _Frame, _gather, _geodesic_from, _objective_value, _stack, cosines,
 )
 from varsphere.clustering import _assign_from_cos, _repair_empty, _sq_dist_from_cos, _within
 from varsphere.geometry import EIGEN_DROP_TOL, _fix_column_signs
+
+
+def count_spectrum_eigensolves(monkeypatch) -> list:
+    """Wrap np.linalg.eigh and return the list that gets the shape of each
+    call made by _Frame.spectrum itself, one per member set's spectrum; the
+    eigensolves of inverse square roots (ascent steps, lifts) are not counted."""
+    calls, eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        if sys._getframe(1).f_code is _Frame.spectrum.__code__:
+            calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
 
 
 def dense(x):
@@ -202,7 +219,7 @@ def refit_kmeans(resultants, config):
         for n_iter in range(1, config.max_iter + 1):
             cs, cos = update(assignment)
             trace.append(_within(cos, assignment, dist))
-            proposal = _repair_empty(_assign_from_cos(cos, dist), cos, n_clusters, dist)
+            proposal = _repair_empty(_assign_from_cos(cos), cos, n_clusters, dist)
             trace.append(_within(cos, proposal, dist))
             if np.array_equal(proposal, assignment):
                 converged, stop = True, "converged"

@@ -12,6 +12,8 @@ import pytest
 from varsphere import ValidationError
 from varsphere.cli import main, parse_angle
 
+from _support import count_spectrum_eigensolves
+
 
 CSV_TEXT = """v1,v2,v3,v4,color,grade
 1.2,0.9,5.1,0.3,red,good
@@ -364,13 +366,11 @@ def test_bare_csv_is_read_once(data_csv, tmp_path, monkeypatch):
 
 def test_average_takes_one_svd_of_the_mean(data_csv, tmp_path, monkeypatch):
     # the scree, the chord average, the geodesic start and the geodesic
-    # profile's start at every rank share one SVD
-    svds = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    # profile's start at every rank share one spectrum eigensolve
+    eigensolves = count_spectrum_eigensolves(monkeypatch)
     for flags, expected in [(["--theta", "0.6"], 1), (["--criterion", "fixed", "--H", "2"], 1),
                             (["--distance", "geodesic", "--criterion", "fixed", "--H", "1"], 1),
                             (["--distance", "geodesic", "--criterion", "fixed", "--H", "2"], 1)]:
-        svds.clear()
+        eigensolves.clear()
         code = main(["average", "--data", data_csv, "--out-dir", str(tmp_path / "a"), *flags])
-        assert code in (0, 4) and len(svds) == expected, (flags, len(svds))
+        assert code in (0, 4) and len(eigensolves) == expected, (flags, len(eigensolves))

@@ -15,6 +15,7 @@ from varsphere import (
     centroid_separation,
     chord_dist,
     classical_mds,
+    clustering,
     cluster_summary,
     encode_numeric,
     geodesic_inertia_profile,
@@ -125,6 +126,20 @@ def test_assignment_rule_matches_the_distances():
         assign(rs[0], centroids, "euclid")
     with pytest.raises(ValidationError):
         assign(rs[0], [], "chord")
+
+
+@pytest.mark.parametrize("distance", ["chord", "geodesic"])
+def test_a_cosine_within_1e_12_of_the_largest_goes_to_the_lower_index(distance, monkeypatch):
+    # one rule for both distances: the nearest centroid is the first whose
+    # cosine is within 1e-12 of the largest, so rounding cannot turn a tie
+    rng = np.random.default_rng(3)
+    w = random_weights(rng, 5)
+    rs = [random_normed_resultant(rng, w, rank=2) for _ in range(3)]
+    centroids = [random_rank_h(rng, w, 1) for _ in range(2)]
+    monkeypatch.setattr(clustering, "cosines", lambda *a: np.array([[0.5, 0.5 + 1e-15]]))
+    assert assign(rs[0], centroids, distance) == 0
+    monkeypatch.setattr(clustering, "cosines", lambda *a: np.array([[0.5, 0.5 + 2e-12]]))
+    assert assign(rs[0], centroids, distance) == 1
 
 
 def test_inertia_ratio_bounds_and_huygens_consistency():

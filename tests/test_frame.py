@@ -29,7 +29,9 @@ from varsphere import (
 
 from varsphere.geometry import EIGEN_DROP_TOL, RANK_TOL
 
-from _support import dense, random_normed_resultant, random_weights, refit_kmeans
+from _support import (
+    count_spectrum_eigensolves, dense, random_normed_resultant, random_weights, refit_kmeans,
+)
 
 # (observations, resultants): 9 resultants of rank 1-3 have sum q of 9 to 27
 SIZES = {"n_below_sum_q": (6, 9), "n_above_sum_q": (40, 9)}
@@ -230,21 +232,21 @@ def test_more_starts_add_no_n_row_memory():
 
 @pytest.mark.parametrize("distance", ["chord", "geodesic"])
 def test_kmeans_takes_one_svd_per_distinct_member_set(distance, monkeypatch):
-    # every spectrum is one SVD of a column slice; a geodesic fit starts from
-    # it rather than averaging its members again, and memo hits take none.
+    # every spectrum is one eigensolve of a Gram block; a geodesic fit starts
+    # from it rather than averaging its members again, and memo hits take none.
     # A request is one membership row passed to _Frame.centroids: one per
     # (start, cluster, round), per final refit and for the global fit
     rng = np.random.default_rng(7)
     rs = _resultants(rng, 40, 9, uniform=False)
-    requests, svds = [], []
-    centroids, svd = averaging._Frame.centroids, np.linalg.svd
+    requests = []
+    centroids = averaging._Frame.centroids
     monkeypatch.setattr(averaging._Frame, "centroids", lambda self, chosen, *a: (
         requests.extend(row.tobytes() for row in chosen) or centroids(self, chosen, *a)))
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(a[0].shape) or svd(*a, **k))
+    eigensolves = count_spectrum_eigensolves(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         kmeans(rs, ClusteringConfig(n_clusters=3, distance=distance, n_starts=10, seed=1))
-    assert len(svds) == len(set(requests)) < len(requests)
+    assert len(eigensolves) == len(set(requests)) < len(requests)
 
 
 def test_full_rank_chord_kmeans_fits_only_the_returned_centroids(monkeypatch):
@@ -252,24 +254,32 @@ def test_full_rank_chord_kmeans_fits_only_the_returned_centroids(monkeypatch):
     # the K x K cosine matrix; only the best start's L centroids take a
     # spectrum, to be lifted and to report their ranks
     rs = _resultants(np.random.default_rng(7), 40, 9, uniform=False)
-    svds = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    eigensolves = count_spectrum_eigensolves(monkeypatch)
     model = kmeans(rs, ClusteringConfig(n_clusters=3, n_starts=10, seed=1,
                                         criterion=RankCriterion.trace_ratio(1.0)))
-    assert len(svds) <= len(model.centroids) + 1
+    assert len(eigensolves) <= len(model.centroids) + 1
+
+
+def test_a_full_rank_chord_replication_takes_no_spectrum(monkeypatch):
+    # a replication scores only each theta's best partition: at trace ratio 1
+    # every round reads the K x K cosine matrix and no centroid is lifted
+    spectra = []
+    spectrum = averaging._Frame.spectrum
+    monkeypatch.setattr(averaging._Frame, "spectrum",
+                        lambda self, *a: spectra.append(1) or spectrum(self, *a))
+    rows = run_benchmark([SimConfig(n=30, beta=np.pi / 3, sigma2=0.1, seed=4, replications=1,
+                                    theta_grid=(1.0,))], n_starts=10)
+    assert [(r.replications, r.failures) for r in rows] == [(1, 0)] and not spectra
 
 
 def test_inertia_profile_takes_one_svd(monkeypatch):
     # every rank's chord start comes from the one spectrum of the mean
     rs = _resultants(np.random.default_rng(8), 40, 9, uniform=False)
-    svds = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    eigensolves = count_spectrum_eigensolves(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         profile = geodesic_inertia_profile(rs, 3)
-    assert profile.shape == (3,) and len(svds) == 1
+    assert profile.shape == (3,) and len(eigensolves) == 1
 
 
 def _simulated(n, seed):
@@ -353,3 +363,25 @@ def test_full_rank_cosines_differ_by_at_most_the_dropped_eigenvalues():
     bound = lam[1:].sum() / lam[0]
     assert gap.max() <= bound + 1e-15
     assert gap[1] > 0.99 * bound
+
+
+def test_full_rank_chord_averages_of_ill_conditioned_members_lift_orthonormal():
+    # the frame takes a spectrum from the Gram block, whose condition number is
+    # the square of the columns': members with columns scaled by 10^U(-5.5, -4.2)
+    # put eigenvalues near RANK_TOL of lam_1, where Z_S V lam^-1/2 drifts from
+    # orthonormal by ~1e-6.  Every lifted basis must still pass RankHOperator's
+    # 1e-8 check, with the rank and cosines of the SVD of the scaled columns
+    n, full = 30, RankCriterion.trace_ratio(1.0)
+    w = Weights.uniform(n)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        rs = [_unit(rng.standard_normal((n, 3)) * 10.0 ** np.r_[0.0, rng.uniform(-5.5, -4.2, 2)], w)
+              for _ in range(4)]
+        z = np.hstack([np.sqrt(w.w)[:, None] * r.factor for r in rs])
+        u, s, _ = np.linalg.svd(z / 2.0, full_matrices=False)
+        h = int(np.count_nonzero(s * s > RANK_TOL * s[0] ** 2))
+        t = z.T @ u[:, :h]
+        want = np.add.reduceat(t * t, [0, 3, 6, 9]) @ (s[:h] ** 2 / np.linalg.norm(s[:h] ** 2))
+        avg = averaging.rank_h_average_euclidean(rs, full)
+        assert avg.rank == h
+        assert np.allclose(averaging.cosines(rs, [avg])[:, 0], want, rtol=0.0, atol=1e-12)
