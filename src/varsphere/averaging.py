@@ -12,8 +12,8 @@ T = Z' W U is a plain product and the loadings u_j' W R_k u_j are block sums
 of T^2; costs are O(n sum q H) to O(n (sum q)^2).  The public n-row functions
 whiten on the way in and out.  Every average is fitted in one place, _Frame:
 one QR of W^1/2 Z puts the resultants in its r-dimensional column space,
-r <= sum q, and the spectrum of a mean is one eigh of its members' q_S x q_S
-block of the Gram Z'Z, which the frame forms once.
+r <= sum q, and the spectrum of a mean comes from its members' q_S x q_S block
+of the Gram Z'Z, which the frame forms once: one stacked eigh per block size.
 The frame serves K-means, the public averages, the inertia profile and the
 `average` command through one memoised fit, whose K cosines every report reads;
 every geodesic ascent runs there, and only returned averages are lifted to n rows.
@@ -451,16 +451,20 @@ class _Frame:
     A member set S is a boolean row over the K resultants, weighted
     uniformly, or by the frame's omega, which only the whole set takes.  One
     memo holds plain arrays, keyed by the set's packed row: under the bare
-    key, the spectrum of the members' mean, from one eigh of the scaled block
+    key, the spectrum of the members' mean, from the eigh of the scaled block
     D G_SS D = V diag(lam) V' of the frame's Gram G = Z'Z, D = sqrt(omega_k)
-    over the set's columns, and Q_S = Z_S D V lam^-1/2; under (key, distance,
-    rank h or criterion), the fit (C, lam_h, converged, cosines to all K
-    resultants), chord C = Q_S[:, :h] and lam_h = lam[:h] / ||lam[:h]||, or
-    the geodesic ascent from there.  Criteria that choose the same rank share
-    one fit.  Chord column signs stay as eigh leaves them (the cosines ignore
-    them) until lift() signs a centroid.  G squares the condition number, so a
-    column of eigenvalue near RANK_TOL lam_1 is orthonormal only to ~1e-6, its
-    weight in a cosine ~1e-10: lift() takes the polar factor C (C'C)^-1/2.
+    over the set's columns, held as (columns, D V lam^-1/2) and lam; under
+    (key, distance, rank h or criterion), the fit (C, lam_h, converged,
+    cosines to all K resultants), lam_h = lam[:h] / ||lam[:h]||, chord C the
+    first h columns of Q_S = Z_S D V lam^-1/2, held as the spectrum's pair
+    until lift() forms it, or the geodesic ascent from there.  Criteria that
+    choose the same rank share one fit.  A request's new sets are settled
+    together: one stacked eigh per block size, and one product G P = Z'C for
+    the new chord fits, P holding their D V lam^-1/2.  Chord column signs stay
+    as eigh leaves them (the cosines ignore them) until lift() signs them.  G
+    squares the condition number, so a column of eigenvalue near RANK_TOL
+    lam_1 is orthonormal only to ~1e-6, its weight in a cosine ~1e-10: lift()
+    takes the polar factor C (C'C)^-1/2.
     Only the lift basis has n rows.  The full-rank (RankCriterion.full) chord
     centroid is the normalised mean M_S/||M_S||, whose cosines fit_cosines
     reads with no spectrum from the K x K cosine matrix A_km = [R_k | R_m] =
@@ -482,22 +486,31 @@ class _Frame:
         self.everyone = np.ones(self.k, dtype=bool)
         self._memo: dict = {}
 
-    def spectrum(self, chosen: np.ndarray, key: bytes | None = None):
-        """(Q_S, lam) of the mean of the members marked in `chosen`, from one
-        eigh of their scaled Gram block, eigenvalues under EIGEN_DROP_TOL of the
-        largest dropped before any square root is taken."""
-        key = np.packbits(chosen).tobytes() if key is None else key
-        spectrum = self._memo.get(key)
-        if spectrum is None:
-            cols = np.flatnonzero(chosen[self._owner])
-            root = (math.sqrt(1.0 / np.count_nonzero(chosen)) if self.omega is None
-                    else np.repeat(np.sqrt(self.omega), self._widths))  # D, or its one value
-            lam, v = np.linalg.eigh(self._gram[cols[:, None], cols] * np.multiply.outer(root, root))
-            keep = int(np.count_nonzero(lam > EIGEN_DROP_TOL * lam[-1]))
-            lam, v = lam[:-keep - 1:-1], v[:, :-keep - 1:-1]  # the kept, descending
-            scaled = v * np.multiply.outer(root, 1.0 / np.sqrt(lam))  # D V lam^-1/2
-            spectrum = self._memo[key] = self.z[:, cols] @ scaled, lam
-        return spectrum
+    def spectrum(self, chosen: np.ndarray) -> tuple:
+        """((columns, D V lam^-1/2), lam) of the mean of the members marked in `chosen`."""
+        self.spectra(chosen[None], [key := np.packbits(chosen).tobytes()])
+        return self._memo[key]
+
+    def spectra(self, chosen: np.ndarray, keys: list) -> None:
+        """Memoise each new member set's spectrum (a row of `chosen`, under its
+        key), one stacked eigh per block size q_S, eigenvalues under
+        EIGEN_DROP_TOL of the largest dropped before any square root."""
+        todo = {key: row for key, row in zip(keys, chosen) if key not in self._memo}
+        keys, rows = list(todo), np.array(list(todo.values()), dtype=bool).reshape(-1, self.k)
+        sizes = np.count_nonzero(rows[:, self._owner], axis=1)
+        for m in sorted(set(sizes.tolist())):
+            group = np.flatnonzero(sizes == m)
+            idx = np.nonzero(rows[group][:, self._owner])[1].reshape(group.size, m)  # each set's columns
+            root = (np.sqrt(1.0 / np.count_nonzero(rows[group], axis=1))[:, None] if self.omega is None
+                    else np.repeat(np.sqrt(self.omega), self._widths)[idx])  # D, or its one value
+            lam, v = np.linalg.eigh(self._gram[idx[:, :, None], idx[:, None, :]]
+                                    * (root[:, :, None] * root[:, None, :]))
+            lam, v = lam[:, ::-1], v[:, :, ::-1]  # descending
+            kept = lam > EIGEN_DROP_TOL * lam[:, :1]
+            scaled = v * (root[:, :, None] * (1.0 / np.sqrt(np.where(kept, lam, 1.0)))[:, None, :])
+            for i, keep, c, d, l in zip(group.tolist(), np.count_nonzero(kept, axis=1).tolist(),
+                                        idx, scaled, lam):
+                self._memo[keys[i]] = (c, d[:, :keep]), l[:keep]  # the kept D V lam^-1/2 and lam
 
     @functools.cached_property
     def _cosine_matrix(self) -> np.ndarray:  # A, the block sums of the squared Gram Z'Z
@@ -516,44 +529,56 @@ class _Frame:
     def centroids(self, chosen: np.ndarray, distance: str, h: int | RankCriterion) -> list[tuple]:
         """The reduced rank-h centroid (C, lam, converged, K cosines) of each
         member set, one boolean row of `chosen` per set; one packbits call keys
-        them all.  An integer h must lie in [1, numerical rank]."""
+        them all, and the new ones are settled together.  An integer h must lie
+        in [1, numerical rank]."""
         width = -(-self.k // 8)
-        keys = np.packbits(chosen, axis=1).tobytes()
-        return [self._memo.get((keys[i:i + width], distance, h))
-                or self._settle(chosen[i // width], keys[i:i + width], distance, h)
-                for i in range(0, len(keys), width)]
+        packed = np.packbits(chosen, axis=1).tobytes()
+        keys = [packed[i:i + width] for i in range(0, len(packed), width)]
+        if new := [i for i, key in enumerate(keys) if (key, distance, h) not in self._memo]:
+            self._settle(chosen[new], [keys[i] for i in new], distance, h)
+        return [self._memo[key, distance, h] for key in keys]
 
-    def _settle(self, chosen, key: bytes, distance: str, h: int | RankCriterion) -> tuple:
-        """Memoise a set's fit under h and under the rank h picks from its spectrum."""
-        u, lam = self.spectrum(chosen, key)
-        if isinstance(h, RankCriterion):
-            rank = choose_rank(lam, h)
-        else:
-            rank, top = h, numerical_rank(lam, RANK_TOL)
-            if not 1 <= h <= top:
+    def _settle(self, chosen: np.ndarray, keys: list, distance: str, h: int | RankCriterion):
+        """Memoise each set's fit under h and under the rank h picks from its
+        spectrum; the new chord fits read their cosines from one product G P."""
+        self.spectra(chosen, keys)
+        chords = {}  # (key, rank) of each new chord fit: its spectrum's basis, its lam
+        for key, row in dict(zip(keys, chosen)).items():
+            basis, lam = self._memo[key]
+            rank = choose_rank(lam, h) if isinstance(h, RankCriterion) else h
+            if not isinstance(h, RankCriterion) and not (top := numerical_rank(lam, RANK_TOL)) >= h >= 1:
                 raise ValidationError(f"rank {h} is outside the numerical rank {top} of the average")
-        fit = self._memo.get((key, distance, rank)) or self._fit(chosen, u, lam, distance, rank)
-        self._memo[(key, distance, h)] = self._memo[(key, distance, rank)] = fit
-        return fit
-
-    def _fit(self, chosen, u, lam, distance: str, h: int) -> tuple:
-        """The rank-h chord truncation of the members' mean, or the geodesic
-        ascent from it, signed as the n-row eigenvectors are signed: the ascent
-        is sign-equivariant only up to rounding, and so retraces the n-row one."""
-        top = lam[:h]
-        c, lam_h, converged = u[:, :h], top / math.sqrt(top.dot(top)), True
-        if distance == "geodesic":
-            # a C-order copy, as z is: BLAS rounds products by memory layout
-            blocks = np.ascontiguousarray(self.z[:, chosen[self._owner]])
-            c, lam_h, converged = _geodesic_from(
-                blocks, self._widths[chosen], as_weight_system(self.omega, int(chosen.sum())),
-                _fix_column_signs(c), lam_h, *self._stop)
-        t = self.z.T @ c
-        return c, lam_h, converged, np.add.reduceat(t * t, self._starts) @ lam_h
+            kept = lam[:rank]
+            fit, lam_h = self._memo.get((key, distance, rank)), kept / math.sqrt(kept.dot(kept))
+            if fit is None and distance == "geodesic":
+                # the ascent from the chord fit, signed as the n-row eigenvectors are (it is
+                # sign-equivariant only up to rounding, so it retraces the n-row one), on a
+                # C-order copy of the blocks, as z is: BLAS rounds products by memory layout
+                c, lam_h, converged = _geodesic_from(
+                    np.ascontiguousarray(self.z[:, row[self._owner]]), self._widths[row],
+                    as_weight_system(self.omega, int(row.sum())),
+                    _fix_column_signs((self.z[:, basis[0]] @ basis[1])[:, :rank]), lam_h, *self._stop)
+                t = self.z.T @ c
+                fit = c, lam_h, converged, np.add.reduceat(t * t, self._starts) @ lam_h
+            if fit is None:
+                chords[key, rank] = basis, lam_h
+            else:
+                self._memo[key, distance, h] = self._memo[key, distance, rank] = fit
+        at = np.cumsum([0] + [lam.size for _, lam in chords.values()])
+        p = np.zeros((self._gram.shape[0], at[-1]))
+        for ((cols, scaled), lam), start in zip(chords.values(), at):
+            p[cols, start:start + lam.size] = scaled[:, :lam.size]
+        t = self._gram @ p  # every new fit's Z'C
+        cos = np.add.reduceat(np.add.reduceat(t * t, self._starts) * np.concatenate(
+            [[]] + [lam for _, lam in chords.values()]), at[:-1], axis=1)
+        for ((key, rank), (basis, lam)), cos_k in zip(chords.items(), cos.T):
+            self._memo[key, distance, h] = self._memo[key, distance, rank] = basis, lam, True, cos_k
 
     def lift(self, fit: tuple) -> RankHOperator:
         """A fit's centroid on the n observations, each column's largest-magnitude entry positive."""
         c, lam, converged, _ = fit
+        if isinstance(c, tuple):  # a chord fit: its spectrum's basis, Z_S D V lam^-1/2
+            c = (self.z[:, c[0]] @ c[1])[:, :lam.size]
         c = c @ inv_sqrt_spd(c.T @ c)  # orthonormal to rounding, as the Gram route may not be
         return RankHOperator(_fix_column_signs(self._lift @ c), lam, self.weights,
                              converged=converged)

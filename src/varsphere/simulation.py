@@ -7,7 +7,8 @@ towards the plane by an angle beta to make the problem harder.  Four
 categorical variables are carved from the latents by quintile cuts.  The
 benchmark clusters each simulated sample and scores the recovered partition
 against the ground truth.  Its replications are independent, so they run on
-min(usable cores, replications) processes, forked from this one, with
+min(usable cores, replications) processes, this one and workers forked from
+it, each claiming the next replication when it finishes its last, with
 results, warnings and errors that do not depend on that number.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import select
 import warnings
 from dataclasses import dataclass, replace
 
@@ -214,20 +216,28 @@ def _replicate(config: SimConfig, rep: int, n_starts: int, distance: str):
         return str(exc)
 
 
-def _fork_worker(tasks: list, n_starts: int, distance: str):
-    """(pid, pipe) of a forked process that runs the tasks and pickles back
-    each one's outcome and warnings; a defect comes back as its exception."""
+def _record(tasks: list, k: int, n_starts: int, distance: str) -> tuple:
+    """Task k's outcome, a defect as its exception, and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return _replicate(*tasks[k], n_starts, distance), caught
+        except Exception as exc:
+            return exc, caught
+
+
+def _fork_worker(tasks: list, claims: int, feed: int, n_starts: int, distance: str):
+    """(pid, pipe) of a forked process that claims task numbers from the claim
+    pipe until it ends, pickling back each number, then its task's record."""
     read, write = os.pipe()
     if (pid := os.fork()) == 0:
         try:  # never return into the caller, nor flush its buffers
+            os.close(feed)  # the caller's feed is then the only one
             with os.fdopen(write, "wb") as out:
-                for config, rep in tasks:
-                    with warnings.catch_warnings(record=True) as caught:
-                        warnings.simplefilter("always")
-                        try:
-                            outcome = _replicate(config, rep, n_starts, distance)
-                        except Exception as exc:  # a defect: the caller raises it
-                            outcome = exc
+                while ticket := os.read(claims, 4):
+                    pickle.dump(k := int.from_bytes(ticket, "little"), out)
+                    out.flush()
+                    outcome, caught = _record(tasks, k, n_starts, distance)
                     pickle.dump((outcome, [(str(w.message), w.category) for w in caught]), out)
                     out.flush()
         finally:
@@ -237,51 +247,61 @@ def _fork_worker(tasks: list, n_starts: int, distance: str):
 
 
 def _outcomes(grid: list[SimConfig], n_starts: int, distance: str) -> list:
-    """Every replication's outcome, in grid order, from w = min(usable
-    cores, replications) processes: this one runs every w-th replication,
-    forked workers the others.  A worker's warnings are issued again here,
-    in replication order, and its defect is raised here, as is the death of
-    a worker before it reports."""
+    """Every replication's outcome, in grid order, from w = min(usable cores,
+    replications) processes, this one and w - 1 forked workers, each claiming
+    the next replication from one pipe as it finishes its last.  The warnings,
+    defects and deaths of workers are then raised here in replication order."""
+    import numpy.random  # noqa: F401  once, before forking: the workers inherit it
     tasks = [(config, rep) for config in grid for rep in range(config.replications)]
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n_proc = min(cores, len(tasks))
-    outcomes, workers, statuses, lost = [], [], {}, None
+    records, workers, statuses, claimant = {}, [], {}, {}
+    claims, feed = (open(fd, mode, buffering=0) for fd, mode in zip(os.pipe(), ("rb", "wb")))
     try:
         with warnings.catch_warnings():  # Python >= 3.12 warns of forking
             # beside threads; OpenBLAS, the only one that runs them, stops them
             warnings.simplefilter("ignore", DeprecationWarning)
-            for i in range(1, n_proc):
-                workers.append(_fork_worker(tasks[i::n_proc], n_starts, distance))
-        for k, (config, rep) in enumerate(tasks):
-            if k % n_proc == 0:
-                outcome = _replicate(config, rep, n_starts, distance)
-            else:
-                pid, reader = workers[k % n_proc - 1]
-                try:
-                    outcome, caught = pickle.load(reader)
-                except (EOFError, pickle.UnpicklingError):
-                    lost = pid, config, rep  # raised once every worker is reaped
-                    break
-                for message, category in caught:
-                    warn(message, category)
-                if isinstance(outcome, Exception):
-                    raise outcome
-            if isinstance(outcome, str):  # a bad draw must not sink the grid
-                warn(f"replication {rep} failed and was excluded: {outcome}")
-            outcomes.append(outcome)
+            for _ in range(1, min(cores, len(tasks))):
+                workers.append(_fork_worker(tasks, claims.fileno(), feed.fileno(), n_starts, distance))
+        os.set_blocking(feed.fileno(), False)
+        tickets, fed = np.arange(len(tasks), dtype="<u4").tobytes(), 0
+        while fed < len(tickets):  # whole tickets; while the pipe is full, take the next unfed one
+            if (sent := feed.write(tickets[fed:fed + select.PIPE_BUF // 4 * 4])) is None:
+                records[fed // 4], sent = _record(tasks, fed // 4, n_starts, distance), 4
+            fed += sent
+        feed.close()  # the claimers stop once the pipe is empty
+        while ticket := claims.read(4):
+            records[k] = _record(tasks, k := int.from_bytes(ticket, "little"), n_starts, distance)
+        for pid, reader in workers:
+            try:
+                while True:
+                    claimant[k := pickle.load(reader)] = pid
+                    records[k] = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):
+                pass  # the worker ended, having reported all it claimed or not
     finally:
         import signal  # only the workers need it: not imported with the package
+        claims.close()
+        feed.close()
         for pid, reader in workers:
             reader.close()
             os.kill(pid, signal.SIGKILL)  # every record is read, or the run failed
             statuses[pid] = os.waitpid(pid, 0)[1]
-    if lost is not None:
-        pid, config, rep = lost
-        raise RuntimeError(
-            f"the worker running replication {rep} of the cell n={config.n}, "
-            f"beta={config.beta:g}, sigma2={config.sigma2:g} exited before reporting it "
-            f"(pid {pid}, wait status {statuses[pid]})"
-        )
+    outcomes = []
+    for k, (config, rep) in enumerate(tasks):
+        if k not in records:
+            raise RuntimeError(
+                f"the worker running replication {rep} of the cell n={config.n}, "
+                f"beta={config.beta:g}, sigma2={config.sigma2:g} exited before reporting it "
+                f"(pid {claimant.get(k)}, wait status {statuses.get(claimant.get(k))})"
+            )
+        outcome, caught = records[k]
+        for w in caught:  # a worker's as (text, category), this process's as recorded
+            warn(*w) if isinstance(w, tuple) else warn(w)
+        if isinstance(outcome, Exception):
+            raise outcome
+        if isinstance(outcome, str):  # a bad draw must not sink the grid
+            warn(f"replication {rep} failed and was excluded: {outcome}")
+        outcomes.append(outcome)
     return outcomes
 
 
@@ -293,22 +313,20 @@ def run_benchmark(
     """Simulate, cluster, and score every cell of the design grid.
 
     Each replication draws one sample, encodes it once, and clusters it into
-    the design's three bundles at every theta of the cell's grid (the rank criterion is trace_ratio(theta))
-    so scores across theta are paired; the theta runs share one column-space
-    frame and one draw of start partitions, so a member set's spectrum is
-    computed once per replication, two thetas below 1 that choose the same
-    rank share its centroid, and theta = 1 reads its cosines from the frame's
-    K x K cosine matrix, with no spectrum at all: a replication runs only the
-    K-means rounds and scores each theta's best partition, lifting no
-    centroid and fitting no global average.  Replication
-    seeds derive from the cell seed by counter, so results do not depend on
-    grid order.  A replication that raises a VarsphereError is counted as
-    failed, reported with a warning naming the reason, and excluded from the
-    cell statistics; any other exception is a defect and propagates.
-
-    The replications run on w = min(usable cores, replications) processes,
-    and every warning reaches the caller once, in replication order, so the
-    rows, warnings and errors do not depend on w.
+    the design's three bundles at every theta of the cell's grid (criterion
+    trace_ratio(theta)), so scores across theta are paired.  The theta runs
+    share one column-space frame and one draw of start partitions: a member
+    set's spectrum is computed once, thetas below 1 that choose the same rank
+    share its centroid, and theta = 1 reads the K x K cosine matrix with no
+    spectrum.  A replication runs only the K-means rounds and scores each
+    theta's best partition.  Replication seeds derive from the cell seed by
+    counter, so results do not depend on grid order.  A replication that
+    raises a VarsphereError is counted as failed, reported with a warning
+    naming the reason, and excluded from the cell statistics; any other
+    exception is a defect and propagates.  The replications run on w =
+    min(usable cores, replications) processes, each claiming the next one as
+    it finishes its last, and every warning reaches the caller once, in
+    replication order, so the rows, warnings and errors do not depend on w.
     """
     outcomes = iter(_outcomes(grid, n_starts, distance))
     rows: list[BenchmarkRow] = []
@@ -324,18 +342,9 @@ def run_benchmark(
                 scores[theta].append(score)
         for theta in config.theta_grid:
             vals = np.asarray(scores[theta])
-            mean = float(np.mean(vals)) if vals.size else float("nan")
-            sd = float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0
-            rows.append(
-                BenchmarkRow(
-                    n=config.n,
-                    beta=config.beta,
-                    sigma2=config.sigma2,
-                    theta=float(theta),
-                    mean_rand=mean,
-                    sd_rand=sd,
-                    replications=int(vals.size),
-                    failures=failures,
-                )
-            )
+            rows.append(BenchmarkRow(
+                config.n, config.beta, config.sigma2, float(theta),
+                mean_rand=float(np.mean(vals)) if vals.size else float("nan"),
+                sd_rand=float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0,
+                replications=int(vals.size), failures=failures))
     return rows

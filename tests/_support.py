@@ -28,19 +28,24 @@ from varsphere.clustering import _assign_from_cos, _repair_empty, _sq_dist_from_
 from varsphere.geometry import EIGEN_DROP_TOL, _fix_column_signs
 
 
-def count_spectrum_eigensolves(monkeypatch) -> list:
+def count_spectrum_eigensolves(monkeypatch, calls: list | None = None) -> list:
     """Wrap np.linalg.eigh and return the list that gets the shape of each
-    call made by _Frame.spectrum itself, one per member set's spectrum; the
-    eigensolves of inverse square roots (ascent steps, lifts) are not counted."""
-    calls, eigh = [], np.linalg.eigh
+    matrix solved by _Frame.spectra itself, one per member set's spectrum
+    however the calls stack them; `calls`, if given, gets the shape of each
+    such call.  The eigensolves of inverse square roots (ascent steps, lifts)
+    are not counted."""
+    matrices, eigh = [], np.linalg.eigh
 
     def counted(a, *args, **kwargs):
-        if sys._getframe(1).f_code is _Frame.spectrum.__code__:
-            calls.append(np.shape(a))
+        if sys._getframe(1).f_code is _Frame.spectra.__code__:
+            shape = np.shape(a)
+            matrices.extend([shape[-2:]] * int(np.prod(shape[:-2])))
+            if calls is not None:
+                calls.append(shape)
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    return calls
+    return matrices
 
 
 def dense(x):

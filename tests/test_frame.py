@@ -249,6 +249,30 @@ def test_kmeans_takes_one_svd_per_distinct_member_set(distance, monkeypatch):
     assert len(eigensolves) == len(set(requests)) < len(requests)
 
 
+def test_a_request_takes_one_stacked_eigh_per_block_size(monkeypatch):
+    # the new chord sets of one request are grouped by block size q_S: blocks
+    # of two sizes take two eigh calls, one matrix per distinct set, and give
+    # the fits that the sets requested one at a time get
+    rng = np.random.default_rng(11)
+    w = random_weights(rng, 40, uniform=False)
+    rs = [random_normed_resultant(rng, w, rank=q) for q in (1, 1, 2, 2, 1, 2)]
+    chosen = np.zeros((6, len(rs)), dtype=bool)
+    for row, members in zip(chosen, [(0, 1), (2, 3), (0, 4), (2, 5), (1, 4), (0, 1)]):
+        row[list(members)] = True
+    criterion = RankCriterion.trace_ratio(0.5)
+    calls = []
+    eigensolves = count_spectrum_eigensolves(monkeypatch, calls)
+    fits = averaging._Frame(rs).centroids(chosen, "chord", criterion)
+    assert calls == [(3, 2, 2), (2, 4, 4)] and len(eigensolves) == 5
+    frame = averaging._Frame(rs)
+    for row, fit in zip(chosen, fits):
+        alone = frame.centroids(row[None], "chord", criterion)[0]
+        assert np.array_equal(fit[1], alone[1])
+        assert np.allclose(fit[3], alone[3], rtol=0.0, atol=1e-14)
+        assert np.allclose(frame.lift(fit).U, frame.lift(alone).U, rtol=0.0, atol=1e-14)
+    assert len(calls) == 2 + 5
+
+
 def test_full_rank_chord_kmeans_fits_only_the_returned_centroids(monkeypatch):
     # at trace ratio 1 every round and the global fit read their cosines from
     # the K x K cosine matrix; only the best start's L centroids take a
@@ -264,8 +288,8 @@ def test_a_full_rank_chord_replication_takes_no_spectrum(monkeypatch):
     # a replication scores only each theta's best partition: at trace ratio 1
     # every round reads the K x K cosine matrix and no centroid is lifted
     spectra = []
-    spectrum = averaging._Frame.spectrum
-    monkeypatch.setattr(averaging._Frame, "spectrum",
+    spectrum = averaging._Frame.spectra
+    monkeypatch.setattr(averaging._Frame, "spectra",
                         lambda self, *a: spectra.append(1) or spectrum(self, *a))
     rows = run_benchmark([SimConfig(n=30, beta=np.pi / 3, sigma2=0.1, seed=4, replications=1,
                                     theta_grid=(1.0,))], n_starts=10)

@@ -3,6 +3,7 @@
 import contextlib
 import os
 import signal
+import time
 import warnings
 
 import numpy as np
@@ -272,29 +273,71 @@ def test_outputs_and_warnings_do_not_depend_on_the_worker_count(tmp_path, monkey
     assert sum(failures) == 2 * len(failed)
 
 
+def _share_with_a_worker(monkeypatch, log, in_worker=None):
+    """Make this process's replications wait until a forked worker has taken
+    one, so that a worker is sure to take work.  A worker appends the number
+    of each replication it takes to `log`, then calls `in_worker` if given."""
+    replicate, parent = simulation._replicate, os.getpid()
+
+    def shared(config, rep, n_starts, distance):
+        if os.getpid() != parent:
+            with open(log, "a") as fh:
+                fh.write(f"{rep}\n")
+            if in_worker is not None:
+                in_worker()
+        while not log.exists():
+            time.sleep(0.001)
+        return replicate(config, rep, n_starts, distance)
+
+    monkeypatch.setattr(simulation, "_replicate", shared)
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="runs serially here")
-def test_a_failed_replication_in_a_worker_is_counted_warned_and_excluded(monkeypatch):
+def test_a_failed_replication_in_a_worker_is_counted_warned_and_excluded(monkeypatch, tmp_path):
     _plant(monkeypatch, NumericalError, in_worker_only=True)
+    _share_with_a_worker(monkeypatch, tmp_path / "worker")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     config = SimConfig(n=30, beta=np.pi / 2.0, sigma2=0.1, seed=3, replications=5,
                        theta_grid=(1.0,))
     with warnings.catch_warnings(record=True) as caught, _deadline(120):
         warnings.simplefilter("always")
         (row,) = run_benchmark([config], n_starts=2)
-    # the worker takes replications 1 and 3, this process 0, 2 and 4
-    assert (row.replications, row.failures) == (3, 2)
-    failed = [str(w.message) for w in caught if "excluded" in str(w.message)]
-    assert [m.split(":")[0] for m in failed] == [
-        "replication 1 failed and was excluded", "replication 3 failed and was excluded"]
-    assert all(": planted fault " in m for m in failed)
+    # every replication the worker took failed, and only those
+    taken = sorted(int(line) for line in (tmp_path / "worker").read_text().split())
+    assert taken and (row.replications, row.failures) == (5 - len(taken), len(taken))
+    messages = [str(w.message) for w in caught]
+    failed = [i for i, m in enumerate(messages) if "excluded" in m]
+    assert [messages[i].split(":")[0] for i in failed] == [
+        f"replication {rep} failed and was excluded" for rep in taken]
+    assert all(": planted fault " in messages[i] for i in failed)
+    # each failure comes right after its own replication's warning
+    for i in failed:
+        assert messages[i - 1].startswith("planted warning ")
+        assert messages[i - 1].split()[-1] == messages[i].split()[-1]
     assert [w.category for w in caught].count(ConvergenceWarning) == 5
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="runs serially here")
-def test_a_defect_in_a_worker_is_raised_in_the_caller(monkeypatch):
+def test_more_replications_than_the_claim_pipe_holds_run_once_each(monkeypatch):
+    # 20,000 4-byte tickets overfill a 64 KiB pipe: the caller must take the
+    # tickets that do not fit itself, not block on the feed
+    monkeypatch.setattr(simulation, "_replicate", lambda config, rep, *_: [float(rep)])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    config = SimConfig(n=30, beta=np.pi / 2.0, sigma2=0.1, seed=3, replications=20_000,
+                       theta_grid=(1.0,))
+    with _deadline(60):
+        outcomes = simulation._outcomes([config], 2, "chord")
+    assert outcomes == [[float(rep)] for rep in range(20_000)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="runs serially here")
+def test_a_defect_in_a_worker_is_raised_in_the_caller(monkeypatch, tmp_path):
     _plant(monkeypatch, ZeroDivisionError, in_worker_only=True)
+    _share_with_a_worker(monkeypatch, tmp_path / "worker")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     config = SimConfig(n=30, beta=np.pi / 2.0, sigma2=0.1, seed=3, replications=6,
                        theta_grid=(1.0,))
@@ -307,22 +350,17 @@ def test_a_defect_in_a_worker_is_raised_in_the_caller(monkeypatch):
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="runs serially here")
-def test_a_worker_that_dies_is_named_once_every_worker_is_reaped(monkeypatch):
-    replicate, parent = simulation._replicate, os.getpid()
-
-    def dying(config, rep, n_starts, distance):
-        if os.getpid() != parent:
-            os._exit(3)
-        return replicate(config, rep, n_starts, distance)
-
-    monkeypatch.setattr(simulation, "_replicate", dying)
+def test_a_worker_that_dies_is_named_once_every_worker_is_reaped(monkeypatch, tmp_path):
+    log = tmp_path / "worker"
+    _share_with_a_worker(monkeypatch, log, in_worker=lambda: os._exit(3))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     config = SimConfig(n=30, beta=np.pi / 2.0, sigma2=0.1, seed=3, replications=4,
                        theta_grid=(1.0,))
     with _deadline(120), pytest.raises(RuntimeError) as info:
         run_benchmark([config], n_starts=2)
-    # the worker takes replications 1 and 3 and dies on the first
-    assert "replication 1 of the cell n=30, beta=1.5708, sigma2=0.1" in str(info.value)
+    # the worker dies on the first replication it takes
+    (rep,) = log.read_text().split()
+    assert f"replication {rep} of the cell n=30, beta=1.5708, sigma2=0.1" in str(info.value)
     assert "wait status 768" in str(info.value)  # exit code 3
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
