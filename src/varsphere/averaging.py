@@ -508,9 +508,9 @@ class _Frame:
             lam, v = lam[:, ::-1], v[:, :, ::-1]  # descending
             kept = lam > EIGEN_DROP_TOL * lam[:, :1]
             scaled = v * (root[:, :, None] * (1.0 / np.sqrt(np.where(kept, lam, 1.0)))[:, None, :])
-            for i, keep, c, d, l in zip(group.tolist(), np.count_nonzero(kept, axis=1).tolist(),
-                                        idx, scaled, lam):
-                self._memo[keys[i]] = (c, d[:, :keep]), l[:keep]  # the kept D V lam^-1/2 and lam
+            for i, keep, cols, coef, eig in zip(group.tolist(), np.count_nonzero(kept, axis=1).tolist(),
+                                                idx, scaled, lam):
+                self._memo[keys[i]] = (cols, coef[:, :keep]), eig[:keep]  # the kept D V lam^-1/2, lam
 
     @functools.cached_property
     def _cosine_matrix(self) -> np.ndarray:  # A, the block sums of the squared Gram Z'Z
