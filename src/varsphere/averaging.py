@@ -10,13 +10,14 @@ never on an n x n operator.  The private kernels take whitened rows, where W
 is the identity: Z_k becomes W^1/2 Z_k and U becomes W^1/2 U, orthonormal, so
 T = Z' W U is a plain product and the loadings u_j' W R_k u_j are block sums
 of T^2; costs are O(n sum q H) to O(n (sum q)^2).  The public n-row functions
-whiten on the way in and out.  Every average is fitted in one place, _Frame:
-one QR of W^1/2 Z puts the resultants in its r-dimensional column space,
-r <= sum q, and the spectrum of a mean comes from its members' q_S x q_S block
-of the Gram Z'Z, which the frame forms once: one stacked eigh per block size.
-The frame serves K-means, the public averages, the inertia profile and the
-`average` command through one memoised fit, whose K cosines every report reads;
-every geodesic ascent runs there, and only returned averages are lifted to n rows.
+whiten on the way in and out.  Every average is fitted in one place, _Frame,
+from the Gram Z'Z of the whitened factors, formed once: the spectrum of a
+mean comes from its members' q_S x q_S block (one stacked eigh per block
+size), and every centroid, chord or geodesic, is coefficients on its
+members' columns, found on at most q_S rows.  The frame serves K-means, the
+public averages, the inertia profile and the `average` command through one
+memoised fit, whose K cosines every report reads; every geodesic ascent runs
+there, and only returned averages are lifted to n rows.
 
 The geodesic counterpart maximizes
     g(lam, U) = - sum_k omega_k arccos(h_k)^2,   h_k = tr(U' A_k U Lam),
@@ -186,7 +187,7 @@ def rank_h_average_euclidean(
 
     `h` is either the rank itself, which must lie in [1, numerical rank of the
     average], or a RankCriterion applied to the average's spectrum.  The
-    eigenpairs come from the column-space frame of the resultants."""
+    eigenpairs come from the Gram of the resultants' factors (_Frame)."""
     frame = _Frame(resultants, omega)
     return frame.lift(frame.fit(h))
 
@@ -435,53 +436,51 @@ def _geodesic_from(
 
 
 class _Frame:
-    """Resultants in the column space of their stacked factors: the one place
-    an average's spectrum is taken and truncated, and every geodesic ascent runs.
+    """The Gram of the resultants' whitened factors: the one place an
+    average's spectrum is taken and truncated, and every geodesic ascent runs.
 
-    A thin Householder QR W^1/2 [Z_1 ... Z_K] = Q R, taken once, puts every
-    resultant and centroid in R^r, r = min(n, sum q), with orthonormal rows:
-    resultant k becomes the block R_k, which keeps every scalar product, and a
-    centroid (C, lam) with C'C = I lifts to U = W^-1/2 Q C.  This is the
-    concatenated-column SVD of ClustOfVar (Chavent et al., JSS 2012).  The
-    fixed-point step commutes with the lift, so an ascent on blocks is the
-    n-row one, and every fit stops by the n-row rule: its residual's U part is
-    scaled by s = max_i w_i^-1/2, since ||U - U_S|| <= s ||C - C_S||.  The
-    frame holds s and the ascent's max_iter.
+    The frame forms the whitened stack Z = W^1/2 [Z_1 ... Z_K] and its Gram
+    G = Z'Z once, and fits every centroid, chord or geodesic, as coefficients
+    P on its members' columns: C = Z_S P, lifted to U = W^-1/2 C.  A member
+    set S is a boolean row over the K resultants, weighted uniformly, or by
+    the frame's omega, which only the whole set takes.  One memo holds plain
+    arrays, keyed by the set's packed row: under the bare key, the spectrum of
+    the members' mean, from the eigh of the scaled block D G_SS D = V diag(lam)
+    V', D = sqrt(omega_k) over the set's columns, held as (columns, D V
+    lam^-1/2) and lam; under (key, distance, rank h or criterion), the fit
+    ((columns, P), lam_h, converged, cosines to all K resultants), lam_h =
+    lam[:h] / ||lam[:h]||.  Criteria that choose the same rank share one fit.
 
-    A member set S is a boolean row over the K resultants, weighted
-    uniformly, or by the frame's omega, which only the whole set takes.  One
-    memo holds plain arrays, keyed by the set's packed row: under the bare
-    key, the spectrum of the members' mean, from the eigh of the scaled block
-    D G_SS D = V diag(lam) V' of the frame's Gram G = Z'Z, D = sqrt(omega_k)
-    over the set's columns, held as (columns, D V lam^-1/2) and lam; under
-    (key, distance, rank h or criterion), the fit (C, lam_h, converged,
-    cosines to all K resultants), lam_h = lam[:h] / ||lam[:h]||, chord C the
-    first h columns of Q_S = Z_S D V lam^-1/2, held as the spectrum's pair
-    until lift() forms it, or the geodesic ascent from there.  Criteria that
-    choose the same rank share one fit.  A request's new sets are settled
-    together: one stacked eigh per block size, and one product G P = Z'C for
-    the new chord fits, P holding their D V lam^-1/2.  Chord column signs stay
-    as eigh leaves them (the cosines ignore them) until lift() signs them.  G
-    squares the condition number, so a column of eigenvalue near RANK_TOL
-    lam_1 is orthonormal only to ~1e-6, its weight in a cosine ~1e-10: lift()
-    takes the polar factor C (C'C)^-1/2.
-    Only the lift basis has n rows.  The full-rank (RankCriterion.full) chord
-    centroid is the normalised mean M_S/||M_S||, whose cosines fit_cosines
-    reads with no spectrum from the K x K cosine matrix A_km = [R_k | R_m] =
-    ||R_k' R_m||_F^2 of ClustOfVar, built once from G; its rank is the mean's
+    Q_S = Z_S D V lam^-1/2 is an orthonormal basis of the members' span.  A
+    chord P is the first h columns of D V lam^-1/2.  A geodesic P is D V
+    lam^-1/2 c, for c the ascent from the first h unit vectors on the members
+    in that basis, Y = Q_S' Z_S = (D V lam^-1/2)' G_SS, at most q_S rows.  The
+    fixed-point step commutes with Q_S, so that ascent is the n-row one, and
+    every fit stops by the n-row rule: its residual's U part is scaled by
+    s = max_i w_i^-1/2, since ||U - U_S|| <= s ||Q_S|| ||c - c_S|| and ||Q_S||
+    = 1.  The frame holds s and the ascent's max_iter.  G squares the
+    condition number, so Q_S is orthonormal only to rounding (a column of
+    eigenvalue near RANK_TOL lam_1 to ~1e-6, its weight in a cosine ~1e-10):
+    lift() takes the polar factor C (C'C)^-1/2, and signs the columns, which
+    eigh and the ascent leave as they fall (the cosines ignore them).  Only a
+    lift has n rows.  A request's new sets are settled together: one stacked
+    eigh per block size, and one product G P = Z'C for all their cosines.
+
+    The full-rank (RankCriterion.full) chord centroid is the normalised mean
+    M_S/||M_S||, whose cosines fit_cosines reads with no spectrum from the
+    K x K cosine matrix A_km = [R_k | R_m] = ||R_k' R_m||_F^2 of ClustOfVar
+    (Chavent et al., JSS 2012), built once from G; its rank is the mean's
     numerical rank, and the eigenvalues under RANK_TOL of lam_1 that the fit
     drops move each cosine by at most their sum / lam_1.
     """
 
     def __init__(self, resultants: list[Resultant], omega=None, max_iter: int = 500):
-        weights = _gather(resultants)
+        self.weights = _gather(resultants)
         self.k = len(resultants)
         self.omega = None if omega is None else as_weight_system(omega, self.k)
-        z, self._widths, self._starts = _stack(resultants)
-        q, self.z = np.linalg.qr(z)
-        self._gram = self.z.T @ self.z
-        self.weights, self._lift = weights, q / np.sqrt(weights.w)[:, None]
-        self._stop = max_iter, 1.0 / math.sqrt(float(weights.w.min()))
+        self._z, self._widths, self._starts = _stack(resultants)
+        self._gram = self._z.T @ self._z
+        self._stop = max_iter, 1.0 / math.sqrt(float(self.weights.w.min()))
         self._owner = np.repeat(np.arange(self.k), self._widths)
         self.everyone = np.ones(self.k, dtype=bool)
         self._memo: dict = {}
@@ -527,7 +526,7 @@ class _Frame:
         return dots / np.sqrt(np.sum(dots * share, axis=1))[:, None]
 
     def centroids(self, chosen: np.ndarray, distance: str, h: int | RankCriterion) -> list[tuple]:
-        """The reduced rank-h centroid (C, lam, converged, K cosines) of each
+        """The rank-h fit ((columns, P), lam, converged, K cosines) of each
         member set, one boolean row of `chosen` per set; one packbits call keys
         them all, and the new ones are settled together.  An integer h must lie
         in [1, numerical rank]."""
@@ -540,49 +539,46 @@ class _Frame:
 
     def _settle(self, chosen: np.ndarray, keys: list, distance: str, h: int | RankCriterion):
         """Memoise each set's fit under h and under the rank h picks from its
-        spectrum; the new chord fits read their cosines from one product G P."""
+        spectrum; the new fits read their cosines from one product G P."""
         self.spectra(chosen, keys)
-        chords = {}  # (key, rank) of each new chord fit: its spectrum's basis, its lam
+        new = {}  # (key, rank) of each new fit: ((columns, P), lam_h, converged)
         for key, row in dict(zip(keys, chosen)).items():
-            basis, lam = self._memo[key]
+            (cols, scaled), lam = self._memo[key]
             rank = choose_rank(lam, h) if isinstance(h, RankCriterion) else h
             if not isinstance(h, RankCriterion) and not (top := numerical_rank(lam, RANK_TOL)) >= h >= 1:
                 raise ValidationError(f"rank {h} is outside the numerical rank {top} of the average")
             kept = lam[:rank]
             fit, lam_h = self._memo.get((key, distance, rank)), kept / math.sqrt(kept.dot(kept))
-            if fit is None and distance == "geodesic":
-                # the ascent from the chord fit, signed as the n-row eigenvectors are (it is
-                # sign-equivariant only up to rounding, so it retraces the n-row one), on a
-                # C-order copy of the blocks, as z is: BLAS rounds products by memory layout
+            if fit is not None:
+                self._memo[key, distance, h] = fit
+            elif distance == "geodesic":  # the ascent on Y = Q_S' Z_S from the chord fit
                 c, lam_h, converged = _geodesic_from(
-                    np.ascontiguousarray(self.z[:, row[self._owner]]), self._widths[row],
-                    as_weight_system(self.omega, int(row.sum())),
-                    _fix_column_signs((self.z[:, basis[0]] @ basis[1])[:, :rank]), lam_h, *self._stop)
-                t = self.z.T @ c
-                fit = c, lam_h, converged, np.add.reduceat(t * t, self._starts) @ lam_h
-            if fit is None:
-                chords[key, rank] = basis, lam_h
+                    scaled.T @ self._gram[cols[:, None], cols], self._widths[row],
+                    as_weight_system(self.omega, int(row.sum())), np.eye(lam.size, rank), lam_h,
+                    *self._stop)
+                new[key, rank] = (cols, scaled @ c), lam_h, converged
             else:
-                self._memo[key, distance, h] = self._memo[key, distance, rank] = fit
-        at = np.cumsum([0] + [lam.size for _, lam in chords.values()])
+                new[key, rank] = (cols, scaled[:, :rank]), lam_h, True
+        at = np.cumsum([0] + [lam.size for _, lam, _ in new.values()])
         p = np.zeros((self._gram.shape[0], at[-1]))
-        for ((cols, scaled), lam), start in zip(chords.values(), at):
-            p[cols, start:start + lam.size] = scaled[:, :lam.size]
+        for ((cols, coef), lam, _), start in zip(new.values(), at):
+            p[cols, start:start + lam.size] = coef
         t = self._gram @ p  # every new fit's Z'C
         cos = np.add.reduceat(np.add.reduceat(t * t, self._starts) * np.concatenate(
-            [[]] + [lam for _, lam in chords.values()]), at[:-1], axis=1)
-        for ((key, rank), (basis, lam)), cos_k in zip(chords.items(), cos.T):
-            self._memo[key, distance, h] = self._memo[key, distance, rank] = basis, lam, True, cos_k
+            [[]] + [lam for _, lam, _ in new.values()]), at[:-1], axis=1)
+        for ((key, rank), (basis, lam, converged)), cos_k in zip(new.items(), cos.T):
+            self._memo[key, distance, h] = self._memo[key, distance, rank] = basis, lam, converged, cos_k
 
     def lift(self, fit: tuple) -> RankHOperator:
         """A fit's centroid on the n observations, each column's largest-magnitude entry positive."""
-        c, lam, converged, _ = fit
-        if isinstance(c, tuple):  # a chord fit: its spectrum's basis, Z_S D V lam^-1/2
-            c = (self.z[:, c[0]] @ c[1])[:, :lam.size]
-        c = c @ inv_sqrt_spd(c.T @ c)  # orthonormal to rounding, as the Gram route may not be
-        return RankHOperator(_fix_column_signs(self._lift @ c), lam, self.weights,
-                             converged=converged)
+        (cols, coef), lam, converged, _ = fit
+        p = np.zeros((self._gram.shape[0], lam.size))
+        p[cols] = coef
+        c = self._z @ p  # Z_S P, with no n x q_S block gathered
+        c = c @ inv_sqrt_spd(c.T @ c)  # orthonormal to rounding, as Q_S may not be
+        return RankHOperator(_fix_column_signs(c / np.sqrt(self.weights.w)[:, None]), lam,
+                             self.weights, converged=converged)
 
     def fit(self, h: int | RankCriterion, distance: str = "chord") -> tuple:
-        """The whole set's rank-h fit (C, lam, converged, K cosines), as K-means' global fit."""
+        """The whole set's rank-h fit, as centroids() gives it: K-means' global fit."""
         return self.centroids(self.everyone[None], distance, h)[0]

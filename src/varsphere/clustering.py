@@ -8,12 +8,13 @@ smallest distance, by either), the first within 1e-12 of it, so rounding
 cannot turn a tie; the best start by within-cluster inertia wins (ties go
 to the earliest start).
 
-Every centroid lies in the span of the stacked factors, so K-means runs on
-the averaging frame, which reduces the dataset to that column space once (one
-QR) and fits each member set once, whatever the number of starts and
-iterations, as the public averages fit the whole set, under one stop rule;
-a geodesic fit's ConvergenceWarning is emitted once per member set.  Every
-inertia, cosine and assignment reported is read from the fits' K cosines.
+Every centroid lies in the span of its members' factors, so K-means runs on
+the averaging frame, which forms the Gram of the stacked factors once and
+fits each member set once, as coefficients on its members' columns,
+whatever the number of starts and iterations, as the public averages fit
+the whole set, under one stop rule; a geodesic fit's ConvergenceWarning is
+emitted once per member set.  Every inertia, cosine and assignment
+reported is read from the fits' K cosines.
 At trace ratio 1 a chord centroid is the normalised mean of its members,
 read from the frame's K x K cosine matrix with no spectrum, and only the best
 start's L centroids are fitted, for their lifts and ranks (numerical ranks,
@@ -141,7 +142,7 @@ def kmeans(resultants: list[Resultant], config: ClusteringConfig) -> ClusterMode
     `config.seed` and keeps the start with the lowest within-cluster inertia
     (ties go to the earliest start).  The starts advance together, one round
     for all of them at a time, but each follows exactly the path it would
-    follow alone.  Every centroid is fitted in the column space of the
+    follow alone.  Every centroid is fitted from the Gram of the
     resultants' factors, once per member set across all starts and the
     global fit of `between_over_total` (a full-rank chord run fits only the
     L centroids returned); only those are lifted back to the n observations.

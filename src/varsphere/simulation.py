@@ -315,7 +315,7 @@ def run_benchmark(
     Each replication draws one sample, encodes it once, and clusters it into
     the design's three bundles at every theta of the cell's grid (criterion
     trace_ratio(theta)), so scores across theta are paired.  The theta runs
-    share one column-space frame and one draw of start partitions: a member
+    share one averaging frame and one draw of start partitions: a member
     set's spectrum is computed once, thetas below 1 that choose the same rank
     share its centroid, and theta = 1 reads the K x K cosine matrix with no
     spectrum.  A replication runs only the K-means rounds and scores each
@@ -331,20 +331,13 @@ def run_benchmark(
     outcomes = iter(_outcomes(grid, n_starts, distance))
     rows: list[BenchmarkRow] = []
     for config in grid:
-        scores: dict[float, list[float]] = {t: [] for t in config.theta_grid}
-        failures = 0
-        for _ in range(config.replications):
-            outcome = next(outcomes)
-            if isinstance(outcome, str):
-                failures += 1
-                continue
-            for theta, score in zip(config.theta_grid, outcome):
-                scores[theta].append(score)
-        for theta in config.theta_grid:
-            vals = np.asarray(scores[theta])
+        done = [next(outcomes) for _ in range(config.replications)]
+        done = [outcome for outcome in done if not isinstance(outcome, str)]
+        scores = np.array(done, dtype=float).reshape(len(done), len(config.theta_grid))
+        for theta, vals in zip(config.theta_grid, scores.T):  # by position: a theta may repeat
             rows.append(BenchmarkRow(
                 config.n, config.beta, config.sigma2, float(theta),
                 mean_rand=float(np.mean(vals)) if vals.size else float("nan"),
                 sd_rand=float(np.std(vals, ddof=1)) if vals.size > 1 else 0.0,
-                replications=int(vals.size), failures=failures))
+                replications=len(done), failures=config.replications - len(done)))
     return rows

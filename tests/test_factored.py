@@ -229,9 +229,9 @@ def test_averages_build_no_n_by_n_array():
     assert peak < PEAK_BYTES, f"geodesic average: peak traced memory {peak / 1e6:.1f} MB"
 
 
-def test_reports_after_the_qr_allocate_no_n_row_block(tmp_path, monkeypatch):
+def test_reports_after_the_gram_allocate_no_n_row_block(tmp_path, monkeypatch):
     # the `average` objective and inertia profile and the cluster summary read
-    # the frame fits' K cosines: once the frame's QR is taken, the `average`
+    # the frame fits' K cosines: once the frame's Gram is formed, the `average`
     # command allocates no n x sum q block (its one n-row array is the lifted
     # average it writes), and the summary not even one n-row column
     n = 20_000

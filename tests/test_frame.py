@@ -1,4 +1,4 @@
-"""K-means in the column space of the stacked factors, with memoised fits,
+"""K-means on the Gram of the stacked factors, with memoised fits,
 against the refit-everything loop on the n-row resultants."""
 
 import tracemalloc
@@ -17,11 +17,14 @@ from varsphere import (
     averaging,
     choose_rank,
     clustering,
+    encode_numeric,
     fixed_point_residual,
     geodesic_inertia_profile,
+    geodesic_objective,
     kmeans,
     rank_h_average_geodesic,
     rand_discrepancy,
+    resultant,
     run_benchmark,
     sample_resultants,
     simulate_sample,
@@ -30,7 +33,8 @@ from varsphere import (
 from varsphere.geometry import EIGEN_DROP_TOL, RANK_TOL
 
 from _support import (
-    count_spectrum_eigensolves, dense, random_normed_resultant, random_weights, refit_kmeans,
+    count_spectrum_eigensolves, dense, random_normed_resultant, random_weights, refit_average,
+    refit_kmeans,
 )
 
 # (observations, resultants): 9 resultants of rank 1-3 have sum q of 9 to 27
@@ -183,34 +187,89 @@ def test_benchmark_rows_equal_independent_kmeans_per_theta():
     ]
 
 
+def _write_csv(sample, path):
+    """The sample's variables as a CSV the `average` command reads."""
+    lines = [",".join(sample.names)] + [
+        ",".join([*(repr(float(v)) for v in num), *(f"q{c}" for c in cat)])
+        for num, cat in zip(sample.numeric, sample.categorical)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 def test_no_ascent_round_runs_on_n_rows(tmp_path, monkeypatch):
-    # every public geodesic average ascends in the frame, on at most sum q rows
+    # every geodesic fit, a K-means centroid or a public average, ascends on
+    # its members in their spectrum's basis: at most as many rows as columns
     from varsphere.cli import main
 
     sample = simulate_sample(SimConfig(2000, beta=np.pi / 3, sigma2=0.1),
                              np.random.default_rng(4))
     rs = sample_resultants(sample)
-    sum_q = sum(r.factor.shape[1] for r in rs)
-    path = tmp_path / "sample.csv"
-    lines = [",".join(sample.names)] + [
-        ",".join([*(repr(float(v)) for v in num), *(f"q{c}" for c in cat)])
-        for num, cat in zip(sample.numeric, sample.categorical)]
-    path.write_text("\n".join(lines) + "\n")
-    rows = []
+    path = _write_csv(sample, tmp_path / "sample.csv")
+    shapes = []
     step = averaging._step
-    monkeypatch.setattr(averaging, "_step", lambda z, *a: rows.append(z.shape[0]) or step(z, *a))
+    monkeypatch.setattr(averaging, "_step", lambda z, *a: shapes.append(z.shape) or step(z, *a))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rank_h_average_geodesic(rs, 2)
         geodesic_inertia_profile(rs, 2)
-        code = main(["average", "--data", str(path), "--out-dir", str(tmp_path / "avg"),
+        code = main(["average", "--data", path, "--out-dir", str(tmp_path / "avg"),
                      "--distance", "geodesic", "--criterion", "fixed", "--H", "2"])
+        public = len(shapes)
+        kmeans(rs, ClusteringConfig(n_clusters=3, distance="geodesic", n_starts=2, seed=0))
     assert code in (0, 4)
-    assert rows and max(rows) <= sum_q
+    assert 0 < public < len(shapes) and all(rows <= cols for rows, cols in shapes)
+
+
+def test_no_fit_takes_a_qr(tmp_path, monkeypatch):
+    # the frame fits every centroid from its Gram: K-means in both distances,
+    # the public averages and the `average` command run with no QR
+    from varsphere.cli import main
+
+    sample = simulate_sample(SimConfig(40, beta=np.pi / 3, sigma2=0.1), np.random.default_rng(6))
+    rs = sample_resultants(sample)
+    path = _write_csv(sample, tmp_path / "sample.csv")
+
+    class QRTaken(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise QRTaken
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        for distance in ("chord", "geodesic"):
+            kmeans(rs, ClusteringConfig(n_clusters=3, distance=distance, n_starts=2, seed=0))
+        averaging.rank_h_average_euclidean(rs, 2)
+        rank_h_average_geodesic(rs, 2)
+        code = main(["average", "--data", path, "--out-dir", str(tmp_path / "avg"),
+                     "--distance", "geodesic"])
+    assert code in (0, 4)
+
+
+@pytest.mark.parametrize("criterion", [RankCriterion.fixed(2), RankCriterion.trace_ratio(0.9)],
+                         ids=["fixed_2", "theta_0.9"])
+def test_geodesic_averages_of_near_copies_match_the_n_row_fit(criterion):
+    # numeric pairs x, x + eps y under random weights: the mean's spectrum
+    # spans eigenvalues down to ~eps^2 of the largest, where the Gram block's
+    # basis is orthonormal only to rounding.  The frame's ascent on at most
+    # q_S rows must reach the objective, rank and stop of the ascent on the
+    # n rows from an SVD of the mean, with no frame
+    for seed in range(5):
+        for eps in (1e-2, 1e-4, 1e-6, 1e-8):
+            rng = np.random.default_rng([seed, round(-np.log10(eps))])
+            w = random_weights(rng, 30)
+            x, y = rng.standard_normal((2, 3, 30))
+            rs = [resultant(encode_numeric(v, w), w) for pair in zip(x, x + eps * y) for v in pair]
+            got = rank_h_average_geodesic(rs, criterion)
+            want = refit_average(rs, criterion, "geodesic")
+            assert (got.rank, got.converged) == (want.rank, want.converged), (seed, eps)
+            assert geodesic_objective(got, rs) == pytest.approx(
+                geodesic_objective(want, rs), rel=0.0, abs=1e-12), (seed, eps)
 
 
 def test_more_starts_add_no_n_row_memory():
-    # the memo holds only r-row spectra and centroids, r = min(n, sum q), so a
+    # the memo holds only q_S-row spectra and coefficients, q_S <= sum q, so a
     # start's extra member sets cost kilobytes; one n-row entry per distinct
     # fit would add megabytes
     sample = simulate_sample(SimConfig(20_000, beta=np.pi / 3, sigma2=0.1, seed=0),

@@ -181,6 +181,15 @@ def test_benchmark_cells_do_not_depend_on_grid_order():
     assert fwd[1] == rev[0]
 
 
+def test_a_repeated_theta_keeps_its_rows_apart():
+    # rows aggregate by position in the grid: each copy of a theta reports
+    # the replications the single-theta grid reports, not their sum
+    single, repeated = (run_benchmark([SimConfig(n=30, beta=np.pi / 2.0, sigma2=0.15, seed=4,
+                                                 replications=2, theta_grid=grid)], n_starts=2)
+                        for grid in [(0.5,), (0.5, 0.5)])
+    assert single[0].replications == 2 and repeated == single * 2
+
+
 def test_single_replication_reports_zero_sd():
     cfg = SimConfig(n=30, beta=np.pi / 2.0, sigma2=0.1, seed=1, replications=1,
                     theta_grid=(1.0,))
