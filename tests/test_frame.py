@@ -228,14 +228,7 @@ def test_no_fit_takes_a_qr(tmp_path, monkeypatch):
     sample = simulate_sample(SimConfig(40, beta=np.pi / 3, sigma2=0.1), np.random.default_rng(6))
     rs = sample_resultants(sample)
     path = _write_csv(sample, tmp_path / "sample.csv")
-
-    class QRTaken(Exception):
-        pass
-
-    def refuse(*args, **kwargs):
-        raise QRTaken
-
-    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: pytest.fail("a QR was taken"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
         for distance in ("chord", "geodesic"):
