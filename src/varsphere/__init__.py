@@ -69,7 +69,6 @@ from .geometry import (
     inv_sqrt_spd,
     numerical_rank,
     sqrt_spd,
-    w_orthonormal_polar,
 )
 from .simulation import (
     BenchmarkRow,
@@ -141,6 +140,5 @@ __all__ = [
     "sphere_average",
     "sqrt_spd",
     "tschuprow",
-    "w_orthonormal_polar",
     "weighted_average",
 ]

@@ -47,7 +47,7 @@ from .geometry import (
     RANK_TOL,
     Weights,
     _fix_column_signs,
-    inv_sqrt_spd,
+    _polar,
     numerical_rank,
 )
 
@@ -288,7 +288,7 @@ def _step(z, widths, starts, omega: np.ndarray, u: np.ndarray, lam: np.ndarray):
     nrm = float(np.linalg.norm(gamma))
     if nrm <= 1e-300:
         raise NumericalError("gradient vanished: the current point is already critical")
-    return gamma_u @ inv_sqrt_spd(gamma_u.T @ gamma_u), gamma / nrm
+    return _polar(gamma_u), gamma / nrm
 
 
 def geodesic_gradients(
@@ -370,7 +370,7 @@ def _ascend(
             c, mu = y[:u.size].reshape(u.shape), np.clip(y[u.size:], 0.0, None)
             nrm = float(np.linalg.norm(mu))
             try:
-                cand = nrm > 0.0 and point(c @ inv_sqrt_spd(c.T @ c), mu / nrm)
+                cand = nrm > 0.0 and point(_polar(c), mu / nrm)
             except NumericalError:
                 cand = False
             if cand and cand[2] > best[2] + 1e-13:
@@ -575,7 +575,7 @@ class _Frame:
         p = np.zeros((self._gram.shape[0], lam.size))
         p[cols] = coef
         c = self._z @ p  # Z_S P, with no n x q_S block gathered
-        c = c @ inv_sqrt_spd(c.T @ c)  # orthonormal to rounding, as Q_S may not be
+        c = _polar(c)  # orthonormal to rounding, as Q_S may not be
         return RankHOperator(_fix_column_signs(c / np.sqrt(self.weights.w)[:, None]), lam,
                              self.weights, converged=converged)
 

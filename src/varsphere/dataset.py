@@ -2,8 +2,9 @@
 
 The manifest declares which columns are numeric, which are categorical,
 an optional weight column, and optional named blocks of columns that are
-encoded together under a shared metric.  A bare CSV can also be ingested
-without a manifest, in which case every column is typed by inspection
+encoded together, as their factor under the identity metric: standardised
+columns, or one QR basis of their span (projector).  A bare CSV can also be
+ingested without a manifest, in which case every column is typed by inspection
 (numeric when every cell parses as a float).  A blank or whitespace-only
 cell is a missing value in any column, and a leading byte-order mark in
 either file is ignored.
@@ -21,12 +22,13 @@ import numpy as np
 
 from .encoding import (
     VariableStructure,
-    encode_block,
+    _centred_indicators,
+    _identity,
     encode_categorical,
     encode_numeric,
 )
-from .errors import NumericalError, ValidationError
-from .geometry import ZERO_VARIANCE_REL, Weights
+from .errors import ValidationError
+from .geometry import ZERO_VARIANCE_REL, Weights, _w_orthonormal_basis
 
 BLOCK_METRICS = ("standardized-diagonal", "projector")
 
@@ -268,32 +270,24 @@ def ingest(manifest: DatasetManifest, *, table=None) -> Dataset:
 
 
 def _block_structure(dataset: Dataset, block: BlockSpec) -> VariableStructure:
-    """Assemble a block: numeric members contribute their column, categorical
-    members their centred indicators (last level dropped)."""
+    """A block's factor under the identity metric: numeric members contribute
+    their column, categorical members their centred indicators (last level
+    dropped), and the centred block is standardised or, for a projector, a
+    W-orthonormal basis of its span."""
     w = dataset.weights
-    pieces = []
-    for name in block.columns:
-        if name in dataset.numeric:
-            pieces.append(dataset.numeric[name][:, None])
-        else:
-            s = encode_categorical(dataset.categorical[name], w, label=name)
-            pieces.append(s.X)
-    x = np.concatenate(pieces, axis=1)
+    x = np.concatenate([dataset.numeric[name][:, None] if name in dataset.numeric
+                        else _centred_indicators(dataset.categorical[name], w, name)[1]
+                        for name in block.columns], axis=1)
     xc = x - (w.w[None, :] @ x)
     if block.metric == "standardized-diagonal":
         var = np.sum(w.w[:, None] * xc * xc, axis=0)
         floor = ZERO_VARIANCE_REL * np.sum(w.w[:, None] * x * x, axis=0)
         if np.any(var <= floor):
             raise ValidationError(f"block {block.name!r} has a zero-variance column")
-        metric = np.diag(1.0 / var)
+        factor = xc * np.sqrt(1.0 / var)
     else:
-        gram = xc.T @ (w.w[:, None] * xc)
-        try:
-            metric = np.linalg.inv(gram)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"block {block.name!r} has a singular metric") from exc
-        metric = 0.5 * (metric + metric.T)
-    return encode_block(x, metric, w, label=block.name)
+        factor = _w_orthonormal_basis(xc, w, f"block {block.name!r}")
+    return VariableStructure(factor, _identity(factor.shape[1]), block.name, "block")
 
 
 def encode_dataset(dataset: Dataset) -> list[VariableStructure]:

@@ -11,19 +11,19 @@ when normed), R = Z Z' W, and no n x n operator is ever formed:
 [R_a|R_b] = ||Z_a' W Z_b||_F^2 and ||R|| = ||Z' W Z||_F, both in O(n q^2);
 spectra are taken by the averaging frame, from the Gram of stacked factors.
 
-Numeric variables, categorical variables (through the projector onto their
-centred indicator space) and whole metric-weighted blocks all reduce to this
-one representation.
+Every encoder returns its structure's factor under the identity metric, so
+`resultant` only norms it; only a hand-built metric takes a square root.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .geometry import ZERO_VARIANCE_REL, Weights, sqrt_spd
+from .geometry import ZERO_VARIANCE_REL, Weights, _w_orthonormal_basis, sqrt_spd
 
 KINDS = ("numeric", "categorical", "block")
 
@@ -34,7 +34,7 @@ class VariableStructure:
 
     Attributes:
         X: n x q matrix of weighted-centred columns.
-        M: q x q symmetric positive-definite metric.
+        M: q x q symmetric positive-definite metric; I from every encoder.
         label: display name.
         kind: one of "numeric", "categorical", "block".
         levels: for categorical structures, the level labels in
@@ -101,21 +101,22 @@ class Resultant:
         return f"Resultant({self.label or 'unnamed'}, n={self.weights.n}, {tag})"
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(q: int) -> np.ndarray:
+    """The q x q identity as a read-only view: every encoder's metric."""
+    return np.broadcast_to(np.eye(q), (q, q))
+
+
 def resultant(structure: VariableStructure, weights: Weights, normed: bool = True) -> Resultant:
     """R = X M X' W for a structure, normed to unit norm by default.  Its factor
-    is X M^1/2; sqrt_spd certifies R as weighted-spsd by rejecting any M that
-    is not symmetric positive definite.  A one-column structure (a numeric
-    variable) needs no eigensolve: its factor is the column scaled by the
-    root of its positive metric, the standardised column."""
+    is X under the identity metric of every encoder's structure, else X M^1/2;
+    sqrt_spd certifies R as weighted-spsd by rejecting any M that is not
+    symmetric positive definite."""
     if structure.X.shape[0] != weights.n:
         raise ValidationError("structure and weights disagree on the number of observations")
-    m = np.asarray(structure.M, dtype=float)
-    if m.shape == (1, 1):
-        if not m[0, 0] > 0.0:
-            raise ValidationError("matrix is not positive definite")
-        z = structure.X * np.sqrt(m[0, 0])
-    else:
-        z = structure.X @ sqrt_spd(m)
+    m, q = np.asarray(structure.M, dtype=float), structure.q
+    identity = m.shape == (q, q) and m.tobytes() == _identity(q).tobytes()  # bit for bit
+    z = structure.X if identity else structure.X @ sqrt_spd(m)
     nrm = _gram_norm(z, weights)
     if nrm <= 1e-300:
         raise NumericalError(f"structure {structure.label!r} has a zero resultant")
@@ -131,11 +132,10 @@ def _center_columns(x: np.ndarray, weights: Weights) -> np.ndarray:
 
 
 def encode_numeric(x, weights: Weights, label: str = "") -> VariableStructure:
-    """Encode one numeric variable; its normed resultant is the line projector.
+    """Encode one numeric variable as its standardised column c / sqrt(v).
 
-    The centred column with metric 1/variance yields R = x~ x~' W for the
-    standardized vector x~, a rank-one unit-norm operator that is invariant
-    under any affine rescaling a*x + b (a != 0).
+    Its resultant R = c c' W / v is the rank-one line projector of unit norm,
+    invariant under any affine rescaling a*x + b (a != 0).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != weights.n:
@@ -146,20 +146,13 @@ def encode_numeric(x, weights: Weights, label: str = "") -> VariableStructure:
     v = float(np.sum(weights.w * c * c))
     if v <= ZERO_VARIANCE_REL * float(np.sum(weights.w * x * x)):
         raise ValidationError(f"numeric variable {label!r} has zero variance")
-    return VariableStructure(X=c[:, None], M=np.array([[1.0 / v]]), label=label, kind="numeric")
+    return VariableStructure(c[:, None] * np.sqrt(1.0 / v), _identity(1), label, "numeric")
 
 
-def encode_categorical(
-    labels, weights: Weights, label: str = "", drop_level: int | None = None
-) -> VariableStructure:
-    """Encode a categorical variable through its centred indicator projector.
-
-    Levels are taken in first-appearance order; one level (the last seen, by
-    default) is dropped to make the centred indicators a basis, and the
-    metric (X'WX)^-1 turns the resultant into the orthogonal projector onto
-    the indicator space.  The projector does not depend on which level was
-    dropped, and its norm is sqrt(m - 1) for m levels.
-    """
+def _centred_indicators(labels, weights: Weights, label: str,
+                        drop_level: int | None = None) -> tuple[list, np.ndarray]:
+    """The levels of a categorical variable, in first-appearance order, and
+    its centred indicator columns less the dropped level (the last, by default)."""
     labels = list(labels)
     if len(labels) != weights.n:
         raise ValidationError(f"expected {weights.n} labels for {label!r}, got {len(labels)}")
@@ -173,17 +166,27 @@ def encode_categorical(
     drop = m - 1 if drop_level is None else int(drop_level)
     if not 0 <= drop < m:
         raise ValidationError(f"drop_level {drop} out of range for {m} levels")
-    kept = [j for j in range(m) if j != drop]
-    x = _center_columns(ind[:, kept], weights)
-    xtwx = x.T @ (weights.w[:, None] * x)
-    metric = np.linalg.inv(xtwx)
-    metric = 0.5 * (metric + metric.T)
-    return VariableStructure(X=x, M=metric, label=label, kind="categorical",
-                             levels=tuple(levels))
+    return levels, _center_columns(ind[:, [j for j in range(m) if j != drop]], weights)
+
+
+def encode_categorical(labels, weights: Weights, label: str = "",
+                       drop_level: int | None = None) -> VariableStructure:
+    """Encode a categorical variable as a W-orthonormal basis B of its centred
+    indicators X, from one QR; its resultant B B'W is the W-orthogonal
+    projector X (X'WX)^-1 X'W onto the indicator space.
+
+    Levels are taken in first-appearance order; one level (the last seen, by
+    default) is dropped to make the centred indicators a basis.  The projector
+    does not depend on which level was dropped, and its norm is sqrt(m - 1)
+    for m levels.
+    """
+    levels, x = _centred_indicators(labels, weights, label, drop_level)
+    basis = _w_orthonormal_basis(x, weights, f"categorical variable {label!r}")
+    return VariableStructure(basis, _identity(basis.shape[1]), label, "categorical", tuple(levels))
 
 
 def encode_block(x, m, weights: Weights, label: str = "") -> VariableStructure:
-    """Encode a whole data block with an explicit positive-definite metric."""
+    """Encode a data block X with a positive-definite metric M as X M^1/2."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != weights.n:
         raise ValidationError(f"block {label!r} must be an n x q matrix with n = {weights.n}")
@@ -192,11 +195,11 @@ def encode_block(x, m, weights: Weights, label: str = "") -> VariableStructure:
     m = np.asarray(m, dtype=float)
     if m.shape != (x.shape[1], x.shape[1]):
         raise ValidationError(f"metric shape {m.shape} does not fit block with {x.shape[1]} columns")
-    sqrt_spd(m)  # validates symmetry and positive definiteness
+    root = sqrt_spd(m)  # validates symmetry and positive definiteness
     xc = _center_columns(x, weights)
     if float(np.max(np.abs(xc))) <= 0.0:
         raise ValidationError(f"block {label!r} is zero after centering")
-    return VariableStructure(X=xc, M=m, label=label, kind="block")
+    return VariableStructure(xc @ root, _identity(x.shape[1]), label, "block")
 
 
 def compound_structure(
@@ -224,6 +227,5 @@ def compound_structure(
     x = np.concatenate(blocks, axis=1)
     if _gram_norm(x, weights) <= 1e-300:
         raise NumericalError("compound structure has a zero resultant")
-    return VariableStructure(X=x, M=np.eye(x.shape[1]),
-                             label=label or "+".join(s.label for s in structures),
-                             kind="block")
+    return VariableStructure(x, _identity(x.shape[1]),
+                             label or "+".join(s.label for s in structures), "block")

@@ -6,7 +6,8 @@ trace form tr(A* B) with A* = W^-1 A' W, a euclidean geometry on the space of
 n x n operators.  Everything downstream (encodings, distances, averages,
 clustering) lives in that geometry, but no operator is ever formed: each is
 held as an n x q factor or a W-orthonormal basis with its eigenvalues, so
-the helpers here work on n x q matrices and small q x q ones.
+the helpers here work on n x q matrices and small q x q ones.  A span gets
+a W-orthonormal basis from one QR of its whitened columns, with no Gram.
 """
 
 from __future__ import annotations
@@ -111,16 +112,19 @@ def inv_sqrt_spd(m) -> np.ndarray:
     return (vecs / np.sqrt(vals)[None, :]) @ vecs.T
 
 
-def w_orthonormal_polar(g, weights: Weights) -> np.ndarray:
-    """Weighted polar factor V = W^-1 G (G' W^-1 G)^-1/2.
+def _polar(x: np.ndarray) -> np.ndarray:
+    """Polar factor X (X'X)^-1/2, which maximizes tr(U'X) over U'U = I; on
+    whitened rows, W^-1/2 _polar(W^-1/2 G) maximizes tr(U'G) over U'WU = I."""
+    return x @ inv_sqrt_spd(x.T @ x)
 
-    V maximizes tr(U'G) over all U with U' W U = I; it is the projection of
-    G onto the weighted Stiefel manifold used by the averaging iteration.
-    """
-    g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != weights.n:
-        raise ValidationError(
-            f"expected an {weights.n} x H matrix, got shape {g.shape}"
-        )
-    wig = g / weights.w[:, None]
-    return wig @ inv_sqrt_spd(g.T @ wig)
+
+def _w_orthonormal_basis(x: np.ndarray, weights: Weights, what: str) -> np.ndarray:
+    """B = W^-1/2 Q from one QR W^1/2 X = Q R, so B'WB = I and B B'W is the
+    W-orthogonal projector X (X'WX)^-1 X'W; columns dependent to RANK_TOL,
+    r_jj^2 <= RANK_TOL max_i r_ii^2, raise NumericalError naming `what`."""
+    root = np.sqrt(weights.w)[:, None]
+    q, r = np.linalg.qr(root * x)
+    d = np.abs(np.diagonal(r))
+    if d.min() <= RANK_TOL ** 0.5 * d.max():
+        raise NumericalError(f"{what} has numerically dependent columns")
+    return q / root

@@ -18,14 +18,13 @@ from varsphere import (
     encode_categorical,
     encode_numeric,
     choose_rank,
-    w_orthonormal_polar,
     weighted_average,
 )
 from varsphere.averaging import (
     H_SINGULAR, _Frame, _gather, _geodesic_from, _objective_value, _stack, cosines,
 )
 from varsphere.clustering import _assign_from_cos, _repair_empty, _sq_dist_from_cos, _within
-from varsphere.geometry import EIGEN_DROP_TOL, _fix_column_signs
+from varsphere.geometry import EIGEN_DROP_TOL, _fix_column_signs, _polar
 
 
 def count_spectrum_eigensolves(monkeypatch, calls: list | None = None) -> list:
@@ -53,6 +52,47 @@ def dense(x):
     if isinstance(x, RankHOperator):
         return (x.U * x.lam[None, :]) @ x.U.T * x.weights.w[None, :]
     return (x.factor @ x.factor.T) * x.weights.w[None, :]
+
+
+def centred(x, weights):
+    """The columns of x (a vector is one column) less their weighted means,
+    each mean summed as the encoders sum it.  A tiny weight makes centring
+    ill-conditioned, so a mean summed in another order moves the operator
+    by up to about 1e-9 relative."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return (x - np.sum(weights.w * x))[:, None]
+    return x - weights.w[None, :] @ x
+
+
+def structure_operator(x, m, weights):
+    """The dense operator X M X' W of the centred columns X of x under the metric m."""
+    xc = centred(x, weights)
+    return (xc @ m @ xc.T) * weights.w[None, :]
+
+
+def inverse_gram(x, weights):
+    """(X'WX)^-1 for the centred columns X of x: the metric that makes
+    X M X' W the W-orthogonal projector X (X'WX)^-1 X'W onto their span,
+    a categorical variable's or a projector block's operator."""
+    xc = centred(x, weights)
+    return np.linalg.inv(xc.T @ (weights.w[:, None] * xc))
+
+
+def inverse_variances(x, weights):
+    """diag(1/var) of the centred columns of x: a standardized-diagonal
+    block's metric, and for one column a numeric variable's, whose operator
+    is the centred column times its transpose over its variance."""
+    xc = centred(x, weights)
+    return np.diag(1.0 / np.sum(weights.w[:, None] * xc * xc, axis=0))
+
+
+def indicators(labels, drop_level=None):
+    """The indicator columns of the levels, in first-appearance order, less
+    the dropped level (the last, by default)."""
+    levels = list(dict.fromkeys(labels))
+    drop = len(levels) - 1 if drop_level is None else drop_level
+    return np.array([[float(v == lv) for lv in levels if lv != levels[drop]] for v in labels])
 
 
 def operator_dot(a, b, weights):
@@ -291,9 +331,17 @@ def random_normed_resultant(rng, weights, rank=None):
                      normed=True)
 
 
+def weighted_polar(g, weights):
+    """The weighted polar factor V = W^-1 G (G' W^-1 G)^-1/2, taken as the
+    package takes it, on whitened rows: V = W^-1/2 _polar(W^-1/2 G).  V
+    maximizes tr(U'G) over all U with U' W U = I."""
+    root = np.sqrt(weights.w)[:, None]
+    return _polar(g / root) / root
+
+
 def random_w_orthonormal(rng, weights, h):
     """An n x h basis with U'WU = I."""
-    return w_orthonormal_polar(rng.standard_normal((weights.n, h)), weights)
+    return weighted_polar(rng.standard_normal((weights.n, h)), weights)
 
 
 def random_rank_h(rng, weights, h):

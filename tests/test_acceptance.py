@@ -39,7 +39,6 @@ from varsphere import (
     rank_h_average_geodesic,
     resultant,
     run_benchmark,
-    w_orthonormal_polar,
     weighted_average,
 )
 from varsphere.cli import main as cli_main
@@ -54,6 +53,7 @@ from _support import (
     random_weights,
     record_criterion,
     w_spsd_eigen,
+    weighted_polar,
 )
 
 WINE_CSV = os.path.join(os.path.dirname(__file__), "..", "data", "wine.csv")
@@ -388,7 +388,7 @@ def test_criterion_8_invariance_suites():
         h = int(rng.integers(1, n))
         w = random_weights(rng, n)
         g = rng.standard_normal((n, h))
-        v = w_orthonormal_polar(g, w)
+        v = weighted_polar(g, w)
         best = float(np.trace(v.T @ g))
         for _ in range(1000):
             u = random_w_orthonormal(rng, w, h)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from varsphere import (
+    NumericalError,
     ValidationError,
     encode_dataset,
     encode_numeric,
@@ -12,9 +13,19 @@ from varsphere import (
     load_manifest,
     resultant,
 )
+from varsphere import encoding
 from varsphere.dataset import BlockSpec, DatasetManifest
+from varsphere.geometry import sqrt_spd
 
-from _support import dense
+from _support import (
+    centred,
+    dense,
+    indicators,
+    inverse_gram,
+    inverse_variances,
+    operator_norm,
+    structure_operator,
+)
 
 
 TOY_CSV = """id,height,width,color,grade,wt
@@ -264,6 +275,55 @@ def test_block_metrics_standardized_and_projector(tmp_path):
         for c in ("height", "width")
     ]
     assert np.allclose(dense(raw2), dense(parts[0]) + dense(parts[1]), atol=1e-10)
+
+
+@pytest.mark.parametrize("metric", ["standardized-diagonal", "projector"])
+def test_blocks_are_factors_under_the_identity_metric(tmp_path, monkeypatch, metric):
+    # a block of numeric and categorical members under unequal weights: M = I,
+    # the operator is X M X'W of its centred columns under the metric named,
+    # and encoding it takes no square root
+    text = ("data = toy.csv\nweights = wt\nnumeric = height, width\ncategorical = color\n"
+            f"block.mix = height, color, width\nblock.mix.metric = {metric}\n")
+    _, path = write_toy(tmp_path, manifest_text=text)
+    ds = ingest(load_manifest(str(path)))
+    w = ds.weights
+    roots = []
+    monkeypatch.setattr(encoding, "sqrt_spd", lambda m: roots.append(1) or sqrt_spd(m))
+    block = encode_dataset(ds)[-1]
+    raw = resultant(block, w, normed=False)
+    assert not roots
+    assert np.array_equal(block.M, np.eye(4))
+    x = np.column_stack([ds.numeric["height"], centred(indicators(ds.categorical["color"]), w),
+                         ds.numeric["width"]])
+    m = inverse_variances(x, w) if metric == "standardized-diagonal" else inverse_gram(x, w)
+    assert np.allclose(dense(raw), structure_operator(x, m, w), atol=1e-10)
+
+
+def _collinear_block(tmp_path, eps):
+    """The dataset of a projector block of b = a + eps * noise, n = 50."""
+    rng = np.random.default_rng(0)
+    a, noise = rng.standard_normal(50), rng.standard_normal(50)
+    rows = zip(a.tolist(), (a + eps * noise).tolist())
+    csv_text = "a,b\n" + "".join(f"{u!r},{v!r}\n" for u, v in rows)
+    _, path = write_toy(tmp_path, csv_text=csv_text, manifest_text=(
+        "data = toy.csv\nnumeric = a, b\nblock.b = a, b\nblock.b.metric = projector\n"))
+    return ingest(load_manifest(str(path)))
+
+
+@pytest.mark.parametrize("eps", [1e-8, 1e-6])
+def test_near_collinear_projector_blocks_are_refused(tmp_path, eps):
+    # columns dependent to RANK_TOL, r_22^2 <= RANK_TOL r_11^2 in the QR of
+    # the whitened block, are refused with the block named
+    with pytest.raises(NumericalError, match="block 'b' has numerically dependent columns"):
+        encode_dataset(_collinear_block(tmp_path, eps))
+
+
+@pytest.mark.parametrize("eps", [3e-5, 1e-4])
+def test_accepted_projector_blocks_are_projectors(tmp_path, eps):
+    ds = _collinear_block(tmp_path, eps)
+    raw = dense(resultant(encode_dataset(ds)[-1], ds.weights, normed=False))
+    assert float(np.max(np.abs(raw @ raw - raw))) <= 1e-12
+    assert operator_norm(raw, ds.weights) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
 def test_block_with_categorical_member_uses_indicators(tmp_path):

@@ -23,12 +23,15 @@ from varsphere.geometry import sqrt_spd
 from _support import (
     dense,
     eigen,
+    indicators,
+    inverse_gram,
     operator_dot,
     operator_norm,
     random_labels,
     random_spd,
     random_structure,
     random_weights,
+    structure_operator,
 )
 
 
@@ -53,17 +56,33 @@ def test_numeric_resultant_is_a_unit_rank_one_projector():
 def test_one_column_factors_skip_the_eigensolve_and_the_norm_recheck(monkeypatch):
     rng = np.random.default_rng(7)
     w = random_weights(rng, 12)
-    norms = []
+    norms, roots = [], []
     gram_norm = encoding._gram_norm
     monkeypatch.setattr(encoding, "_gram_norm", lambda z, ws: norms.append(1) or gram_norm(z, ws))
+    monkeypatch.setattr(encoding, "sqrt_spd", lambda m: roots.append(1) or sqrt_spd(m))
     for _ in range(20):
-        s = encode_numeric(rng.standard_normal(12) * 10.0 ** rng.uniform(-6, 6), w)
-        raw = s.X @ sqrt_spd(s.M)
+        x = rng.standard_normal(12) * 10.0 ** rng.uniform(-6, 6)
+        s = encode_numeric(x, w)
+        c = x - np.sum(w.w * x)
+        raw = c[:, None] * np.sqrt(1.0 / float(np.sum(w.w * c * c)))
         norms.clear()
         r = resultant(s, w)
-        # the eigensolver's factor, bit for bit, normed with one norm
+        # the centred column scaled by the root of its metric 1/v, bit for
+        # bit, normed with one norm
         assert np.array_equal(r.factor, raw / np.sqrt(gram_norm(raw, w)))
         assert len(norms) == 1
+    # no structure an encoder builds takes a square root in resultant
+    cat = encode_categorical(random_labels(rng, 12, 4), w)
+    for built in (cat, compound_structure([s, cat], [0.5, 0.5], w)):
+        resultant(built, w)
+    assert not roots
+    # encode_block takes the one root that validates its metric
+    block = encode_block(rng.standard_normal((12, 3)), random_spd(rng, 3), w)
+    resultant(block, w)
+    assert len(roots) == 1
+    # a hand-built metric takes one
+    resultant(VariableStructure(X=block.X, M=random_spd(rng, 3), label="v", kind="block"), w)
+    assert len(roots) == 2
     x = s.X
     for bad in (0.0, -1.0):
         with pytest.raises(ValidationError, match="not positive definite"):
@@ -118,10 +137,16 @@ def test_categorical_drop_level_invariance():
     rng = np.random.default_rng(11)
     w = random_weights(rng, 12)
     labels = random_labels(rng, 12, 4)
-    ops = [
-        dense(resultant(encode_categorical(labels, w, drop_level=d), w))
-        for d in range(4)
-    ]
+    ops = []
+    for d in range(4):
+        s = encode_categorical(labels, w, drop_level=d)
+        # a factor under the identity metric, whose operator is the projector
+        # X (X'WX)^-1 X'W of the centred indicators kept
+        kept = indicators(labels, d)
+        assert np.array_equal(s.M, np.eye(3))
+        assert np.allclose(dense(resultant(s, w, normed=False)),
+                           structure_operator(kept, inverse_gram(kept, w), w), atol=1e-10)
+        ops.append(dense(resultant(s, w)))
     for op in ops[1:]:
         assert np.allclose(op, ops[0], atol=1e-9)
 
@@ -134,6 +159,10 @@ def test_categorical_rejects_degenerate_input():
         encode_categorical(["a", "b"], w)
     with pytest.raises(ValidationError):
         encode_categorical(["a", "b"] * 3, w, drop_level=2)
+    # a level carried by a vanishing weight leaves indicators dependent to RANK_TOL
+    light = Weights.normalized(np.array([1e-12, 1.0, 1.0, 1.0, 1.0, 1.0]))
+    with pytest.raises(NumericalError, match="categorical variable 'g'"):
+        encode_categorical(["rare", "a", "b", "a", "b", "a"], light, label="g")
 
 
 def test_block_with_unit_column_matches_numeric():

@@ -48,11 +48,15 @@ from _support import (
     dense,
     eigen,
     grad_factor,
+    indicators,
+    inverse_gram,
+    inverse_variances,
     operator_dot,
     operator_norm,
     random_labels,
     random_spd,
     random_weights,
+    structure_operator,
     w_spsd_eigen,
 )
 
@@ -61,26 +65,39 @@ TINY = 1e-6
 
 
 def _structure(rng, weights, kind, tiny):
+    """A random structure of the kind and its dense operator, by the formula
+    X M X' W of its centred data under the metric an encoder stands for."""
     n = weights.n
     if kind == "numeric":
-        return encode_numeric(rng.standard_normal(n), weights, label="num")
+        x = rng.standard_normal(n)
+        return (encode_numeric(x, weights, label="num"),
+                structure_operator(x, inverse_variances(x, weights), weights))
     if kind == "categorical":
         m = int(rng.integers(2, min(4, n) + 1))
         if tiny:  # a level seen only at the observation with the tiny weight
-            return encode_categorical(["rare"] + random_labels(rng, n - 1, m - 1), weights)
-        return encode_categorical(random_labels(rng, n, m), weights, label="cat")
+            labels = ["rare"] + random_labels(rng, n - 1, m - 1)
+        else:
+            labels = random_labels(rng, n, m)
+        x = indicators(labels)
+        return (encode_categorical(labels, weights, label="cat"),
+                structure_operator(x, inverse_gram(x, weights), weights))
     if kind == "block":  # up to n + 2 columns, so q > n happens
         q = int(rng.integers(1, n + 3))
-        return encode_block(rng.standard_normal((n, q)), random_spd(rng, q), weights)
-    members = [_structure(rng, weights, k, tiny) for k in ("numeric", "categorical", "block")]
+        x, metric = rng.standard_normal((n, q)), random_spd(rng, q)
+        return encode_block(x, metric, weights), structure_operator(x, metric, weights)
+    members, ops = zip(*[_structure(rng, weights, k, tiny)
+                         for k in ("numeric", "categorical", "block")])
     omega = rng.uniform(0.1, 1.0, size=3)
-    return compound_structure(members, omega / omega.sum(), weights)
+    omega /= omega.sum()
+    return (compound_structure(list(members), omega, weights),
+            sum(o * op / operator_norm(op, weights) for o, op in zip(omega, ops)))
 
 
 @st.composite
 def systems(draw):
     """(weights, structures, resultants, rng): 1 to 6 normed resultants on
-    2 to 9 observations, the first structure sometimes repeated."""
+    2 to 9 observations, the first structure sometimes repeated; each
+    structure comes with its dense operator (_structure)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 9))
     weighting = draw(st.sampled_from(("uniform", "random", "tiny")))
@@ -94,7 +111,7 @@ def systems(draw):
     structures = [_structure(rng, weights, k, weighting == "tiny") for k in kinds]
     if draw(st.booleans()):
         structures.append(structures[0])
-    return weights, structures, [resultant(s, weights) for s in structures], rng
+    return weights, structures, [resultant(s, weights) for s, _ in structures], rng
 
 
 def _rank_h(rng, weights, h):
@@ -117,9 +134,11 @@ def _close(a, b, rel=1e-9):
 @given(systems())
 def test_products_norms_and_spectra_match_the_dense_oracle(system):
     w, structures, rs, _ = system
-    for s, r in zip(structures, rs):
-        direct = (s.X @ s.M @ s.X.T) * w.w[None, :]
-        _close(dense(r), direct / operator_norm(direct, w))
+    for (s, oracle), r in zip(structures, rs):
+        # every encoder returns its factor under the identity metric, and the
+        # operator is the one its data and metric define
+        assert np.array_equal(s.M, np.eye(s.q))
+        _close(dense(r), oracle / operator_norm(oracle, w))
         assert r.norm() == pytest.approx(operator_norm(dense(r), w), abs=1e-9)
         u, lam = eigen(r)
         oracle = w_spsd_eigen(dense(r), w)[1]

@@ -221,23 +221,28 @@ def test_no_ascent_round_runs_on_n_rows(tmp_path, monkeypatch):
 
 
 def test_no_fit_takes_a_qr(tmp_path, monkeypatch):
-    # the frame fits every centroid from its Gram: K-means in both distances,
-    # the public averages and the `average` command run with no QR
+    # one QR per categorical variable encoded, its W-orthonormal basis, and
+    # none in any fit: the frame fits every centroid from its Gram, in K-means
+    # in both distances, the public averages and the `average` command
     from varsphere.cli import main
 
     sample = simulate_sample(SimConfig(40, beta=np.pi / 3, sigma2=0.1), np.random.default_rng(6))
-    rs = sample_resultants(sample)
     path = _write_csv(sample, tmp_path / "sample.csv")
-    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: pytest.fail("a QR was taken"))
+    calls, qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: calls.append(1) or qr(*args, **kwargs))
+    rs = sample_resultants(sample)
+    assert len(calls) == sample.categorical.shape[1] == 4
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
         for distance in ("chord", "geodesic"):
             kmeans(rs, ClusteringConfig(n_clusters=3, distance=distance, n_starts=2, seed=0))
         averaging.rank_h_average_euclidean(rs, 2)
         rank_h_average_geodesic(rs, 2)
+        assert len(calls) == 4
         code = main(["average", "--data", path, "--out-dir", str(tmp_path / "avg"),
                      "--distance", "geodesic"])
     assert code in (0, 4)
+    assert len(calls) == 8
 
 
 @pytest.mark.parametrize("criterion", [RankCriterion.fixed(2), RankCriterion.trace_ratio(0.9)],

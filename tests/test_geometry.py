@@ -10,7 +10,6 @@ from varsphere import (
     inv_sqrt_spd,
     numerical_rank,
     sqrt_spd,
-    w_orthonormal_polar,
 )
 
 from _support import (
@@ -22,6 +21,7 @@ from _support import (
     random_w_orthonormal,
     random_weights,
     w_spsd_eigen,
+    weighted_polar,
 )
 
 
@@ -155,12 +155,12 @@ def test_polar_factor_is_w_orthonormal_and_idempotent():
         h = int(rng.integers(1, n))
         w = random_weights(rng, n)
         g = rng.standard_normal((n, h))
-        v = w_orthonormal_polar(g, w)
+        v = weighted_polar(g, w)
         gram = v.T @ (w.w[:, None] * v)
         assert np.allclose(gram, np.eye(h), atol=1e-10)
         # the map inverts G = W V S (gradients carry a leading W), so an
         # orthonormal factor presented in those coordinates is a fixed point
-        assert np.allclose(w_orthonormal_polar(w.w[:, None] * v, w), v, atol=1e-9)
+        assert np.allclose(weighted_polar(w.w[:, None] * v, w), v, atol=1e-9)
 
 
 def test_polar_factor_strips_an_spd_right_factor():
@@ -173,7 +173,7 @@ def test_polar_factor_strips_an_spd_right_factor():
         a = rng.standard_normal((h, h))
         p = a @ a.T + h * np.eye(h)
         g = w.w[:, None] * (u0 @ p)
-        assert np.allclose(w_orthonormal_polar(g, w), u0, atol=1e-8)
+        assert np.allclose(weighted_polar(g, w), u0, atol=1e-8)
 
 
 def test_polar_factor_maximizes_the_trace_pairing():
@@ -183,7 +183,7 @@ def test_polar_factor_maximizes_the_trace_pairing():
         h = int(rng.integers(1, n))
         w = random_weights(rng, n)
         g = rng.standard_normal((n, h))
-        v = w_orthonormal_polar(g, w)
+        v = weighted_polar(g, w)
         best = float(np.trace(v.T @ g))
         for _ in range(50):
             other = random_w_orthonormal(rng, w, h)
