@@ -272,18 +272,17 @@ def ingest(manifest: DatasetManifest, *, table=None) -> Dataset:
 def _block_structure(dataset: Dataset, block: BlockSpec) -> VariableStructure:
     """A block's factor under the identity metric: numeric members contribute
     their column, categorical members their centred indicators (last level
-    dropped), and the centred block is standardised or, for a projector, a
-    W-orthonormal basis of its span."""
+    dropped); the centred block, refused with a constant column, is
+    standardised or, for a projector, a W-orthonormal basis of its span."""
     w = dataset.weights
     x = np.concatenate([dataset.numeric[name][:, None] if name in dataset.numeric
                         else _centred_indicators(dataset.categorical[name], w, name)[1]
                         for name in block.columns], axis=1)
     xc = x - (w.w[None, :] @ x)
+    var = np.sum(w.w[:, None] * xc * xc, axis=0)
+    if np.any(var <= ZERO_VARIANCE_REL * np.sum(w.w[:, None] * x * x, axis=0)):
+        raise ValidationError(f"block {block.name!r} has a zero-variance column")
     if block.metric == "standardized-diagonal":
-        var = np.sum(w.w[:, None] * xc * xc, axis=0)
-        floor = ZERO_VARIANCE_REL * np.sum(w.w[:, None] * x * x, axis=0)
-        if np.any(var <= floor):
-            raise ValidationError(f"block {block.name!r} has a zero-variance column")
         factor = xc * np.sqrt(1.0 / var)
     else:
         factor = _w_orthonormal_basis(xc, w, f"block {block.name!r}")

@@ -101,22 +101,22 @@ class Resultant:
         return f"Resultant({self.label or 'unnamed'}, n={self.weights.n}, {tag})"
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def _identity(q: int) -> np.ndarray:
-    """The q x q identity as a read-only view: every encoder's metric."""
+    """The q x q identity as a read-only view, every encoder's metric, which
+    `resultant` knows by object: any other M is square-rooted there."""
     return np.broadcast_to(np.eye(q), (q, q))
 
 
 def resultant(structure: VariableStructure, weights: Weights, normed: bool = True) -> Resultant:
     """R = X M X' W for a structure, normed to unit norm by default.  Its factor
-    is X under the identity metric of every encoder's structure, else X M^1/2;
+    is X under the identity metric every encoder returns, else X M^1/2;
     sqrt_spd certifies R as weighted-spsd by rejecting any M that is not
     symmetric positive definite."""
     if structure.X.shape[0] != weights.n:
         raise ValidationError("structure and weights disagree on the number of observations")
-    m, q = np.asarray(structure.M, dtype=float), structure.q
-    identity = m.shape == (q, q) and m.tobytes() == _identity(q).tobytes()  # bit for bit
-    z = structure.X if identity else structure.X @ sqrt_spd(m)
+    m = structure.M
+    z = structure.X if m is _identity(structure.q) else structure.X @ sqrt_spd(np.asarray(m, float))
     nrm = _gram_norm(z, weights)
     if nrm <= 1e-300:
         raise NumericalError(f"structure {structure.label!r} has a zero resultant")

@@ -121,10 +121,10 @@ def _polar(x: np.ndarray) -> np.ndarray:
 def _w_orthonormal_basis(x: np.ndarray, weights: Weights, what: str) -> np.ndarray:
     """B = W^-1/2 Q from one QR W^1/2 X = Q R, so B'WB = I and B B'W is the
     W-orthogonal projector X (X'WX)^-1 X'W; columns dependent to RANK_TOL,
-    r_jj^2 <= RANK_TOL max_i r_ii^2, raise NumericalError naming `what`."""
+    r_jj^2 <= RANK_TOL ||W^1/2 x_j||^2 (a squared sine to the earlier
+    columns' span, free of scale), raise NumericalError naming `what`."""
     root = np.sqrt(weights.w)[:, None]
-    q, r = np.linalg.qr(root * x)
-    d = np.abs(np.diagonal(r))
-    if d.min() <= RANK_TOL ** 0.5 * d.max():
+    q, r = np.linalg.qr(xw := root * x)
+    if np.any(np.abs(np.diagonal(r)) <= RANK_TOL ** 0.5 * np.linalg.norm(xw, axis=0)):
         raise NumericalError(f"{what} has numerically dependent columns")
     return q / root

@@ -299,31 +299,52 @@ def test_blocks_are_factors_under_the_identity_metric(tmp_path, monkeypatch, met
     assert np.allclose(dense(raw), structure_operator(x, m, w), atol=1e-10)
 
 
-def _collinear_block(tmp_path, eps):
-    """The dataset of a projector block of b = a + eps * noise, n = 50."""
+def _collinear_block(tmp_path, eps, scale=1.0):
+    """The dataset of a projector block of a and b = scale * (a + eps * noise),
+    n = 50."""
     rng = np.random.default_rng(0)
     a, noise = rng.standard_normal(50), rng.standard_normal(50)
-    rows = zip(a.tolist(), (a + eps * noise).tolist())
+    rows = zip(a.tolist(), (scale * (a + eps * noise)).tolist())
     csv_text = "a,b\n" + "".join(f"{u!r},{v!r}\n" for u, v in rows)
     _, path = write_toy(tmp_path, csv_text=csv_text, manifest_text=(
         "data = toy.csv\nnumeric = a, b\nblock.b = a, b\nblock.b.metric = projector\n"))
     return ingest(load_manifest(str(path)))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e6])
 @pytest.mark.parametrize("eps", [1e-8, 1e-6])
-def test_near_collinear_projector_blocks_are_refused(tmp_path, eps):
-    # columns dependent to RANK_TOL, r_22^2 <= RANK_TOL r_11^2 in the QR of
-    # the whitened block, are refused with the block named
+def test_near_collinear_projector_blocks_are_refused(tmp_path, eps, scale):
+    # columns dependent to RANK_TOL, r_22^2 <= RANK_TOL ||b||^2 in the QR of
+    # the whitened block, are refused with the block named, at any scale of b
     with pytest.raises(NumericalError, match="block 'b' has numerically dependent columns"):
-        encode_dataset(_collinear_block(tmp_path, eps))
+        encode_dataset(_collinear_block(tmp_path, eps, scale))
 
 
-@pytest.mark.parametrize("eps", [3e-5, 1e-4])
-def test_accepted_projector_blocks_are_projectors(tmp_path, eps):
-    ds = _collinear_block(tmp_path, eps)
+@pytest.mark.parametrize("eps, scale", [(3e-5, 1.0), (1e-4, 1.0), (1e6, 1.0), (1e6, 1e-12)])
+def test_accepted_projector_blocks_are_projectors(tmp_path, eps, scale):
+    # near-collinear columns above the rule, and independent columns whose
+    # scales differ by 1e6 either way (b about 1e6 or 1e-6 times the noise)
+    ds = _collinear_block(tmp_path, eps, scale)
     raw = dense(resultant(encode_dataset(ds)[-1], ds.weights, normed=False))
     assert float(np.max(np.abs(raw @ raw - raw))) <= 1e-12
     assert operator_norm(raw, ds.weights) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("metric", ["standardized-diagonal", "projector"])
+def test_a_constant_block_column_is_refused_under_either_metric(tmp_path, metric):
+    # centring a constant column leaves rounding residue, which a projector's
+    # scale-free rank rule would otherwise take for a direction
+    rng = np.random.default_rng(3)
+    rows = zip(rng.standard_normal(20).tolist(), rng.uniform(0.5, 2.0, 20).tolist())
+    csv_text = "a,c,wt\n" + "".join(f"{u!r},0.1,{v!r}\n" for u, v in rows)
+    _, path = write_toy(tmp_path, csv_text=csv_text, manifest_text=(
+        "data = toy.csv\nweights = wt\nnumeric = a, c\nblock.b = a, c\n"
+        f"block.b.metric = {metric}\n"))
+    ds = ingest(load_manifest(str(path)))
+    c = ds.numeric["c"]
+    assert np.any(c - ds.weights.w @ c != 0.0)
+    with pytest.raises(ValidationError, match="block 'b' has a zero-variance column"):
+        encode_dataset(ds)
 
 
 def test_block_with_categorical_member_uses_indicators(tmp_path):

@@ -21,6 +21,7 @@ from varsphere import encoding
 from varsphere.geometry import sqrt_spd
 
 from _support import (
+    centred,
     dense,
     eigen,
     indicators,
@@ -159,10 +160,22 @@ def test_categorical_rejects_degenerate_input():
         encode_categorical(["a", "b"], w)
     with pytest.raises(ValidationError):
         encode_categorical(["a", "b"] * 3, w, drop_level=2)
-    # a level carried by a vanishing weight leaves indicators dependent to RANK_TOL
+
+
+def test_a_level_with_a_vanishing_weight_is_a_projector_direction():
+    # the centred indicator of a level carried by weight 1e-12 of the others
+    # is short, not dependent: the rank rule reads each column's sine to the
+    # span before it, so the level is kept and the operator is a projector
     light = Weights.normalized(np.array([1e-12, 1.0, 1.0, 1.0, 1.0, 1.0]))
-    with pytest.raises(NumericalError, match="categorical variable 'g'"):
-        encode_categorical(["rare", "a", "b", "a", "b", "a"], light, label="g")
+    labels = ["rare", "a", "b", "a", "b", "a"]
+    s = encode_categorical(labels, light, label="g")
+    w, b = light.w[:, None], s.X
+    x = centred(indicators(labels, 2), light)
+    assert np.allclose(b.T @ (w * b), np.eye(2), atol=1e-12, rtol=0)
+    assert np.allclose(b @ (b.T @ (w * x)), x, atol=1e-12, rtol=0)
+    raw = dense(resultant(s, light, normed=False))
+    assert float(np.max(np.abs(raw @ raw - raw))) <= 1e-12
+    assert operator_norm(raw, light) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
 def test_block_with_unit_column_matches_numeric():
