@@ -5,11 +5,12 @@ scaling it back to the sphere gives the chord-optimal average, and keeping
 only its leading H eigendirections (with the eigenvalue vector rescaled to
 unit length) gives the best rank-H point of the sphere in the chord sense.
 
-All of it runs on the factors R_k = Z_k Z_k' W and on rank-H points (U, lam),
-never on an n x n operator.  The private kernels take whitened rows, where W
-is the identity: Z_k becomes W^1/2 Z_k and U becomes W^1/2 U, orthonormal, so
-T = Z' W U is a plain product and the loadings u_j' W R_k u_j are block sums
-of T^2; costs are O(n sum q H) to O(n (sum q)^2).  The public n-row functions
+All of it runs on factors, never on an n x n operator: R_k = Z_k Z_k' W, and a
+rank-H point U Lam U' W is the resultant with factor U Lam^1/2.  The private
+kernels take whitened rows, where W is the identity: Z_k becomes W^1/2 Z_k,
+so T = Z_a' W Z_b is a plain product and every scalar product
+[A_k | B_l] = ||Z_k' W Z_l||_F^2 is a block sum of T^2 (_block_sums); costs
+are O(n sum q H) to O(n (sum q)^2).  The public n-row functions
 whiten on the way in and out.  Every average is fitted in one place, _Frame,
 from the Gram Z'Z of the whitened factors, formed once: the spectrum of a
 mean comes from its members' q_S x q_S block (one stacked eigh per block
@@ -103,39 +104,28 @@ class RankCriterion:
         return out
 
 
-@dataclass
-class RankHOperator:
-    """A unit-norm rank-H point U diag(lam) U' W of the operator sphere."""
+class RankHOperator(Resultant):
+    """A unit-norm rank-H point U diag(lam) U' W of the operator sphere: the
+    resultant whose factor is U lam^1/2.  The constructor tolerates
+    eigenvalues down to -1e-12, which the factor's square root clips to 0."""
 
-    U: np.ndarray
-    lam: np.ndarray
-    weights: Weights
-    converged: bool = True
-
-    def __post_init__(self):
-        self.U = np.ascontiguousarray(self.U, dtype=float)
-        self.lam = np.asarray(self.lam, dtype=float)
-        n, h = self.U.shape if self.U.ndim == 2 else (0, 0)
-        if self.U.ndim != 2 or n != self.weights.n or h < 1 or self.lam.shape != (h,):
+    def __init__(self, U, lam, weights: Weights, converged: bool = True):
+        U, lam = np.ascontiguousarray(U, dtype=float), np.asarray(lam, dtype=float)
+        n, h = U.shape if U.ndim == 2 else (0, 0)
+        if U.ndim != 2 or n != weights.n or h < 1 or lam.shape != (h,):
             raise ValidationError("rank-H operator needs an n x H basis and H eigenvalues")
-        gram = self.U.T @ (self.weights.w[:, None] * self.U)
-        if float(np.max(np.abs(gram - np.eye(h)))) > 1e-8:
+        if float(np.max(np.abs(U.T @ (weights.w[:, None] * U) - np.eye(h)))) > 1e-8:
             raise ValidationError("basis columns are not W-orthonormal")
-        if np.any(self.lam < -1e-12) or np.any(np.diff(self.lam) > 1e-12):
+        if np.any(lam < -1e-12) or np.any(np.diff(lam) > 1e-12):
             raise ValidationError("eigenvalues must be non-negative and sorted descending")
-        if abs(float(np.linalg.norm(self.lam)) - 1.0) > 1e-8:
+        if abs(float(np.linalg.norm(lam)) - 1.0) > 1e-8:
             raise ValidationError("eigenvalue vector must have unit euclidean norm")
+        super().__init__(U * np.sqrt(np.clip(lam, 0.0, None)), weights, True, _scaled=True)
+        self.U, self.lam, self.converged = U, lam, converged
 
     @property
     def rank(self) -> int:
         return self.lam.size
-
-    def dot(self, other: Resultant) -> float:
-        """Trace scalar product with a unit-norm resultant."""
-        return float(cosines([other], [self])[0, 0])
-
-    def to_resultant(self, label: str = "") -> Resultant:
-        return Resultant(self.U * np.sqrt(self.lam), self.weights, True, label)
 
 
 def as_weight_system(omega, k: int) -> np.ndarray:
@@ -242,15 +232,18 @@ def _loadings(z, starts, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, np.add.reduceat(t * t, starts, axis=0)
 
 
-def cosines(resultants: list[Resultant], centroids: list[RankHOperator]) -> np.ndarray:
-    """Scalar products [R_k | C_l] = sum_j lam_lj u_lj' W R_k u_lj, K x L."""
-    weights = centroids[0].weights
-    if not all(x.weights.same_as(weights) for x in (*resultants, *centroids)):
+def _block_sums(t: np.ndarray, rows, cols) -> np.ndarray:
+    """The sums of t^2 over the blocks that start at `rows` and `cols`: for
+    t = Z_a' W Z_b of stacked factors, the scalar products ||Z_k' W Z_l||_F^2."""
+    return np.add.reduceat(np.add.reduceat(t * t, rows, axis=0), cols, axis=1)
+
+
+def cosines(a: list[Resultant], b: list[Resultant]) -> np.ndarray:
+    """Trace scalar products [A_k | B_l] = ||Z_k' W Z_l||_F^2, len(a) x len(b)."""
+    if not all(x.weights.same_as(a[0].weights) for x in (*a, *b)):
         raise ValidationError("operands live on different weight systems")
-    z, _, blocks = _stack(resultants)
-    _, eta = _loadings(z, blocks, np.sqrt(weights.w)[:, None] * np.hstack([c.U for c in centroids]))
-    starts = np.cumsum([0] + [c.rank for c in centroids[:-1]])
-    return np.add.reduceat(eta * np.concatenate([c.lam for c in centroids]), starts, axis=1)
+    (za, _, rows), (zb, _, cols) = _stack(a), _stack(b)
+    return _block_sums(za.T @ zb, rows, cols)
 
 
 def _objective_value(h: np.ndarray, omega: np.ndarray):
@@ -464,7 +457,8 @@ class _Frame:
     lift() takes the polar factor C (C'C)^-1/2, and signs the columns, which
     eigh and the ascent leave as they fall (the cosines ignore them).  Only a
     lift has n rows.  A request's new sets are settled together: one stacked
-    eigh per block size, and one product G P = Z'C for all their cosines.
+    eigh per block size, and one product G P lam^1/2 = Z'C lam^1/2, the
+    whitened Z' W times the centroids' factors, for all their cosines.
 
     The full-rank (RankCriterion.full) chord centroid is the normalised mean
     M_S/||M_S||, whose cosines fit_cosines reads with no spectrum from the
@@ -513,8 +507,7 @@ class _Frame:
 
     @functools.cached_property
     def _cosine_matrix(self) -> np.ndarray:  # A, the block sums of the squared Gram Z'Z
-        squares = self._gram * self._gram
-        return np.add.reduceat(np.add.reduceat(squares, self._starts), self._starts, axis=1)
+        return _block_sums(self._gram, self._starts, self._starts)
 
     def fit_cosines(self, chosen: np.ndarray, distance: str, h: int | RankCriterion) -> np.ndarray:
         """Each member set's K cosines to its centroid; at full rank in chord,
@@ -539,7 +532,7 @@ class _Frame:
 
     def _settle(self, chosen: np.ndarray, keys: list, distance: str, h: int | RankCriterion):
         """Memoise each set's fit under h and under the rank h picks from its
-        spectrum; the new fits read their cosines from one product G P."""
+        spectrum; the new fits read their cosines from one product G P lam^1/2."""
         self.spectra(chosen, keys)
         new = {}  # (key, rank) of each new fit: ((columns, P), lam_h, converged)
         for key, row in dict(zip(keys, chosen)).items():
@@ -562,10 +555,8 @@ class _Frame:
         at = np.cumsum([0] + [lam.size for _, lam, _ in new.values()])
         p = np.zeros((self._gram.shape[0], at[-1]))
         for ((cols, coef), lam, _), start in zip(new.values(), at):
-            p[cols, start:start + lam.size] = coef
-        t = self._gram @ p  # every new fit's Z'C
-        cos = np.add.reduceat(np.add.reduceat(t * t, self._starts) * np.concatenate(
-            [[]] + [lam for _, lam, _ in new.values()]), at[:-1], axis=1)
+            p[cols, start:start + lam.size] = coef * np.sqrt(lam)  # the factor's coefficients
+        cos = _block_sums(self._gram @ p, self._starts, at[:-1])
         for ((key, rank), (basis, lam, converged)), cos_k in zip(new.items(), cos.T):
             self._memo[key, distance, h] = self._memo[key, distance, rank] = basis, lam, converged, cos_k
 

@@ -264,15 +264,11 @@ def _geodesic_profile(frame: _Frame, h_max: int) -> list[float]:
 
 
 def centroid_separation(model: ClusterModel) -> np.ndarray:
-    """Pairwise scalar products between centroids (unit diagonal):
-    [C_a | C_b] = sum_ij lam_i mu_j ((U_a' W U_b)_ij)^2."""
-    cs = model.centroids
-    cos = np.eye(len(cs))
-    for i, a in enumerate(cs):
-        for j in range(i + 1, len(cs)):
-            g = a.U.T @ (a.weights.w[:, None] * cs[j].U)
-            cos[i, j] = cos[j, i] = float(a.lam @ (g * g) @ cs[j].lam)
-    return cos
+    """Pairwise scalar products [C_a | C_b] between centroids, one product of
+    their factors, mirrored from above the diagonal so that it is exactly
+    symmetric with a unit diagonal."""
+    upper = np.triu(cosines(model.centroids, model.centroids), 1)
+    return upper + upper.T + np.eye(len(model.centroids))
 
 
 def cluster_summary(

@@ -2,12 +2,11 @@
 
 The manifest declares which columns are numeric, which are categorical,
 an optional weight column, and optional named blocks of columns that are
-encoded together, as their factor under the identity metric: standardised
-columns, or one QR basis of their span (projector).  A bare CSV can also be
-ingested without a manifest, in which case every column is typed by inspection
-(numeric when every cell parses as a float).  A blank or whitespace-only
-cell is a missing value in any column, and a leading byte-order mark in
-either file is ignored.
+encoded together, as their factor: standardised columns, or one QR basis of
+their span (projector).  A bare CSV can also be ingested without a manifest,
+in which case every column is typed by inspection (numeric when every cell
+parses as a float).  A blank or whitespace-only cell is a missing value in
+any column, and a leading byte-order mark in either file is ignored.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import numpy as np
 from .encoding import (
     VariableStructure,
     _centred_indicators,
-    _identity,
     encode_categorical,
     encode_numeric,
 )
@@ -70,9 +68,10 @@ def load_manifest(path: str) -> DatasetManifest:
 
     Keys: data (CSV path, relative to the manifest), weights (column name),
     numeric / categorical (comma-separated column lists, may repeat),
-    block.<name> (column list) and block.<name>.metric (one of
-    standardized-diagonal, projector).  A `#` starts a comment only at the
-    start of a line or after whitespace, so `numeric = a#1` names column a#1.
+    block.<name> (a non-empty column list) and block.<name>.metric (one of
+    standardized-diagonal, projector).  Every key but numeric and categorical
+    may appear only once.  A `#` starts a comment only at the start of a line
+    or after whitespace, so `numeric = a#1` names column a#1.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -85,6 +84,7 @@ def load_manifest(path: str) -> DatasetManifest:
     categorical: list[str] = []
     block_cols: dict[str, tuple[str, ...]] = {}
     block_metric: dict[str, str] = {}
+    seen: set[str] = set()  # the single-valued keys read so far
     for lineno, raw in enumerate(lines, start=1):
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
@@ -92,6 +92,10 @@ def load_manifest(path: str) -> DatasetManifest:
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise ValidationError(f"{path}:{lineno}: key {key!r} is repeated")
+        if key not in ("numeric", "categorical"):
+            seen.add(key)
         if key == "data":
             data_path = value
         elif key == "weights":
@@ -109,8 +113,10 @@ def load_manifest(path: str) -> DatasetManifest:
                         f"{path}:{lineno}: block metric must be one of {BLOCK_METRICS}"
                     )
                 block_metric[name] = value
+            elif columns := _split_list(value):
+                block_cols[rest] = columns
             else:
-                block_cols[rest] = _split_list(value)
+                raise ValidationError(f"{path}:{lineno}: block {rest!r} declares no columns")
         else:
             raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
     if not data_path:
@@ -259,6 +265,10 @@ def ingest(manifest: DatasetManifest, *, table=None) -> Dataset:
         for name in header
         if (name in numeric_cols or name in categorical_cols) and name not in blocked
     ]
+    for block in manifest.blocks:
+        if block.name in order:
+            raise ValidationError(f"{path}: block {block.name!r} has the name of a column "
+                                  "that is encoded on its own")
     return Dataset(
         n=n,
         weights=weights,
@@ -270,7 +280,7 @@ def ingest(manifest: DatasetManifest, *, table=None) -> Dataset:
 
 
 def _block_structure(dataset: Dataset, block: BlockSpec) -> VariableStructure:
-    """A block's factor under the identity metric: numeric members contribute
+    """A block's structure, held as its factor: numeric members contribute
     their column, categorical members their centred indicators (last level
     dropped); the centred block, refused with a constant column, is
     standardised or, for a projector, a W-orthonormal basis of its span."""
@@ -286,7 +296,7 @@ def _block_structure(dataset: Dataset, block: BlockSpec) -> VariableStructure:
         factor = xc * np.sqrt(1.0 / var)
     else:
         factor = _w_orthonormal_basis(xc, w, f"block {block.name!r}")
-    return VariableStructure(factor, _identity(factor.shape[1]), block.name, "block")
+    return VariableStructure(factor, block.name, "block")
 
 
 def encode_dataset(dataset: Dataset) -> list[VariableStructure]:

@@ -4,8 +4,10 @@ Unit-norm resultants live on the sphere of operator space, where two natural
 metrics coexist: the chord (straight-line) distance and the geodesic
 (arc-length) distance.  Both are driven by the trace scalar product, which
 for variable encodings expands into sums of squared correlations between
-factor columns, ||Z_a' W Z_b||_F^2 (Resultant.dot), so the classical RV,
-phi-square and Tschuprow association measures all appear as cosines here.
+factor columns, ||Z_a' W Z_b||_F^2 (Resultant.dot, which refuses operands on
+different weight systems), so the classical RV, phi-square and Tschuprow
+association measures all appear as cosines here.  A rank-H centroid is a
+resultant, so every function taking two resultants takes it too.
 """
 
 from __future__ import annotations
@@ -17,11 +19,6 @@ from .errors import NumericalError, ValidationError
 from .geometry import Weights
 
 COS_SLACK = 1e-8
-
-
-def _paired(a: Resultant, b: Resultant) -> None:
-    if not a.weights.same_as(b.weights):
-        raise ValidationError("resultants live on different weight systems")
 
 
 def _require_normed(*rs: Resultant) -> None:
@@ -39,21 +36,18 @@ def clamped_cosine(value: float) -> float:
 
 def chord_dist(a: Resultant, b: Resultant) -> float:
     """Straight-line distance sqrt(2 (1 - [A|B])) between unit-norm operators."""
-    _paired(a, b)
     _require_normed(a, b)
     return float(np.sqrt(max(2.0 * (1.0 - a.dot(b)), 0.0)))
 
 
 def geodesic_dist(a: Resultant, b: Resultant) -> float:
     """Arc-length distance arccos([A|B]) on the unit sphere of operators."""
-    _paired(a, b)
     _require_normed(a, b)
     return float(np.arccos(clamped_cosine(a.dot(b))))
 
 
 def rv_cos(a: Resultant, b: Resultant) -> float:
     """Cosine [A|B] / (||A|| ||B||); the RV coefficient of the two structures."""
-    _paired(a, b)
     na, nb = a.norm(), b.norm()
     if na <= 0.0 or nb <= 0.0:
         raise NumericalError("cannot take the cosine with a zero operator")

@@ -1,23 +1,24 @@
 """Variable structures and their resultant operators.
 
-A variable-structure is a centred data block X together with a symmetric
-positive-definite metric M on its columns.  Its resultant R = X M X' W is a
+A variable-structure is a centred data block with a symmetric
+positive-definite metric M on its columns, held as its n x q factor
+Z = X M^1/2: `VariableStructure(X = Z)`.  Its resultant R = Z Z' W is a
 weighted-spsd operator on observation space; scaled to unit trace norm it
 becomes a point on the unit sphere of operator space, which is the common
-representation this package clusters and averages.
+representation this package clusters and averages.  A rank-H average is a
+point of the same sphere, the resultant whose factor is U Lam^1/2.
 
-A resultant is held only as its n x q factor Z = X M^1/2 (over sqrt(||R||)
-when normed), R = Z Z' W, and no n x n operator is ever formed:
-[R_a|R_b] = ||Z_a' W Z_b||_F^2 and ||R|| = ||Z' W Z||_F, both in O(n q^2);
-spectra are taken by the averaging frame, from the Gram of stacked factors.
+A resultant is held only as its factor (over sqrt(||R||) when normed), and no
+n x n operator is ever formed: [R_a|R_b] = ||Z_a' W Z_b||_F^2 and
+||R|| = ||Z' W Z||_F, both in O(n q^2); spectra are taken by the averaging
+frame, from the Gram of stacked factors.
 
-Every encoder returns its structure's factor under the identity metric, so
-`resultant` only norms it; only a hand-built metric takes a square root.
+Every encoder returns that factor, so `resultant` only norms it; a metric is
+given only through `encode_block`, which takes its one square root.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +31,11 @@ KINDS = ("numeric", "categorical", "block")
 
 @dataclass(frozen=True)
 class VariableStructure:
-    """A centred data block with a positive-definite column metric.
+    """A centred data block under its column metric, held as its factor.
 
     Attributes:
-        X: n x q matrix of weighted-centred columns.
-        M: q x q symmetric positive-definite metric; I from every encoder.
+        X: n x q factor Z = X M^1/2 of the weighted-centred columns under
+            their metric, so that the structure's resultant is Z Z' W.
         label: display name.
         kind: one of "numeric", "categorical", "block".
         levels: for categorical structures, the level labels in
@@ -42,7 +43,6 @@ class VariableStructure:
     """
 
     X: np.ndarray
-    M: np.ndarray
     label: str
     kind: str
     levels: tuple = ()
@@ -62,13 +62,13 @@ def _gram_norm(z: np.ndarray, weights: Weights) -> float:
 
 
 class Resultant:
-    """An operator X M X' W, optionally scaled to unit trace norm, held as its
-    factor Z (n x q) with op = Z Z' W.  Any factor gives a weighted-spsd
-    operator, so the constructor only checks the shape, the entries and, for
-    a normed resultant, ||Z' W Z||_F = 1, which `resultant` skips
-    (_scaled) for the factors it divides by their own norm.  The factor is
-    held C-contiguous: BLAS rounds products by memory layout, so results
-    would otherwise depend on how the caller built it."""
+    """An operator Z Z' W, optionally scaled to unit trace norm, held as its
+    n x q factor Z.  Any factor gives a weighted-spsd operator, so the
+    constructor only checks the shape, the entries and, for a normed
+    resultant, ||Z' W Z||_F = 1, which `resultant` skips (_scaled) for the
+    factors it divides by their own norm.  The factor is held C-contiguous:
+    BLAS rounds products by memory layout, so results would otherwise depend
+    on how the caller built it."""
 
     def __init__(self, factor, weights: Weights, normed: bool, label: str = "",
                  *, _scaled: bool = False):
@@ -101,29 +101,16 @@ class Resultant:
         return f"Resultant({self.label or 'unnamed'}, n={self.weights.n}, {tag})"
 
 
-@functools.lru_cache(maxsize=16)
-def _identity(q: int) -> np.ndarray:
-    """The q x q identity as a read-only view, every encoder's metric, which
-    `resultant` knows by object: any other M is square-rooted there."""
-    return np.broadcast_to(np.eye(q), (q, q))
-
-
 def resultant(structure: VariableStructure, weights: Weights, normed: bool = True) -> Resultant:
-    """R = X M X' W for a structure, normed to unit norm by default.  Its factor
-    is X under the identity metric every encoder returns, else X M^1/2;
-    sqrt_spd certifies R as weighted-spsd by rejecting any M that is not
-    symmetric positive definite."""
+    """R = X X' W for a structure's factor X, normed to unit norm by default."""
     if structure.X.shape[0] != weights.n:
         raise ValidationError("structure and weights disagree on the number of observations")
-    m = structure.M
-    z = structure.X if m is _identity(structure.q) else structure.X @ sqrt_spd(np.asarray(m, float))
-    nrm = _gram_norm(z, weights)
+    nrm = _gram_norm(structure.X, weights)
     if nrm <= 1e-300:
         raise NumericalError(f"structure {structure.label!r} has a zero resultant")
     if nrm == np.inf:  # dividing by it would leave a zero factor flagged normed
         raise NumericalError(f"structure {structure.label!r} has a resultant too large to norm")
-    if normed:
-        z = z / np.sqrt(nrm)
+    z = structure.X / np.sqrt(nrm) if normed else structure.X
     return Resultant(z, weights, normed=normed, label=structure.label, _scaled=True)
 
 
@@ -146,7 +133,7 @@ def encode_numeric(x, weights: Weights, label: str = "") -> VariableStructure:
     v = float(np.sum(weights.w * c * c))
     if v <= ZERO_VARIANCE_REL * float(np.sum(weights.w * x * x)):
         raise ValidationError(f"numeric variable {label!r} has zero variance")
-    return VariableStructure(c[:, None] * np.sqrt(1.0 / v), _identity(1), label, "numeric")
+    return VariableStructure(c[:, None] * np.sqrt(1.0 / v), label, "numeric")
 
 
 def _centred_indicators(labels, weights: Weights, label: str,
@@ -182,11 +169,12 @@ def encode_categorical(labels, weights: Weights, label: str = "",
     """
     levels, x = _centred_indicators(labels, weights, label, drop_level)
     basis = _w_orthonormal_basis(x, weights, f"categorical variable {label!r}")
-    return VariableStructure(basis, _identity(basis.shape[1]), label, "categorical", tuple(levels))
+    return VariableStructure(basis, label, "categorical", tuple(levels))
 
 
 def encode_block(x, m, weights: Weights, label: str = "") -> VariableStructure:
-    """Encode a data block X with a positive-definite metric M as X M^1/2."""
+    """Encode a data block X with a positive-definite metric M as its factor
+    X M^1/2, the one way to give a structure a metric."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != weights.n:
         raise ValidationError(f"block {label!r} must be an n x q matrix with n = {weights.n}")
@@ -199,7 +187,7 @@ def encode_block(x, m, weights: Weights, label: str = "") -> VariableStructure:
     xc = _center_columns(x, weights)
     if float(np.max(np.abs(xc))) <= 0.0:
         raise ValidationError(f"block {label!r} is zero after centering")
-    return VariableStructure(xc @ root, _identity(x.shape[1]), label, "block")
+    return VariableStructure(xc @ root, label, "block")
 
 
 def compound_structure(
@@ -208,8 +196,8 @@ def compound_structure(
     """Bundle several structures into one block whose normed resultant is the
     normed weighted average of the members' unit-norm resultants.
 
-    Each member contributes the columns sqrt(omega_h / ||R_h||) * X_h M_h^1/2
-    under the identity metric, so the compound resultant expands to
+    Each member contributes its factor's columns scaled by
+    sqrt(omega_h / ||R_h||), so the compound resultant expands to
     sum_h omega_h R_h / ||R_h||.
     """
     if not structures:
@@ -227,5 +215,4 @@ def compound_structure(
     x = np.concatenate(blocks, axis=1)
     if _gram_norm(x, weights) <= 1e-300:
         raise NumericalError("compound structure has a zero resultant")
-    return VariableStructure(x, _identity(x.shape[1]),
-                             label or "+".join(s.label for s in structures), "block")
+    return VariableStructure(x, label or "+".join(s.label for s in structures), "block")

@@ -113,8 +113,7 @@ def test_rank_one_average_beats_random_candidates():
         w = random_weights(rng, n)
         rs = [random_normed_resultant(rng, w) for _ in range(3)]
         avg = rank_h_average_euclidean(rs, 1)
-        avg_r = avg.to_resultant()
-        obj = sum(chord_dist(r, avg_r) ** 2 for r in rs) / 3.0
+        obj = sum(chord_dist(r, avg) ** 2 for r in rs) / 3.0
         for _ in range(500):
             x = rng.standard_normal(n)
             cand = Resultant(x[:, None] / np.sqrt(np.sum(w.w * x * x)), w, normed=True)
@@ -139,6 +138,19 @@ def test_rank_h_operator_validation():
         RankHOperator(u * 2.0, lam, w)  # not W-orthonormal
     with pytest.raises(ValidationError):
         RankHOperator(u, np.array([0.8, 0.6, 0.0]), w)  # shape mismatch
+
+
+def test_a_rank_h_operator_clips_tolerated_negative_eigenvalues_in_its_factor():
+    # the constructor accepts eigenvalues down to -1e-12; the factor U lam^1/2
+    # takes the root of their clip at 0, so it stays finite
+    rng = np.random.default_rng(23)
+    w = random_weights(rng, 5)
+    u = random_w_orthonormal(rng, w, 2)
+    op = RankHOperator(u, np.array([1.0, -5e-13]), w)
+    assert isinstance(op, Resultant) and op.normed
+    assert np.isfinite(op.factor).all()
+    assert np.array_equal(op.factor, u * np.array([1.0, 0.0]))
+    assert op.norm() == 1.0
 
 
 def test_choose_rank_trace_ratio():
@@ -211,19 +223,25 @@ def test_rank_h_average_eigenstructure_matches_an_oracle():
 
 
 def test_cosines_match_the_dense_oracle():
+    # either side may be resultants or centroids: a centroid is the resultant
+    # with factor U Lam^1/2, and the oracle reads it from (U, lam)
     rng = np.random.default_rng(31)
-    ranks_seen = set()
+    ranks_seen, sides_seen = set(), set()
     for trial in range(40):
         w = random_weights(rng, int(rng.integers(5, 10)))
         rs = [random_normed_resultant(rng, w) for _ in range(int(rng.integers(1, 6)))]
         cs = [random_rank_h(rng, w, int(rng.integers(1, 4))) for _ in range(1 + trial % 4)]
         ranks_seen.update(c.rank for c in cs)
-        oracle = np.array([[np.sum(dense(r) * dense(c).T) for c in cs] for r in rs])
-        got = cosines(rs, cs)
-        assert got.shape == (len(rs), len(cs))
+        a, b = (rs, cs)[trial % 2], (rs, cs)[trial // 2 % 2]
+        sides_seen.add((trial % 2, trial // 2 % 2))
+        oracle = np.array([[np.sum(dense(x) * dense(y).T) for y in b] for x in a])
+        got = cosines(a, b)
+        assert got.shape == (len(a), len(b))
         assert np.allclose(got, oracle, rtol=0.0, atol=1e-12)
-        assert cs[0].dot(rs[0]) == pytest.approx(got[0, 0], abs=1e-12)
+        assert a[0].dot(b[0]) == pytest.approx(got[0, 0], abs=1e-12)
+        assert cs[0].dot(rs[0]) == pytest.approx(rs[0].dot(cs[0]), abs=1e-12)
     assert ranks_seen == {1, 2, 3}
+    assert sides_seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
     stranger = random_normed_resultant(rng, random_weights(rng, w.n))
     with pytest.raises(ValidationError):
         cosines([stranger], cs)

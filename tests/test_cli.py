@@ -114,6 +114,15 @@ def test_cluster_with_manifest_and_blocks(data_csv, tmp_path):
     assert [r[0] for r in rows[1:]] == ["v3", "v4", "color", "grade", "pair"]
 
 
+def test_an_empty_block_exits_2_naming_its_line(data_csv, tmp_path, capsys):
+    manifest = tmp_path / "vars.manifest"
+    manifest.write_text("data = vars.csv\nnumeric = v1, v2, v3\nblock.e =\n")
+    code = main(["cluster", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out"),
+                 "--L", "2"])
+    assert code == 2
+    assert f"error: {manifest}:3: block 'e' declares no columns" in capsys.readouterr().err
+
+
 def test_average_chord_and_geodesic(data_csv, tmp_path):
     out = tmp_path / "avg"
     code = main([

@@ -119,7 +119,7 @@ def test_assignment_rule_matches_the_distances():
     for r in rs:
         chord_pick = assign(r, centroids, "chord")
         geo_pick = assign(r, centroids, "geodesic")
-        dists = [chord_dist(r, c.to_resultant()) for c in centroids]
+        dists = [chord_dist(r, c) for c in centroids]
         assert chord_pick == int(np.argmin(dists))
         assert geo_pick == chord_pick  # both distances decrease in the cosine
     with pytest.raises(ValidationError):

@@ -94,6 +94,37 @@ def test_load_manifest_errors_carry_line_numbers(tmp_path):
         load_manifest(str(tmp_path / "absent.manifest"))
 
 
+@pytest.mark.parametrize("lines", [
+    ["numeric = height", "data = toy.csv", "data = other.csv"],
+    ["data = toy.csv", "numeric = height", "weights = wt", "weights = height"],
+    ["data = toy.csv", "numeric = height, width", "block.e = height, width", "block.e = width"],
+    ["data = toy.csv", "numeric = height", "block.e = height", "block.e.metric = projector",
+     "block.e.metric = projector"],
+])
+def test_a_single_valued_key_may_not_repeat(tmp_path, lines):
+    # the last line repeats a key that may appear once, and would silently win
+    _, path = write_toy(tmp_path, manifest_text="\n".join(lines) + "\n")
+    with pytest.raises(ValidationError, match=rf"toy\.manifest:{len(lines)}: key .* is repeated"):
+        load_manifest(str(path))
+
+
+def test_an_empty_block_is_refused_with_its_line(tmp_path):
+    _, path = write_toy(tmp_path, manifest_text="data = toy.csv\nnumeric = height\nblock.e =\n")
+    with pytest.raises(ValidationError, match=r"toy\.manifest:3: block 'e' declares no columns"):
+        load_manifest(str(path))
+
+
+def test_a_block_may_not_take_the_name_of_a_standalone_column(tmp_path):
+    text = "data = toy.csv\nnumeric = height, width, wt\nblock.{} = width, wt\n"
+    _, path = write_toy(tmp_path, manifest_text=text.format("height"))
+    with pytest.raises(ValidationError, match="block 'height' has the name of a column"):
+        ingest(load_manifest(str(path)))
+    # a block may take the name of one of its own members
+    _, path = write_toy(tmp_path, manifest_text=text.format("width"))
+    labels = [s.label for s in encode_dataset(ingest(load_manifest(str(path))))]
+    assert labels == ["height", "width"]
+
+
 def test_infer_manifest_types_by_inspection(tmp_path):
     data, _ = write_toy(tmp_path)
     m = infer_manifest(str(data))
@@ -279,8 +310,8 @@ def test_block_metrics_standardized_and_projector(tmp_path):
 
 @pytest.mark.parametrize("metric", ["standardized-diagonal", "projector"])
 def test_blocks_are_factors_under_the_identity_metric(tmp_path, monkeypatch, metric):
-    # a block of numeric and categorical members under unequal weights: M = I,
-    # the operator is X M X'W of its centred columns under the metric named,
+    # a block of numeric and categorical members under unequal weights: its
+    # factor's operator is X M X'W of its centred columns under the metric named,
     # and encoding it takes no square root
     text = ("data = toy.csv\nweights = wt\nnumeric = height, width\ncategorical = color\n"
             f"block.mix = height, color, width\nblock.mix.metric = {metric}\n")
@@ -292,7 +323,6 @@ def test_blocks_are_factors_under_the_identity_metric(tmp_path, monkeypatch, met
     block = encode_dataset(ds)[-1]
     raw = resultant(block, w, normed=False)
     assert not roots
-    assert np.array_equal(block.M, np.eye(4))
     x = np.column_stack([ds.numeric["height"], centred(indicators(ds.categorical["color"]), w),
                          ds.numeric["width"]])
     m = inverse_variances(x, w) if metric == "standardized-diagonal" else inverse_gram(x, w)

@@ -17,8 +17,12 @@ from varsphere import (
 )
 
 from _support import (
+    dense,
+    operator_dot,
+    operator_norm,
     random_labels,
     random_normed_resultant,
+    random_rank_h,
     random_structure,
     random_weights,
 )
@@ -52,6 +56,23 @@ def test_distance_formulas_and_symmetry():
         assert geodesic_dist(a, b) == pytest.approx(geodesic_dist(b, a))
         assert chord_dist(a, a) == pytest.approx(0.0, abs=1e-6)
         assert geodesic_dist(a, a) == pytest.approx(0.0, abs=1e-5)
+
+
+def test_distances_take_a_centroid_directly():
+    # a rank-H centroid is a unit-norm resultant; the oracle is its dense
+    # operator U Lam U' W, built from (U, lam) and not from its factor
+    rng = np.random.default_rng(9)
+    for _ in range(30):
+        w = random_weights(rng, int(rng.integers(4, 9)))
+        a = random_normed_resultant(rng, w)
+        c = random_rank_h(rng, w, int(rng.integers(1, 4)))
+        for x, y in ((a, c), (c, a), (c, c)):
+            cos = operator_dot(dense(x), dense(y), w)
+            assert chord_dist(x, y) == pytest.approx(np.sqrt(max(2.0 * (1.0 - cos), 0.0)),
+                                                     abs=1e-7)
+            assert geodesic_dist(x, y) == pytest.approx(np.arccos(min(cos, 1.0)), abs=1e-6)
+            assert rv_cos(x, y) == pytest.approx(
+                cos / (operator_norm(dense(x), w) * operator_norm(dense(y), w)), abs=1e-10)
 
 
 def test_chord_triangle_inequality():

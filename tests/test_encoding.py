@@ -7,7 +7,6 @@ from varsphere import (
     NumericalError,
     Resultant,
     ValidationError,
-    VariableStructure,
     Weights,
     compound_structure,
     encode_block,
@@ -81,13 +80,10 @@ def test_one_column_factors_skip_the_eigensolve_and_the_norm_recheck(monkeypatch
     block = encode_block(rng.standard_normal((12, 3)), random_spd(rng, 3), w)
     resultant(block, w)
     assert len(roots) == 1
-    # a hand-built metric takes one
-    resultant(VariableStructure(X=block.X, M=random_spd(rng, 3), label="v", kind="block"), w)
-    assert len(roots) == 2
-    x = s.X
+    # a metric that is not positive definite is refused by that root
     for bad in (0.0, -1.0):
         with pytest.raises(ValidationError, match="not positive definite"):
-            resultant(VariableStructure(X=x, M=np.array([[bad]]), label="v", kind="block"), w)
+            encode_block(s.X, np.array([[bad]]), w)
     # a norm that overflows would leave a zero factor flagged normed
     with pytest.raises(NumericalError, match="too large to norm"), np.errstate(over="ignore"):
         resultant(encode_block(rng.standard_normal((12, 2)) * 1e200, np.eye(2), w), w)
@@ -141,10 +137,9 @@ def test_categorical_drop_level_invariance():
     ops = []
     for d in range(4):
         s = encode_categorical(labels, w, drop_level=d)
-        # a factor under the identity metric, whose operator is the projector
-        # X (X'WX)^-1 X'W of the centred indicators kept
+        # a factor whose operator is the projector X (X'WX)^-1 X'W of the
+        # centred indicators kept
         kept = indicators(labels, d)
-        assert np.array_equal(s.M, np.eye(3))
         assert np.allclose(dense(resultant(s, w, normed=False)),
                            structure_operator(kept, inverse_gram(kept, w), w), atol=1e-10)
         ops.append(dense(resultant(s, w)))
