@@ -10,7 +10,6 @@ simulation benchmark, and a CSV-driven command line.
 from .averaging import (
     RankCriterion,
     RankHOperator,
-    as_weight_system,
     choose_rank,
     fixed_point_residual,
     geodesic_gradients,
@@ -43,7 +42,6 @@ from .dataset import (
 )
 from .distances import (
     chord_dist,
-    clamped_cosine,
     geodesic_dist,
     phi2,
     rv_cos,
@@ -64,12 +62,7 @@ from .errors import (
     ValidationError,
     VarsphereError,
 )
-from .geometry import (
-    Weights,
-    inv_sqrt_spd,
-    numerical_rank,
-    sqrt_spd,
-)
+from .geometry import Weights
 from .simulation import (
     BenchmarkRow,
     SimConfig,
@@ -101,12 +94,10 @@ __all__ = [
     "VariableStructure",
     "VarsphereError",
     "Weights",
-    "as_weight_system",
     "assign",
     "centroid_separation",
     "choose_rank",
     "chord_dist",
-    "clamped_cosine",
     "classical_mds",
     "cluster_summary",
     "compound_structure",
@@ -123,10 +114,8 @@ __all__ = [
     "inertia_ratio",
     "infer_manifest",
     "ingest",
-    "inv_sqrt_spd",
     "kmeans",
     "load_manifest",
-    "numerical_rank",
     "phi2",
     "rand_discrepancy",
     "rank_h_average_euclidean",
@@ -138,7 +127,6 @@ __all__ = [
     "simulate_latents",
     "simulate_sample",
     "sphere_average",
-    "sqrt_spd",
     "tschuprow",
     "weighted_average",
 ]

@@ -9,8 +9,8 @@ All of it runs on factors, never on an n x n operator: R_k = Z_k Z_k' W, and a
 rank-H point U Lam U' W is the resultant with factor U Lam^1/2.  The private
 kernels take whitened rows, where W is the identity: Z_k becomes W^1/2 Z_k,
 so T = Z_a' W Z_b is a plain product and every scalar product
-[A_k | B_l] = ||Z_k' W Z_l||_F^2 is a block sum of T^2 (_block_sums); costs
-are O(n sum q H) to O(n (sum q)^2).  The public n-row functions
+[A_k | B_l] = ||Z_k' W Z_l||_F^2 is a block sum of T^2 (encoding's
+_block_sums); costs are O(n sum q H) to O(n (sum q)^2).  The public n-row functions
 whiten on the way in and out.  Every average is fitted in one place, _Frame,
 from the Gram Z'Z of the whitened factors, formed once: the spectrum of a
 mean comes from its members' q_S x q_S block (one stacked eigh per block
@@ -22,7 +22,8 @@ there, and only returned averages are lifted to n rows.
 
 The geodesic counterpart maximizes
     g(lam, U) = - sum_k omega_k arccos(h_k)^2,   h_k = tr(U' A_k U Lam),
-over W-orthonormal U and unit-length lam, where A_k = W R_k.  It is computed
+over W-orthonormal U and unit-length lam, where A_k = W R_k (arccos^2 is the
+geodesic branch of distances._sq_dist_from_cos).  It is computed
 by a fixed-point ascent (rescaled gradient for lam, weighted polar factor for
 U) accelerated by type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal.
 2011): each round combines the last ANDERSON_MEMORY differences of iterates
@@ -37,11 +38,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .encoding import Resultant
+from .distances import _sq_dist_from_cos
+from .encoding import Resultant, _block_sums, _stack, cosines
 from .errors import ConvergenceWarning, NumericalError, ValidationError, warn
 from .geometry import (
     EIGEN_DROP_TOL,
@@ -49,6 +51,7 @@ from .geometry import (
     Weights,
     _fix_column_signs,
     _polar,
+    as_weight_system,
     numerical_rank,
 )
 
@@ -96,12 +99,7 @@ class RankCriterion:
         return cls("fixed", h=int(h))
 
     def describe(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.theta is not None:
-            out["theta"] = self.theta
-        if self.h is not None:
-            out["h"] = self.h
-        return out
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 class RankHOperator(Resultant):
@@ -126,18 +124,6 @@ class RankHOperator(Resultant):
     @property
     def rank(self) -> int:
         return self.lam.size
-
-
-def as_weight_system(omega, k: int) -> np.ndarray:
-    """Validate (or default to uniform) a weight vector over k resultants."""
-    if omega is None:
-        return np.full(k, 1.0 / k)
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (k,):
-        raise ValidationError(f"expected {k} weights, got shape {omega.shape}")
-    if np.any(omega < 0.0) or abs(omega.sum() - 1.0) > 1e-12:
-        raise ValidationError("weights must be non-negative and sum to 1")
-    return omega
 
 
 def _gather(resultants: list[Resultant]) -> Weights:
@@ -217,14 +203,6 @@ def choose_rank(eigenvalues, criterion: RankCriterion) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _stack(resultants: list[Resultant]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The whitened factors side by side, W^1/2 [Z_1 ... Z_K], the width q_k of
-    each and the column each starts at."""
-    widths = np.array([r.factor.shape[1] for r in resultants])
-    return (np.sqrt(resultants[0].weights.w)[:, None] * np.hstack([r.factor for r in resultants]),
-            widths, np.cumsum(widths) - widths)
-
-
 def _loadings(z, starts, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """T = Z' U for whitened blocks from `starts` and basis, and the loadings
     eta_kj = u_j' W R_k u_j = ||Z_k' u_j||^2 (K x H)."""
@@ -232,23 +210,9 @@ def _loadings(z, starts, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, np.add.reduceat(t * t, starts, axis=0)
 
 
-def _block_sums(t: np.ndarray, rows, cols) -> np.ndarray:
-    """The sums of t^2 over the blocks that start at `rows` and `cols`: for
-    t = Z_a' W Z_b of stacked factors, the scalar products ||Z_k' W Z_l||_F^2."""
-    return np.add.reduceat(np.add.reduceat(t * t, rows, axis=0), cols, axis=1)
-
-
-def cosines(a: list[Resultant], b: list[Resultant]) -> np.ndarray:
-    """Trace scalar products [A_k | B_l] = ||Z_k' W Z_l||_F^2, len(a) x len(b)."""
-    if not all(x.weights.same_as(a[0].weights) for x in (*a, *b)):
-        raise ValidationError("operands live on different weight systems")
-    (za, _, rows), (zb, _, cols) = _stack(a), _stack(b)
-    return _block_sums(za.T @ zb, rows, cols)
-
-
 def _objective_value(h: np.ndarray, omega: np.ndarray):
     """g = - sum_k omega_k arccos(h_k)^2 over the last axis of the cosines h."""
-    return -(np.arccos(np.clip(h, -1.0, 1.0)) ** 2) @ omega
+    return -_sq_dist_from_cos(h, "geodesic") @ omega
 
 
 def geodesic_objective(avg: RankHOperator, resultants: list[Resultant], omega=None) -> float:

@@ -27,13 +27,13 @@ from .clustering import (
     DISTANCES,
     ClusteringConfig,
     _geodesic_profile,
-    _sq_dist_from_cos,
     centroid_separation,
     classical_mds,
     cluster_summary,
     kmeans,
 )
 from .dataset import _read_csv, encode_dataset, infer_manifest, ingest, load_manifest
+from .distances import _sq_dist_from_cos
 from .encoding import Resultant, resultant
 from .errors import ConvergenceWarning, NumericalError, ValidationError
 from .geometry import Weights
@@ -41,8 +41,6 @@ from .simulation import SimConfig, run_benchmark
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")

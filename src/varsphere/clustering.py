@@ -33,8 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .averaging import RankCriterion, RankHOperator, _Frame, cosines
-from .encoding import Resultant
+from .averaging import RankCriterion, RankHOperator, _Frame
+from .distances import _sq_dist_from_cos
+from .encoding import Resultant, cosines
 from .errors import ConvergenceWarning, ValidationError, warn
 from .geometry import _fix_column_signs
 
@@ -78,12 +79,6 @@ class ClusterModel:
     objective_trace: list[float]
     starts: list[dict]  # per start: within_inertia, n_iter and stop (converged, cycle or cap)
     config: ClusteringConfig
-
-
-def _sq_dist_from_cos(cos: np.ndarray, distance: str) -> np.ndarray:
-    if distance == "chord":
-        return np.maximum(2.0 * (1.0 - cos), 0.0)
-    return np.arccos(np.clip(cos, -1.0, 1.0)) ** 2
 
 
 def _assign_from_cos(cos: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .encoding import (
     VariableStructure,
+    _center_columns,
     _centred_indicators,
     encode_categorical,
     encode_numeric,
@@ -70,8 +71,9 @@ def load_manifest(path: str) -> DatasetManifest:
     numeric / categorical (comma-separated column lists, may repeat),
     block.<name> (a non-empty column list) and block.<name>.metric (one of
     standardized-diagonal, projector).  Every key but numeric and categorical
-    may appear only once.  A `#` starts a comment only at the start of a line
-    or after whitespace, so `numeric = a#1` names column a#1.
+    may appear only once, and data and weights may not be empty.  A `#` starts
+    a comment only at the start of a line or after whitespace, so
+    `numeric = a#1` names column a#1.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -96,6 +98,8 @@ def load_manifest(path: str) -> DatasetManifest:
             raise ValidationError(f"{path}:{lineno}: key {key!r} is repeated")
         if key not in ("numeric", "categorical"):
             seen.add(key)
+        if key in ("data", "weights") and not value:
+            raise ValidationError(f"{path}:{lineno}: key {key!r} has no value")
         if key == "data":
             data_path = value
         elif key == "weights":
@@ -210,9 +214,9 @@ def ingest(manifest: DatasetManifest, *, table=None) -> Dataset:
     """Read and type-check the CSV named by a manifest.
 
     Rows with missing or non-finite values are rejected with the row and
-    column named; the weight column, when present, must be positive and is
-    normalized to sum to one.  `table` is the file as read by _read_csv when
-    the caller has already read it.
+    column named; the weight column, when present, must be positive, may not
+    also be declared numeric or categorical, and is normalized to sum to one.
+    `table` is the file as read by _read_csv when the caller has already read it.
     """
     path = manifest.data_path
     header, n, columns, floats = table if table is not None else _read_csv(path)
@@ -228,6 +232,8 @@ def ingest(manifest: DatasetManifest, *, table=None) -> Dataset:
     overlap = set(manifest.numeric) & set(manifest.categorical)
     if overlap:
         raise ValidationError(f"columns declared both numeric and categorical: {sorted(overlap)}")
+    if (weight := manifest.weight_column) in (*manifest.numeric, *manifest.categorical):
+        raise ValidationError(f"{path}: weight column {weight!r} is also declared numeric or categorical")
 
     def numeric_column(name: str) -> np.ndarray:
         cells, parsed = columns[positions[name]], floats[positions[name]]
@@ -288,7 +294,7 @@ def _block_structure(dataset: Dataset, block: BlockSpec) -> VariableStructure:
     x = np.concatenate([dataset.numeric[name][:, None] if name in dataset.numeric
                         else _centred_indicators(dataset.categorical[name], w, name)[1]
                         for name in block.columns], axis=1)
-    xc = x - (w.w[None, :] @ x)
+    xc = _center_columns(x, w)
     var = np.sum(w.w[:, None] * xc * xc, axis=0)
     if np.any(var <= ZERO_VARIANCE_REL * np.sum(w.w[:, None] * x * x, axis=0)):
         raise ValidationError(f"block {block.name!r} has a zero-variance column")

@@ -2,11 +2,13 @@
 
 Unit-norm resultants live on the sphere of operator space, where two natural
 metrics coexist: the chord (straight-line) distance and the geodesic
-(arc-length) distance.  Both are driven by the trace scalar product, which
+(arc-length) distance.  Both are functions of the trace scalar product, which
 for variable encodings expands into sums of squared correlations between
-factor columns, ||Z_a' W Z_b||_F^2 (Resultant.dot, which refuses operands on
-different weight systems), so the classical RV, phi-square and Tschuprow
-association measures all appear as cosines here.  A rank-H centroid is a
+factor columns, ||Z_a' W Z_b||_F^2 (encoding.cosines, which refuses operands
+on different weight systems), so the classical RV, phi-square and Tschuprow
+association measures all appear as cosines here.  _sq_dist_from_cos is the
+one map from a cosine to either squared distance; K-means, the averaging
+objective and the command line read it too.  A rank-H centroid is a
 resultant, so every function taking two resultants takes it too.
 """
 
@@ -34,10 +36,17 @@ def clamped_cosine(value: float) -> float:
     return min(max(value, -1.0), 1.0)
 
 
+def _sq_dist_from_cos(cos, distance: str):
+    """Squared chord, 2 (1 - cos) >= 0, or geodesic, arccos(cos)^2, distance from a cosine."""
+    if distance == "chord":
+        return np.maximum(2.0 * (1.0 - cos), 0.0)
+    return np.arccos(np.clip(cos, -1.0, 1.0)) ** 2
+
+
 def chord_dist(a: Resultant, b: Resultant) -> float:
     """Straight-line distance sqrt(2 (1 - [A|B])) between unit-norm operators."""
     _require_normed(a, b)
-    return float(np.sqrt(max(2.0 * (1.0 - a.dot(b)), 0.0)))
+    return float(np.sqrt(_sq_dist_from_cos(a.dot(b), "chord")))
 
 
 def geodesic_dist(a: Resultant, b: Resultant) -> float:

@@ -9,9 +9,11 @@ representation this package clusters and averages.  A rank-H average is a
 point of the same sphere, the resultant whose factor is U Lam^1/2.
 
 A resultant is held only as its factor (over sqrt(||R||) when normed), and no
-n x n operator is ever formed: [R_a|R_b] = ||Z_a' W Z_b||_F^2 and
-||R|| = ||Z' W Z||_F, both in O(n q^2); spectra are taken by the averaging
-frame, from the Gram of stacked factors.
+n x n operator is ever formed: ||R|| = ||Z' W Z||_F (_gram_norm) and
+[R_a|R_b] = ||Z_a' W Z_b||_F^2, both in O(n q^2).  Every trace product is one
+kernel: `cosines` stacks the whitened factors (_stack) and sums the squared
+product block by block (_block_sums); Resultant.dot is its 1 x 1 case, and
+the averaging frame applies _block_sums to the Gram of the same stack.
 
 Every encoder returns that factor, so `resultant` only norms it; a metric is
 given only through `encode_block`, which takes its one square root.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .geometry import ZERO_VARIANCE_REL, Weights, _w_orthonormal_basis, sqrt_spd
+from .geometry import ZERO_VARIANCE_REL, Weights, _w_orthonormal_basis, as_weight_system, sqrt_spd
 
 KINDS = ("numeric", "categorical", "block")
 
@@ -82,23 +84,39 @@ class Resultant:
         if normed and not _scaled and abs((nrm := _gram_norm(z, weights)) - 1.0) > 1e-8:
             raise ValidationError(f"resultant flagged as normed has norm {nrm!r}")
         self.factor, self.weights, self.normed, self.label = z, weights, bool(normed), label
-        self._norm = 1.0 if normed else None
 
     def norm(self) -> float:
-        if self._norm is None:
-            self._norm = _gram_norm(self.factor, self.weights)
-        return self._norm
+        return 1.0 if self.normed else _gram_norm(self.factor, self.weights)
 
     def dot(self, other: "Resultant") -> float:
         """Trace scalar product ||Z_a' W Z_b||_F^2 with another resultant."""
-        if not self.weights.same_as(other.weights):
-            raise ValidationError("resultants live on different weight systems")
-        cross = self.factor.T @ (self.weights.w[:, None] * other.factor)
-        return float(np.sum(cross * cross))
+        return float(cosines([self], [other])[0, 0])
 
     def __repr__(self) -> str:  # pragma: no cover
         tag = "normed" if self.normed else "raw"
         return f"Resultant({self.label or 'unnamed'}, n={self.weights.n}, {tag})"
+
+
+def _stack(resultants: list[Resultant]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The whitened factors side by side, W^1/2 [Z_1 ... Z_K], the width q_k of
+    each and the column each starts at."""
+    widths = np.array([r.factor.shape[1] for r in resultants])
+    return (np.sqrt(resultants[0].weights.w)[:, None] * np.hstack([r.factor for r in resultants]),
+            widths, np.cumsum(widths) - widths)
+
+
+def _block_sums(t: np.ndarray, rows, cols) -> np.ndarray:
+    """The sums of t^2 over the blocks that start at `rows` and `cols`: for
+    t = Z_a' W Z_b of stacked factors, the scalar products ||Z_k' W Z_l||_F^2."""
+    return np.add.reduceat(np.add.reduceat(t * t, rows, axis=0), cols, axis=1)
+
+
+def cosines(a: list[Resultant], b: list[Resultant]) -> np.ndarray:
+    """Trace scalar products [A_k | B_l] = ||Z_k' W Z_l||_F^2, len(a) x len(b)."""
+    if not all(x.weights.same_as(a[0].weights) for x in (*a, *b)):
+        raise ValidationError("operands live on different weight systems")
+    (za, _, rows), (zb, _, cols) = _stack(a), _stack(b)
+    return _block_sums(za.T @ zb, rows, cols)
 
 
 def resultant(structure: VariableStructure, weights: Weights, normed: bool = True) -> Resultant:
@@ -202,13 +220,8 @@ def compound_structure(
     """
     if not structures:
         raise ValidationError("need at least one structure to compound")
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (len(structures),):
-        raise ValidationError("one weight per structure is required")
-    if np.any(omega < 0.0) or abs(omega.sum() - 1.0) > 1e-12:
-        raise ValidationError("structure weights must be non-negative and sum to 1")
     blocks = []
-    for share, s in zip(omega, structures):
+    for share, s in zip(as_weight_system(omega, len(structures)), structures):
         if s.X.shape[0] != weights.n:
             raise ValidationError("all structures must share the observation weights")
         blocks.append(np.sqrt(share) * resultant(s, weights).factor)

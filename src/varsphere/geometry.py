@@ -8,6 +8,8 @@ clustering) lives in that geometry, but no operator is ever formed: each is
 held as an n x q factor or a W-orthonormal basis with its eigenvalues, so
 the helpers here work on n x q matrices and small q x q ones.  A span gets
 a W-orthonormal basis from one QR of its whitened columns, with no Gram.
+Member weights omega, non-negative shares summing to one (uniform by
+default), are checked in one place, as_weight_system.
 """
 
 from __future__ import annotations
@@ -56,8 +58,6 @@ class Weights:
     def normalized(cls, values) -> "Weights":
         """Scale a positive vector so it sums to one."""
         v = np.asarray(values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValidationError("weights must be a non-empty 1-d vector")
         if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
             raise ValidationError("weights must be finite and strictly positive")
         return cls(v / v.sum())
@@ -70,10 +70,20 @@ class Weights:
         return self is other or (self.n == other.n and bool(np.array_equal(self.w, other.w)))
 
 
+def as_weight_system(omega, k: int) -> np.ndarray:
+    """Validate a weight vector over k members, or default to uniform shares."""
+    if omega is None:
+        return np.full(k, 1.0 / k)
+    omega = np.asarray(omega, dtype=float)
+    if omega.shape != (k,):
+        raise ValidationError(f"expected {k} weights, got shape {omega.shape}")
+    if np.any(omega < 0.0) or abs(omega.sum() - 1.0) > 1e-12:
+        raise ValidationError("weights must be non-negative and sum to 1")
+    return omega
+
+
 def _fix_column_signs(u: np.ndarray) -> np.ndarray:
     """Flip columns so the largest-magnitude entry of each is positive."""
-    if u.size == 0:
-        return u
     idx = np.argmax(np.abs(u), axis=0)
     signs = np.sign(u[idx, np.arange(u.shape[1])])
     signs[signs == 0] = 1.0

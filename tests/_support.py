@@ -13,18 +13,17 @@ from varsphere import (
     RankHOperator,
     Resultant,
     Weights,
-    as_weight_system,
     encode_block,
     encode_categorical,
     encode_numeric,
     choose_rank,
     weighted_average,
 )
-from varsphere.averaging import (
-    H_SINGULAR, _Frame, _gather, _geodesic_from, _objective_value, _stack, cosines,
-)
-from varsphere.clustering import _assign_from_cos, _repair_empty, _sq_dist_from_cos, _within
-from varsphere.geometry import EIGEN_DROP_TOL, _fix_column_signs, _polar
+from varsphere.averaging import H_SINGULAR, _Frame, _gather, _geodesic_from, _objective_value
+from varsphere.clustering import _assign_from_cos, _repair_empty, _within
+from varsphere.distances import _sq_dist_from_cos
+from varsphere.encoding import _stack, cosines
+from varsphere.geometry import EIGEN_DROP_TOL, _fix_column_signs, _polar, as_weight_system
 
 
 def count_spectrum_eigensolves(monkeypatch, calls: list | None = None) -> list:

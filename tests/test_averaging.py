@@ -10,7 +10,6 @@ from varsphere import (
     RankHOperator,
     Resultant,
     ValidationError,
-    as_weight_system,
     chord_dist,
     choose_rank,
     rank_h_average_euclidean,
@@ -18,7 +17,8 @@ from varsphere import (
     sphere_average,
     weighted_average,
 )
-from varsphere.averaging import cosines
+from varsphere.encoding import cosines
+from varsphere.geometry import as_weight_system
 
 from _support import (
     dense,

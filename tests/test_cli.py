@@ -123,6 +123,47 @@ def test_an_empty_block_exits_2_naming_its_line(data_csv, tmp_path, capsys):
     assert f"error: {manifest}:3: block 'e' declares no columns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("declared", ["numeric = v1, v2, v3", "numeric = v1, v2\ncategorical = v3"])
+def test_a_weight_column_that_is_also_a_variable_exits_2(data_csv, tmp_path, capsys, declared):
+    manifest = tmp_path / "vars.manifest"
+    manifest.write_text(f"data = vars.csv\nweights = v3\n{declared}\n")
+    out = tmp_path / "out"
+    code = main(["cluster", "--manifest", str(manifest), "--out-dir", str(out), "--L", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "weight column 'v3' is also declared numeric" in err
+    assert not (out / "assignments.csv").exists()
+
+
+def test_dependent_block_columns_exit_3(tmp_path, capsys):
+    (tmp_path / "dup.csv").write_text("a,a_copy,c\n1.5,1.5,2\n0.2,0.2,7\n3.1,3.1,1\n2.4,2.4,5\n")
+    manifest = tmp_path / "dup.manifest"
+    manifest.write_text("data = dup.csv\nnumeric = a, a_copy, c\n"
+                        "block.b = a, a_copy\nblock.b.metric = projector\n")
+    code = main(["cluster", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out"),
+                 "--L", "2"])
+    assert code == 3
+    assert "numerical error: block 'b' has numerically dependent columns" in capsys.readouterr().err
+
+
+def test_the_cattell_criterion(data_csv, tmp_path):
+    out = tmp_path / "avg"
+    assert main(["average", "--data", data_csv, "--out-dir", str(out),
+                 "--criterion", "cattell"]) == 0
+    lam = np.array([float(r[1]) for r in read_rows(out / "scree.csv")[1:]])
+    rank = int(np.count_nonzero(lam > 1e-10 * lam[0]))
+    assert rank > 2
+    second = lam[:rank - 2] - 2.0 * lam[1:rank - 1] + lam[2:rank]
+    meta = json.loads((out / "average.json").read_text())
+    assert meta["criterion"] == {"kind": "cattell"}
+    assert meta["chosen_rank"] == int(np.argmax(second)) + 2
+
+    out = tmp_path / "cluster"
+    assert main(["cluster", "--data", data_csv, "--out-dir", str(out), "--L", "2",
+                 "--criterion", "cattell"]) == 0
+    assert json.loads((out / "model.json").read_text())["criterion"] == {"kind": "cattell"}
+
+
 def test_average_chord_and_geodesic(data_csv, tmp_path):
     out = tmp_path / "avg"
     code = main([
@@ -317,7 +358,7 @@ def test_geodesic_profile_ends_at_the_reported_average(data_csv, tmp_path, monke
     # the n-row inertia of the written average
     import varsphere.averaging as averaging
     from varsphere import RankHOperator, geodesic_inertia_profile, geodesic_objective
-    from varsphere.averaging import cosines
+    from varsphere.encoding import cosines
     from varsphere.cli import _load_resultants
 
     ascents = []

@@ -114,6 +114,18 @@ def test_an_empty_block_is_refused_with_its_line(tmp_path):
         load_manifest(str(path))
 
 
+@pytest.mark.parametrize("text, lineno, key", [
+    ("data =\nnumeric = height\n", 1, "data"),
+    ("data = toy.csv\nnumeric = height\nweights =\n", 3, "weights"),
+    ("data = toy.csv\nweights =   # no column\nnumeric = height\n", 2, "weights"),
+])
+def test_an_empty_single_valued_key_is_refused_with_its_line(tmp_path, text, lineno, key):
+    # an empty weights key would silently fall back to uniform weights
+    _, path = write_toy(tmp_path, manifest_text=text)
+    with pytest.raises(ValidationError, match=rf"toy\.manifest:{lineno}: key '{key}' has no value"):
+        load_manifest(str(path))
+
+
 def test_a_block_may_not_take_the_name_of_a_standalone_column(tmp_path):
     text = "data = toy.csv\nnumeric = height, width, wt\nblock.{} = width, wt\n"
     _, path = write_toy(tmp_path, manifest_text=text.format("height"))

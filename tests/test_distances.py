@@ -7,7 +7,6 @@ from varsphere import (
     NumericalError,
     ValidationError,
     chord_dist,
-    clamped_cosine,
     encode_categorical,
     geodesic_dist,
     phi2,
@@ -15,6 +14,7 @@ from varsphere import (
     rv_cos,
     tschuprow,
 )
+from varsphere.distances import clamped_cosine
 
 from _support import (
     dense,

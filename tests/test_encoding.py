@@ -243,6 +243,17 @@ def test_compound_weight_validation():
         compound_structure([], [], w)
 
 
+def test_compound_without_weights_takes_uniform_shares():
+    # omega=None means uniform shares, as it does for the averages
+    rng = np.random.default_rng(37)
+    w = random_weights(rng, 8)
+    members = [random_structure(rng, w, kind) for kind in ("numeric", "categorical", "block")]
+    plain = compound_structure(members, None, w)
+    assert np.array_equal(plain.X, compound_structure(members, np.full(3, 1.0 / 3.0), w).X)
+    mean = sphere_average([resultant(s, w) for s in members])
+    assert np.allclose(dense(resultant(plain, w)), dense(mean), atol=1e-9)
+
+
 def test_resultant_validation_and_dot():
     rng = np.random.default_rng(31)
     w = random_weights(rng, 9)

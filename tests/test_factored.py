@@ -32,7 +32,6 @@ from varsphere import (
     encode_numeric,
     geodesic_gradients,
     kmeans,
-    numerical_rank,
     rank_h_average_euclidean,
     rank_h_average_geodesic,
     resultant,
@@ -42,7 +41,8 @@ from varsphere import (
     weighted_average,
 )
 from varsphere import averaging, cli, clustering
-from varsphere.averaging import cosines
+from varsphere.encoding import cosines
+from varsphere.geometry import numerical_rank
 
 from _support import (
     dense,

@@ -23,7 +23,7 @@ from varsphere import (
     sample_resultants,
     simulate_sample,
 )
-from varsphere.averaging import cosines
+from varsphere.encoding import cosines
 
 from _support import (
     _line_cosines,

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from varsphere import (
-    NumericalError,
-    ValidationError,
-    Weights,
-    inv_sqrt_spd,
-    numerical_rank,
-    sqrt_spd,
-)
+from varsphere import NumericalError, ValidationError, Weights
+from varsphere.geometry import inv_sqrt_spd, numerical_rank, sqrt_spd
 
 from _support import (
     align_signs,
