@@ -11,14 +11,8 @@ from .averaging import (
     RankCriterion,
     RankHOperator,
     choose_rank,
-    fixed_point_residual,
-    geodesic_gradients,
-    geodesic_objective,
-    geodesic_step,
     rank_h_average_euclidean,
     rank_h_average_geodesic,
-    sphere_average,
-    weighted_average,
 )
 from .clustering import (
     ClusteringConfig,
@@ -28,7 +22,6 @@ from .clustering import (
     classical_mds,
     cluster_summary,
     geodesic_inertia_profile,
-    inertia_ratio,
     kmeans,
 )
 from .dataset import (
@@ -105,13 +98,8 @@ __all__ = [
     "encode_categorical",
     "encode_dataset",
     "encode_numeric",
-    "fixed_point_residual",
     "geodesic_dist",
-    "geodesic_gradients",
     "geodesic_inertia_profile",
-    "geodesic_objective",
-    "geodesic_step",
-    "inertia_ratio",
     "infer_manifest",
     "ingest",
     "kmeans",
@@ -126,7 +114,5 @@ __all__ = [
     "sample_resultants",
     "simulate_latents",
     "simulate_sample",
-    "sphere_average",
     "tschuprow",
-    "weighted_average",
 ]

@@ -6,19 +6,18 @@ only its leading H eigendirections (with the eigenvalue vector rescaled to
 unit length) gives the best rank-H point of the sphere in the chord sense.
 
 All of it runs on factors, never on an n x n operator: R_k = Z_k Z_k' W, and a
-rank-H point U Lam U' W is the resultant with factor U Lam^1/2.  The private
-kernels take whitened rows, where W is the identity: Z_k becomes W^1/2 Z_k,
-so T = Z_a' W Z_b is a plain product and every scalar product
+rank-H point U Lam U' W is the resultant with factor U Lam^1/2.  The kernels
+take whitened rows, where W is the identity: Z_k becomes W^1/2 Z_k, so
+T = Z_a' W Z_b is a plain product and every scalar product
 [A_k | B_l] = ||Z_k' W Z_l||_F^2 is a block sum of T^2 (encoding's
-_block_sums); costs are O(n sum q H) to O(n (sum q)^2).  The public n-row functions
-whiten on the way in and out.  Every average is fitted in one place, _Frame,
-from the Gram Z'Z of the whitened factors, formed once: the spectrum of a
-mean comes from its members' q_S x q_S block (one stacked eigh per block
-size), and every centroid, chord or geodesic, is coefficients on its
-members' columns, found on at most q_S rows.  The frame serves K-means, the
-public averages, the inertia profile and the `average` command through one
-memoised fit, whose K cosines every report reads; every geodesic ascent runs
-there, and only returned averages are lifted to n rows.
+_block_sums); costs are O(n sum q H) to O(n (sum q)^2).  Every average is
+fitted in one place, _Frame, from the Gram Z'Z of the whitened factors,
+formed once: the spectrum of a mean comes from its members' q_S x q_S block
+(one stacked eigh per block size), and every centroid, chord or geodesic, is
+coefficients on its members' columns, found on at most q_S rows.  The frame
+serves K-means, the public averages, the inertia profile and the `average`
+command through one memoised fit, whose K cosines every report reads; every
+geodesic ascent runs there, and only returned averages are lifted to n rows.
 
 The geodesic counterpart maximizes
     g(lam, U) = - sum_k omega_k arccos(h_k)^2,   h_k = tr(U' A_k U Lam),
@@ -43,8 +42,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .distances import _sq_dist_from_cos
-from .encoding import Resultant, _block_sums, _stack, cosines
-from .errors import ConvergenceWarning, NumericalError, ValidationError, warn
+from .encoding import Resultant, _block_sums, _stack
+from .errors import ConvergenceWarning, NumericalError, ValidationError, count, warn
 from .geometry import (
     EIGEN_DROP_TOL,
     RANK_TOL,
@@ -76,8 +75,7 @@ class RankCriterion:
             if self.theta is None or not 0.0 <= self.theta <= 1.0:
                 raise ValidationError("trace_ratio needs theta in [0, 1]")
         elif self.kind == "fixed":
-            if self.h is None or self.h < 1:
-                raise ValidationError("fixed rank must be a positive integer")
+            object.__setattr__(self, "h", count(self.h, "fixed rank h"))
         elif self.kind != "cattell":
             raise ValidationError(f"unknown rank criterion {self.kind!r}")
 
@@ -96,7 +94,7 @@ class RankCriterion:
 
     @classmethod
     def fixed(cls, h: int) -> "RankCriterion":
-        return cls("fixed", h=int(h))
+        return cls("fixed", h=h)
 
     def describe(self) -> dict:
         return {key: value for key, value in asdict(self).items() if value is not None}
@@ -136,23 +134,6 @@ def _gather(resultants: list[Resultant]) -> Weights:
         if not r.normed:
             raise ValidationError("expected unit-norm resultants")
     return weights
-
-
-def weighted_average(resultants: list[Resultant], omega=None) -> Resultant:
-    """Convex combination sum_k omega_k R_k, factor [sqrt(omega_k) Z_k]; inside the ball."""
-    weights = _gather(resultants)
-    omega = as_weight_system(omega, len(resultants))
-    z = np.hstack([np.sqrt(share) * r.factor for share, r in zip(omega, resultants)])
-    return Resultant(z, weights, normed=False, label="average")
-
-
-def sphere_average(resultants: list[Resultant], omega=None) -> Resultant:
-    """The weighted average scaled back to the unit sphere."""
-    mean = weighted_average(resultants, omega)
-    nrm = mean.norm()
-    if nrm <= 1e-300:
-        raise NumericalError("the average operator is zero and cannot be normed")
-    return Resultant(mean.factor / np.sqrt(nrm), mean.weights, normed=True, label="average")
 
 
 def rank_h_average_euclidean(
@@ -195,7 +176,7 @@ def choose_rank(eigenvalues, criterion: RankCriterion) -> int:
             return 1
         second = lam[:-2] - 2.0 * lam[1:-1] + lam[2:]
         return int(np.argmax(second)) + 2
-    return min(int(criterion.h), r)
+    return min(criterion.h, r)
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +196,13 @@ def _objective_value(h: np.ndarray, omega: np.ndarray):
     return -_sq_dist_from_cos(h, "geodesic") @ omega
 
 
-def geodesic_objective(avg: RankHOperator, resultants: list[Resultant], omega=None) -> float:
-    """g = - sum_k omega_k arccos([R_k | avg])^2 (non-positive, 0 when all equal)."""
-    _gather(resultants)
-    omega = as_weight_system(omega, len(resultants))
-    return float(_objective_value(cosines(resultants, [avg])[:, 0], omega))
-
-
 def _gradients(z, widths, starts, omega: np.ndarray, u: np.ndarray, lam: np.ndarray):
-    """geodesic_gradients on whitened blocks Z of widths q_k and starts, and a whitened
-    basis: Gamma is one product 2 Z (f o T) Lam, f repeating each coefficient
-    over its block.  f_k = omega_k d(arccos^2)/dh at h_k, without the sign:
+    """The exact gradient (gamma, Gamma) of g at (lam, U), on whitened blocks Z
+    of widths q_k and starts and a whitened basis U:
+        gamma = sum_k f_k eta_k,   Gamma = sum_k f_k 2 Z_k Z_k' U Lam,
+    the partial derivatives in lam and U.  Gamma is one product
+    2 Z (f o T) Lam, f repeating each coefficient over its block.
+    f_k = omega_k d(arccos^2)/dh at h_k, without the sign:
     2 arccos(h)/sqrt(1-h^2) tends to 2 as h -> 1, so it takes that limit once
     h is within H_SINGULAR of 1 (the clamp also shields round-off above 1)."""
     t, eta = _loadings(z, starts, u)
@@ -238,45 +215,16 @@ def _gradients(z, widths, starts, omega: np.ndarray, u: np.ndarray, lam: np.ndar
 
 
 def _step(z, widths, starts, omega: np.ndarray, u: np.ndarray, lam: np.ndarray):
-    """geodesic_step on whitened arrays, the kernel every ascent round steps
-    through: U <- the polar factor G (G'G)^-1/2 of the gradient G."""
+    """The fixed-point step every ascent round takes, on whitened arrays:
+    lam <- gamma/||gamma|| and U <- the polar factor G (G'G)^-1/2 of the
+    gradient G = Gamma.  Both moves ascend g; gamma's tiny negative
+    components, which only round-off makes, are clipped to zero first."""
     gamma, gamma_u = _gradients(z, widths, starts, omega, u, lam)
     gamma = np.clip(gamma, 0.0, None)
     nrm = float(np.linalg.norm(gamma))
     if nrm <= 1e-300:
         raise NumericalError("gradient vanished: the current point is already critical")
     return _polar(gamma_u), gamma / nrm
-
-
-def geodesic_gradients(
-    u: np.ndarray, lam: np.ndarray, resultants: list[Resultant], omega=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact ambient-space gradient of g at (lam, U).
-
-    Returns (gamma, Gamma) with
-        gamma = sum_k omega_k [2 arccos(h_k)/sqrt(1-h_k^2)] eta_k,
-        Gamma = sum_k omega_k [2 arccos(h_k)/sqrt(1-h_k^2)] 2 W R_k U Lam,
-    the partial derivatives with respect to lam and U respectively.
-    """
-    root = np.sqrt(_gather(resultants).w)[:, None]
-    gamma, gamma_u = _gradients(*_stack(resultants), as_weight_system(omega, len(resultants)),
-                                root * np.asarray(u, dtype=float), np.asarray(lam, dtype=float))
-    return gamma, root * gamma_u
-
-
-def geodesic_step(
-    u: np.ndarray, lam: np.ndarray, resultants: list[Resultant], omega=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """One fixed-point update: lam <- gamma/||gamma||, U <- the weighted polar
-    factor W^-1 Gamma (Gamma' W^-1 Gamma)^-1/2.
-
-    Both moves are ascent directions for g.  Tiny negative gamma components
-    (possible only through round-off) are clipped to zero before norming.
-    """
-    root = np.sqrt(_gather(resultants).w)[:, None]
-    u_s, lam_s = _step(*_stack(resultants), as_weight_system(omega, len(resultants)),
-                       root * np.asarray(u, dtype=float), np.asarray(lam, dtype=float))
-    return u_s / root, lam_s
 
 
 def _align_columns(v: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -292,11 +240,6 @@ def _residual(u: np.ndarray, lam: np.ndarray, step: tuple, u_scale: float = 1.0)
     u_s, lam_s = step
     return max(float(np.linalg.norm(lam - lam_s)),
                u_scale * float(np.linalg.norm(u - _align_columns(u_s, u))))
-
-
-def fixed_point_residual(avg: RankHOperator, resultants: list[Resultant], omega=None) -> float:
-    """How far (lam, U) sits from its own fixed-point update (signs ignored)."""
-    return _residual(avg.U, avg.lam, geodesic_step(avg.U, avg.lam, resultants, omega))
 
 
 def _ascend(
@@ -438,7 +381,7 @@ class _Frame:
         self.omega = None if omega is None else as_weight_system(omega, self.k)
         self._z, self._widths, self._starts = _stack(resultants)
         self._gram = self._z.T @ self._z
-        self._stop = max_iter, 1.0 / math.sqrt(float(self.weights.w.min()))
+        self._stop = count(max_iter, "max_iter"), 1.0 / math.sqrt(float(self.weights.w.min()))
         self._owner = np.repeat(np.arange(self.k), self._widths)
         self.everyone = np.ones(self.k, dtype=bool)
         self._memo: dict = {}
@@ -487,6 +430,8 @@ class _Frame:
         member set, one boolean row of `chosen` per set; one packbits call keys
         them all, and the new ones are settled together.  An integer h must lie
         in [1, numerical rank]."""
+        if not isinstance(h, RankCriterion):
+            h = count(h, "rank")
         width = -(-self.k // 8)
         packed = np.packbits(chosen, axis=1).tobytes()
         keys = [packed[i:i + width] for i in range(0, len(packed), width)]

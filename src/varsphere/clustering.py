@@ -36,7 +36,7 @@ import numpy as np
 from .averaging import RankCriterion, RankHOperator, _Frame
 from .distances import _sq_dist_from_cos
 from .encoding import Resultant, cosines
-from .errors import ConvergenceWarning, ValidationError, warn
+from .errors import ConvergenceWarning, ValidationError, count, warn
 from .geometry import _fix_column_signs
 
 DISTANCES = ("chord", "geodesic")
@@ -54,12 +54,10 @@ class ClusteringConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_clusters < 1:
-            raise ValidationError("need at least one cluster")
+        for name in ("n_clusters", "max_iter", "n_starts"):
+            object.__setattr__(self, name, count(getattr(self, name), name))
         if self.distance not in DISTANCES:
             raise ValidationError(f"distance must be one of {DISTANCES}")
-        if self.max_iter < 1 or self.n_starts < 1:
-            raise ValidationError("max_iter and n_starts must be positive")
 
 
 @dataclass
@@ -233,22 +231,10 @@ def _explained(frame: _Frame, distance: str, criterion: RankCriterion, within: f
     return (total - within) / total
 
 
-def inertia_ratio(model: ClusterModel, resultants: list[Resultant]) -> float:
-    """Share of inertia explained: (total - within) / total.
-
-    Total inertia is measured from the global rank-H average computed with
-    the model's own distance and rank criterion.
-    """
-    return _explained(_Frame(resultants), model.distance, model.config.criterion,
-                      model.within_inertia)
-
-
 def geodesic_inertia_profile(resultants: list[Resultant], h_max: int) -> np.ndarray:
     """Geodesic inertia D_H = sum_k arccos([R_k | avg_H])^2 for H = 1..h_max,
     where avg_H is the uniform geodesic rank-H average of the resultants."""
-    if h_max < 1:
-        raise ValidationError("h_max must be at least 1")
-    return np.array(_geodesic_profile(_Frame(resultants), h_max))
+    return np.array(_geodesic_profile(_Frame(resultants), count(h_max, "h_max")))
 
 
 def _geodesic_profile(frame: _Frame, h_max: int) -> list[float]:
@@ -297,9 +283,7 @@ def classical_mds(distances: np.ndarray, dims: int) -> np.ndarray:
     d = np.asarray(distances, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValidationError("expected a square distance matrix")
-    n = d.shape[0]
-    if dims < 1:
-        raise ValidationError("dims must be at least 1")
+    n, dims = d.shape[0], count(dims, "dims")
     if np.any(d < -1e-12) or float(np.max(np.abs(np.diag(d)))) > 1e-8:
         raise ValidationError("distances must be non-negative with a zero diagonal")
     if float(np.max(np.abs(d - d.T))) > 1e-8:

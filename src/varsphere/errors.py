@@ -1,5 +1,7 @@
-"""Exception and warning types, and the helper every warning is issued through."""
+"""Exception and warning types, the check every count goes through, and the
+helper every warning is issued through."""
 
+import numbers
 import sys
 import warnings
 
@@ -18,6 +20,14 @@ class NumericalError(VarsphereError):
 
 class ConvergenceWarning(UserWarning):
     """An iterative routine stopped before reaching its target tolerance."""
+
+
+def count(value, field: str) -> int:
+    """A count of at least 1, a Python or numpy integer (not a bool), as a
+    Python int; anything else raises ValidationError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValidationError(f"{field} must be an integer of at least 1 (got {value!r})")
+    return int(value)
 
 
 def warn(message: str | warnings.WarningMessage, category: type[Warning] = UserWarning) -> None:

@@ -22,7 +22,7 @@ from .errors import NumericalError, ValidationError
 
 # Tolerance used when counting meaningfully non-zero eigenvalues.
 RANK_TOL = 1e-10
-# Relative floor under which an inverse square root refuses to proceed.
+# Relative floor under which the polar factor refuses a Gram's smallest eigenvalue.
 INV_SQRT_FLOOR = 1e-12
 # Eigenvalues below this fraction of the largest are dropped as round-off.
 EIGEN_DROP_TOL = 1e-12
@@ -112,20 +112,17 @@ def sqrt_spd(m) -> np.ndarray:
     return (vecs * np.sqrt(vals)[None, :]) @ vecs.T
 
 
-def inv_sqrt_spd(m) -> np.ndarray:
-    """Inverse symmetric square root, refusing rank-deficient input."""
-    m = np.asarray(m, dtype=float)
+def _polar(x: np.ndarray) -> np.ndarray:
+    """Polar factor X (X'X)^-1/2, which maximizes tr(U'X) over U'U = I; on
+    whitened rows, W^-1/2 _polar(W^-1/2 G) maximizes tr(U'G) over U'WU = I.
+    The inverse square root comes from one eigh of the symmetrised Gram X'X,
+    refused as rank-deficient below INV_SQRT_FLOOR of its largest eigenvalue."""
+    m = x.T @ x
     vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
     top = float(vals[-1])
     if top <= 0.0 or float(vals[0]) < INV_SQRT_FLOOR * top:
         raise NumericalError("matrix is numerically rank-deficient")
-    return (vecs / np.sqrt(vals)[None, :]) @ vecs.T
-
-
-def _polar(x: np.ndarray) -> np.ndarray:
-    """Polar factor X (X'X)^-1/2, which maximizes tr(U'X) over U'U = I; on
-    whitened rows, W^-1/2 _polar(W^-1/2 G) maximizes tr(U'G) over U'WU = I."""
-    return x @ inv_sqrt_spd(x.T @ x)
+    return x @ ((vecs / np.sqrt(vals)[None, :]) @ vecs.T)
 
 
 def _w_orthonormal_basis(x: np.ndarray, weights: Weights, what: str) -> np.ndarray:

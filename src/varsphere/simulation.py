@@ -25,7 +25,7 @@ import numpy as np
 from .averaging import RankCriterion, _Frame
 from .clustering import ClusteringConfig, _lockstep, _partitions
 from .encoding import Resultant, encode_categorical, encode_numeric, resultant
-from .errors import ValidationError, VarsphereError, warn
+from .errors import ValidationError, VarsphereError, count, warn
 from .geometry import Weights
 
 N_NUMERIC = 17
@@ -52,8 +52,7 @@ class SimConfig:
             raise ValidationError("beta must lie in (0, pi/2]")
         if not 0.0 < self.sigma2 < np.inf:
             raise ValidationError(f"sigma2 must be positive and finite (got {self.sigma2!r})")
-        if self.replications < 1:
-            raise ValidationError("need at least one replication")
+        object.__setattr__(self, "replications", count(self.replications, "replications"))
         for theta in self.theta_grid:
             if not 0.0 <= theta <= 1.0:
                 raise ValidationError("theta values must lie in [0, 1]")

@@ -17,9 +17,17 @@ from varsphere import (
     encode_categorical,
     encode_numeric,
     choose_rank,
-    weighted_average,
 )
-from varsphere.averaging import H_SINGULAR, _Frame, _gather, _geodesic_from, _objective_value
+from varsphere.averaging import (
+    H_SINGULAR,
+    _Frame,
+    _gather,
+    _geodesic_from,
+    _gradients,
+    _objective_value,
+    _residual,
+    _step,
+)
 from varsphere.clustering import _assign_from_cos, _repair_empty, _within
 from varsphere.distances import _sq_dist_from_cos
 from varsphere.encoding import _stack, cosines
@@ -142,6 +150,51 @@ def eigen(r):
     return _fix_column_signs(q[:, :keep] / rw), lam[:keep]
 
 
+def weighted_mean(resultants, omega=None):
+    """The convex combination sum_k omega_k R_k, inside the ball: the
+    resultant whose factor stacks the columns sqrt(omega_k) Z_k."""
+    weights = _gather(resultants)
+    omega = as_weight_system(omega, len(resultants))
+    z = np.hstack([np.sqrt(share) * r.factor for share, r in zip(omega, resultants)])
+    return Resultant(z, weights, normed=False, label="average")
+
+
+def n_row_objective(avg, resultants, omega=None):
+    """g = - sum_k omega_k arccos([R_k | avg])^2, from the package's cosines."""
+    _gather(resultants)
+    omega = as_weight_system(omega, len(resultants))
+    return float(_objective_value(cosines(resultants, [avg])[:, 0], omega))
+
+
+def _whitened(u, resultants, omega):
+    """(W^1/2 as a column, the arguments of the ascent kernels up to lam)."""
+    root = np.sqrt(_gather(resultants).w)[:, None]
+    return root, (*_stack(resultants), as_weight_system(omega, len(resultants)),
+                  root * np.asarray(u, dtype=float))
+
+
+def n_row_gradients(u, lam, resultants, omega=None):
+    """averaging._gradients at an n-row point (lam, U): (gamma, Gamma), the
+    partial derivatives of g in lam and in U."""
+    root, args = _whitened(u, resultants, omega)
+    gamma, gamma_u = _gradients(*args, np.asarray(lam, dtype=float))
+    return gamma, root * gamma_u
+
+
+def n_row_step(u, lam, resultants, omega=None):
+    """averaging._step at an n-row point: (U, lam) after one fixed-point
+    update, U the weighted polar factor W^-1 Gamma (Gamma' W^-1 Gamma)^-1/2."""
+    root, args = _whitened(u, resultants, omega)
+    u_s, lam_s = _step(*args, np.asarray(lam, dtype=float))
+    return u_s / root, lam_s
+
+
+def n_row_residual(avg, resultants, omega=None):
+    """averaging._residual on the n rows: how far (lam, U) sits from its own
+    fixed-point update, column signs ignored."""
+    return _residual(avg.U, avg.lam, n_row_step(avg.U, avg.lam, resultants, omega))
+
+
 def grad_factor(h):
     """d(arccos^2)/dh = -2 arccos(h)/sqrt(1-h^2), returned without the sign,
     one scalar at a time: the ratio tends to 1 as h -> 1, so the factor is
@@ -228,7 +281,7 @@ def refit_average(members, criterion, distance):
     column-space frame: one SVD of their mean, the rank the criterion picks
     from its spectrum, the chord truncation and, for the geodesic distance,
     the ascent from it."""
-    mean = weighted_average(members)
+    mean = weighted_mean(members)
     u, lam = eigen(mean)
     kept = lam[:choose_rank(lam, criterion)]
     start = RankHOperator(u[:, :kept.size], kept / np.linalg.norm(kept), mean.weights)

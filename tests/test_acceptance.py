@@ -26,10 +26,7 @@ from varsphere import (
     centroid_separation,
     encode_categorical,
     encode_numeric,
-    fixed_point_residual,
     geodesic_inertia_profile,
-    geodesic_gradients,
-    geodesic_step,
     infer_manifest,
     ingest,
     encode_dataset,
@@ -39,13 +36,15 @@ from varsphere import (
     rank_h_average_geodesic,
     resultant,
     run_benchmark,
-    weighted_average,
 )
 from varsphere.cli import main as cli_main
 
 from _support import (
     arc_line_search,
     dense,
+    n_row_gradients,
+    n_row_residual,
+    n_row_step,
     operator_norm,
     random_labels,
     random_normed_resultant,
@@ -53,6 +52,7 @@ from _support import (
     random_weights,
     record_criterion,
     w_spsd_eigen,
+    weighted_mean,
     weighted_polar,
 )
 
@@ -100,7 +100,7 @@ def test_criterion_2_huygens_identity():
         rs = [random_normed_resultant(rng, w) for _ in range(5)]
         omega = rng.uniform(0.2, 1.0, size=5)
         omega /= omega.sum()
-        mean = weighted_average(rs, omega)
+        mean = weighted_mean(rs, omega)
         a = random_normed_resultant(rng, w)
 
         def sq(op1, op2):
@@ -123,7 +123,7 @@ def test_criterion_3_euclidean_rank_one_optimality():
         w = random_weights(rng, n)
         rs = [random_normed_resultant(rng, w, rank=int(rng.integers(1, 3)))
               for _ in range(3)]
-        mean = weighted_average(rs)
+        mean = weighted_mean(rs)
         avg = rank_h_average_euclidean(rs, 1)
         # candidate objective 2 - 2 [mean | C] decreases in the mean pairing,
         # so optimality is: the computed average pairs at least as high as
@@ -168,7 +168,7 @@ def test_criterion_4_geodesic_gradients_match_finite_differences():
         op = (u * lam[None, :]) @ u.T * w.w[None, :]
         if max(float(np.sum(dense(r) * op.T)) for r in rs) > 0.99:
             continue  # stay away from the arccos singularity
-        gamma, gamma_u = geodesic_gradients(u, lam, rs, omega)
+        gamma, gamma_u = n_row_gradients(u, lam, rs, omega)
         step = 1e-6
         fd_lam = np.zeros(h)
         for i in range(h):
@@ -211,14 +211,14 @@ def test_criterion_5_geodesic_ascent_is_monotone_and_converges():
               for _ in range(k)]
         h = int(rng.integers(1, 3))
         omega = np.full(k, 1.0 / k)
-        # replay the arc-safeguarded ascent with the public pieces: the
+        # replay the arc-safeguarded ascent with the package's step: the
         # accepted objective values must never dip
         start = rank_h_average_euclidean(rs, h, omega)
         u, lam = start.U, start.lam
         prev = _reference_objective(u, lam, rs, omega)
         for _ in range(500):
             try:
-                u2, lam2 = geodesic_step(u, lam, rs, omega)
+                u2, lam2 = n_row_step(u, lam, rs, omega)
             except NumericalError:
                 break
             order = np.argsort(-lam2, kind="stable")
@@ -249,7 +249,7 @@ def test_criterion_5_geodesic_ascent_is_monotone_and_converges():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             avg = rank_h_average_geodesic(rs, h, omega)
-        res = fixed_point_residual(avg, rs, omega)
+        res = n_row_residual(avg, rs, omega)
         worst_residual = max(worst_residual, res)
         if not avg.converged or res > 1e-6:
             ok = False

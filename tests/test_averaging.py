@@ -14,8 +14,6 @@ from varsphere import (
     choose_rank,
     rank_h_average_euclidean,
     rank_h_average_geodesic,
-    sphere_average,
-    weighted_average,
 )
 from varsphere.encoding import cosines
 from varsphere.geometry import as_weight_system
@@ -29,6 +27,7 @@ from _support import (
     random_rank_h,
     random_w_orthonormal,
     random_weights,
+    weighted_mean,
 )
 
 
@@ -37,12 +36,13 @@ def test_weighted_average_is_the_convex_combination():
     w = random_weights(rng, 8)
     rs = [random_normed_resultant(rng, w) for _ in range(4)]
     omega = np.array([0.1, 0.2, 0.3, 0.4])
-    mean = weighted_average(rs, omega)
+    mean = weighted_mean(rs, omega)  # the oracle of the Huygens checks
     literal = sum(o * dense(r) for o, r in zip(omega, rs))
     assert np.allclose(dense(mean), literal)
     assert not mean.normed
     assert mean.norm() <= 1.0 + 1e-12  # convexity keeps it inside the ball
-    unit = sphere_average(rs, omega)
+    # the full-rank chord average is the mean scaled back to the sphere
+    unit = rank_h_average_euclidean(rs, RankCriterion.trace_ratio(1.0), omega)
     assert unit.norm() == pytest.approx(1.0)
     assert np.allclose(dense(unit), literal / operator_norm(literal, w))
 
@@ -64,9 +64,9 @@ def test_averaging_requires_a_common_unit_sphere():
     w2 = random_weights(rng, 6)
     rs = [random_normed_resultant(rng, w), random_normed_resultant(rng, w2)]
     with pytest.raises(ValidationError):
-        weighted_average(rs)
+        rank_h_average_euclidean(rs, 1)
     with pytest.raises(ValidationError):
-        weighted_average([])
+        rank_h_average_euclidean([], 1)
 
 
 def test_huygens_decomposition_of_chord_inertia():
@@ -79,7 +79,7 @@ def test_huygens_decomposition_of_chord_inertia():
         rs = [random_normed_resultant(rng, w) for _ in range(k)]
         omega = rng.uniform(0.2, 1.0, size=k)
         omega /= omega.sum()
-        mean = weighted_average(rs, omega)
+        mean = weighted_mean(rs, omega)
         a = random_normed_resultant(rng, w)
 
         def sq(op1, op2):
@@ -190,6 +190,9 @@ def test_choose_rank_cattell_and_fixed():
 def test_rank_criterion_validation():
     with pytest.raises(ValidationError):
         RankCriterion.trace_ratio(1.5)
+    for bad in (0, -1, 2.5, 2.0, True, None):
+        with pytest.raises(ValidationError, match="fixed rank h must be an integer"):
+            RankCriterion("fixed", h=bad)
     with pytest.raises(ValidationError):
         RankCriterion.fixed(0)
     with pytest.raises(ValidationError):
@@ -199,6 +202,21 @@ def test_rank_criterion_validation():
         "theta": 0.5,
     }
     assert RankCriterion.fixed(3).describe() == {"kind": "fixed", "h": 3}
+    numpy_h = RankCriterion.fixed(np.int64(3))
+    assert type(numpy_h.h) is int and numpy_h == RankCriterion.fixed(3)
+    # an integer rank and the ascent's max_iter pass the same count check
+    rng = np.random.default_rng(43)
+    w = random_weights(rng, 5)
+    rs = [random_normed_resultant(rng, w, rank=2) for _ in range(3)]
+    for bad in (0, -3, 2.5):
+        with pytest.raises(ValidationError, match="max_iter must be an integer"):
+            rank_h_average_geodesic(rs, 1, max_iter=bad)
+    for fit in (rank_h_average_euclidean, rank_h_average_geodesic):
+        for bad in (0, 1.5, np.float64(1.0), True):
+            with pytest.raises(ValidationError, match="rank must be an integer"):
+                fit(rs, bad)
+    assert np.array_equal(rank_h_average_euclidean(rs, np.int64(1)).U,
+                          rank_h_average_euclidean(rs, 1).U)
 
 
 def test_rank_h_average_eigenstructure_matches_an_oracle():
@@ -254,7 +272,7 @@ def test_rank_criterion_average_equals_the_average_at_the_chosen_rank(fit):
     rng = np.random.default_rng(37)
     w = random_weights(rng, 7)
     rs = [random_normed_resultant(rng, w) for _ in range(5)]
-    _, spectrum = eigen(weighted_average(rs))
+    _, spectrum = eigen(weighted_mean(rs))
     criteria = (RankCriterion.trace_ratio(0.6), RankCriterion.cattell(), RankCriterion.fixed(2))
     for criterion in criteria:
         with warnings.catch_warnings():

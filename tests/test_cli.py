@@ -357,7 +357,7 @@ def test_geodesic_profile_ends_at_the_reported_average(data_csv, tmp_path, monke
     # from the cosines of the one fit written to factors_*.csv, and agree with
     # the n-row inertia of the written average
     import varsphere.averaging as averaging
-    from varsphere import RankHOperator, geodesic_inertia_profile, geodesic_objective
+    from varsphere import RankHOperator, geodesic_inertia_profile
     from varsphere.encoding import cosines
     from varsphere.cli import _load_resultants
 
@@ -384,9 +384,12 @@ def test_geodesic_profile_ends_at_the_reported_average(data_csv, tmp_path, monke
     sq = np.arccos(np.clip(fit[3], -1.0, 1.0)) ** 2
     assert profile[-1] == float(np.sum(sq)) and objective == float(np.mean(-sq))
     written = RankHOperator(u, lam, weights)
-    n_row = float(np.sum(np.arccos(cosines(resultants, [written])) ** 2))
+    n_row_cos = cosines(resultants, [written])[:, 0]
+    n_row = float(np.sum(np.arccos(n_row_cos) ** 2))
     assert profile[-1] == pytest.approx(n_row, rel=1e-12, abs=0.0)
-    assert objective == pytest.approx(geodesic_objective(written, resultants), rel=1e-12, abs=0.0)
+    uniform = np.full(n_row_cos.size, 1.0 / n_row_cos.size)
+    assert objective == pytest.approx(float(averaging._objective_value(n_row_cos, uniform)),
+                                      rel=1e-12, abs=0.0)
     assert profile[:-1] == list(geodesic_inertia_profile(resultants, 1))
 
 

@@ -19,7 +19,6 @@ from varsphere import (
     cluster_summary,
     encode_numeric,
     geodesic_inertia_profile,
-    inertia_ratio,
     kmeans,
     rank_h_average_euclidean,
     resultant,
@@ -147,9 +146,12 @@ def test_inertia_ratio_bounds_and_huygens_consistency():
     w = random_weights(rng, 8)
     rs = [random_normed_resultant(rng, w) for _ in range(8)]
     model = kmeans(rs, ClusteringConfig(n_clusters=3, seed=3, n_starts=4))
-    ratio = inertia_ratio(model, rs)
-    assert 0.0 <= ratio <= 1.0 + 1e-12
-    assert ratio == pytest.approx(model.between_over_total, abs=1e-9)
+    assert 0.0 <= model.between_over_total <= 1.0 + 1e-12
+    # the same share, with the total measured from the public global average
+    overall = rank_h_average_euclidean(rs, model.config.criterion)
+    total = sum(chord_dist(r, overall) ** 2 for r in rs)
+    assert model.between_over_total == pytest.approx((total - model.within_inertia) / total,
+                                                     abs=1e-9)
 
 
 def test_cluster_summary_and_centroid_separation():
@@ -198,6 +200,9 @@ def test_geodesic_inertia_profile_decreases_with_rank():
     assert profile.shape == (3,)
     assert np.all(np.diff(profile) <= 1e-9)
     assert np.all(profile >= -1e-12)
+    for bad in (0, 1.5):
+        with pytest.raises(ValidationError, match="h_max must be an integer"):
+            geodesic_inertia_profile(rs, bad)
 
 
 def test_classical_mds_recovers_euclidean_configurations():
@@ -222,6 +227,9 @@ def test_classical_mds_two_points_and_padding():
     assert np.allclose(padded[:, 1:], 0.0)
     with pytest.raises(ValidationError):
         classical_mds(np.array([[0.0, 1.0], [2.0, 0.0]]), 1)  # asymmetric
+    for bad in (0, 2.5):
+        with pytest.raises(ValidationError, match="dims must be an integer"):
+            classical_mds(d, bad)
 
 
 def test_empty_cluster_repair_keeps_all_clusters_alive():
@@ -245,6 +253,13 @@ def test_clustering_config_validation():
         ClusteringConfig(n_clusters=2, distance="manhattan")
     with pytest.raises(ValidationError):
         ClusteringConfig(n_clusters=2, n_starts=0)
+    for field in ("n_clusters", "max_iter", "n_starts"):
+        for bad in (0, -1, 2.5, 2.0, True, "3"):
+            with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+                ClusteringConfig(**{"n_clusters": 2, field: bad})
+    config = ClusteringConfig(n_clusters=np.int64(2), max_iter=np.int32(5), n_starts=np.uint8(3))
+    assert [type(v) for v in (config.n_clusters, config.max_iter, config.n_starts)] == [int] * 3
+    assert config == ClusteringConfig(n_clusters=2, max_iter=5, n_starts=3)
     with pytest.raises(ValidationError):
         kmeans([], ClusteringConfig(n_clusters=1))
 

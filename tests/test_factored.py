@@ -30,15 +30,12 @@ from varsphere import (
     encode_block,
     encode_categorical,
     encode_numeric,
-    geodesic_gradients,
     kmeans,
     rank_h_average_euclidean,
     rank_h_average_geodesic,
     resultant,
     sample_resultants,
     simulate_sample,
-    sphere_average,
-    weighted_average,
 )
 from varsphere import averaging, cli, clustering
 from varsphere.encoding import cosines
@@ -51,6 +48,7 @@ from _support import (
     indicators,
     inverse_gram,
     inverse_variances,
+    n_row_gradients,
     operator_dot,
     operator_norm,
     random_labels,
@@ -58,6 +56,7 @@ from _support import (
     random_weights,
     structure_operator,
     w_spsd_eigen,
+    weighted_mean,
 )
 
 KINDS = ("numeric", "categorical", "block", "compound")
@@ -157,10 +156,9 @@ def test_averages_match_the_dense_mean(system):
     omega = rng.uniform(0.1, 1.0, size=len(rs))
     omega /= omega.sum()
     oracle = sum(o * dense(r) for o, r in zip(omega, rs))
-    mean = weighted_average(rs, omega)
+    mean = weighted_mean(rs, omega)
     _close(dense(mean), oracle)
     assert mean.norm() == pytest.approx(operator_norm(oracle, w), abs=1e-9)
-    _close(dense(sphere_average(rs, omega)), oracle / operator_norm(oracle, w))
     du, dlam = w_spsd_eigen(oracle, w)
     _, lam = eigen(mean)
     assert lam.size == dlam.size
@@ -199,7 +197,7 @@ def test_gradients_match_the_dense_formula(system):
     ru = [dense(r) @ u for r in rs]  # dense R_k U
     eta = np.array([np.sum((w.w[:, None] * u) * x, axis=0) for x in ru])
     f = np.array([o * grad_factor(h) for o, h in zip(omega, eta @ lam)])
-    gamma, gamma_u = geodesic_gradients(u, lam, rs, omega)
+    gamma, gamma_u = n_row_gradients(u, lam, rs, omega)
     _close(gamma, f @ eta, rel=1e-8)
     dense_u = sum(fk * 2.0 * w.w[:, None] * x * lam[None, :] for fk, x in zip(f, ru))
     _close(gamma_u, dense_u, rel=1e-8)
@@ -240,9 +238,9 @@ def test_chord_kmeans_builds_no_n_by_n_array():
 
 def test_averages_build_no_n_by_n_array():
     rs = sample_resultants(_big_sample())
-    (u, lam), peak = _traced(lambda: eigen(weighted_average(rs)))
-    assert u.shape == (BIG_N, lam.size) and lam.size > 1
-    assert peak < PEAK_BYTES, f"chord spectrum: peak traced memory {peak / 1e6:.1f} MB"
+    chord, peak = _traced(lambda: rank_h_average_euclidean(rs, RankCriterion.trace_ratio(1.0)))
+    assert chord.U.shape == (BIG_N, chord.rank) and chord.rank > 1
+    assert peak < PEAK_BYTES, f"chord average: peak traced memory {peak / 1e6:.1f} MB"
     with pytest.warns(ConvergenceWarning):
         avg, peak = _traced(lambda: rank_h_average_geodesic(rs, 2, max_iter=5))
     assert avg.U.shape == (BIG_N, 2) and not avg.converged

@@ -18,9 +18,7 @@ from varsphere import (
     choose_rank,
     clustering,
     encode_numeric,
-    fixed_point_residual,
     geodesic_inertia_profile,
-    geodesic_objective,
     kmeans,
     rank_h_average_geodesic,
     rand_discrepancy,
@@ -30,11 +28,12 @@ from varsphere import (
     simulate_sample,
 )
 
+from varsphere.encoding import cosines
 from varsphere.geometry import EIGEN_DROP_TOL, RANK_TOL
 
 from _support import (
-    count_spectrum_eigensolves, dense, random_normed_resultant, random_weights, refit_average,
-    refit_kmeans,
+    count_spectrum_eigensolves, dense, n_row_objective, n_row_residual,
+    random_normed_resultant, random_weights, refit_average, refit_kmeans,
 )
 
 # (observations, resultants): 9 resultants of rank 1-3 have sum q of 9 to 27
@@ -262,8 +261,8 @@ def test_geodesic_averages_of_near_copies_match_the_n_row_fit(criterion):
             got = rank_h_average_geodesic(rs, criterion)
             want = refit_average(rs, criterion, "geodesic")
             assert (got.rank, got.converged) == (want.rank, want.converged), (seed, eps)
-            assert geodesic_objective(got, rs) == pytest.approx(
-                geodesic_objective(want, rs), rel=0.0, abs=1e-12), (seed, eps)
+            assert n_row_objective(got, rs) == pytest.approx(
+                n_row_objective(want, rs), rel=0.0, abs=1e-12), (seed, eps)
 
 
 def test_more_starts_add_no_n_row_memory():
@@ -381,7 +380,7 @@ def test_converged_kmeans_centroids_meet_the_n_row_residual(n):
     assert converged
     for l, c in converged:
         members = [r for r, a in zip(rs, model.assignments) if a == l]
-        assert fixed_point_residual(c, members) <= 1e-6
+        assert n_row_residual(c, members) <= 1e-6
 
 
 def test_kmeans_global_fit_is_the_public_average():
@@ -465,4 +464,4 @@ def test_full_rank_chord_averages_of_ill_conditioned_members_lift_orthonormal():
         want = np.add.reduceat(t * t, [0, 3, 6, 9]) @ (s[:h] ** 2 / np.linalg.norm(s[:h] ** 2))
         avg = averaging.rank_h_average_euclidean(rs, full)
         assert avg.rank == h
-        assert np.allclose(averaging.cosines(rs, [avg])[:, 0], want, rtol=0.0, atol=1e-12)
+        assert np.allclose(cosines(rs, [avg])[:, 0], want, rtol=0.0, atol=1e-12)

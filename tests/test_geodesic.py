@@ -13,10 +13,6 @@ from varsphere import (
     SimConfig,
     Weights,
     encode_numeric,
-    fixed_point_residual,
-    geodesic_gradients,
-    geodesic_objective,
-    geodesic_step,
     rank_h_average_euclidean,
     rank_h_average_geodesic,
     resultant,
@@ -30,6 +26,10 @@ from _support import (
     _span_forms,
     arc_line_search,
     dense,
+    n_row_gradients,
+    n_row_objective,
+    n_row_residual,
+    n_row_step,
     operator_norm,
     random_normed_resultant,
     random_rank_h,
@@ -98,7 +98,7 @@ def test_gradients_match_finite_differences():
         w, rs, omega, u, lam = random_instance(rng)
         if np.any(cosines_at(u, lam, rs) > 0.99):
             continue  # keep clear of the arccos singularity
-        gamma, gamma_u = geodesic_gradients(u, lam, rs, omega)
+        gamma, gamma_u = n_row_gradients(u, lam, rs, omega)
         fd_lam, fd_u = finite_difference_gradients(u, lam, rs, omega)
         assert np.linalg.norm(gamma - fd_lam) <= 1e-5 * max(np.linalg.norm(fd_lam), 1e-12)
         assert np.linalg.norm(gamma_u - fd_u) <= 1e-5 * max(np.linalg.norm(fd_u), 1e-12)
@@ -111,12 +111,12 @@ def test_objective_matches_reference_and_is_zero_at_the_point_itself():
     rs = [random_normed_resultant(rng, w, rank=2) for _ in range(4)]
     omega = np.full(4, 0.25)
     avg = rank_h_average_euclidean(rs, 2)
-    val = geodesic_objective(avg, rs, omega)
+    val = n_row_objective(avg, rs, omega)
     assert val == pytest.approx(reference_objective(avg.U, avg.lam, rs, omega), abs=1e-10)
     assert val <= 0.0
     # the objective of a cloud at one of its own points: -mean squared arc
     single = rank_h_average_geodesic([rs[0]], 2)
-    assert geodesic_objective(single, [rs[0]]) == pytest.approx(0.0, abs=1e-10)
+    assert n_row_objective(single, [rs[0]]) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_fixed_point_step_ascends():
@@ -125,7 +125,7 @@ def test_fixed_point_step_ascends():
     for _ in range(30):
         w, rs, omega, u, lam = random_instance(rng)
         g0 = reference_objective(u, lam, rs, omega)
-        u2, lam2 = geodesic_step(u, lam, rs, omega)
+        u2, lam2 = n_row_step(u, lam, rs, omega)
         # the new eigenvalue vector is a unit vector, the new basis W-orthonormal
         assert np.linalg.norm(lam2) == pytest.approx(1.0)
         gram = u2.T @ (w.w[:, None] * u2)
@@ -142,7 +142,7 @@ def test_arc_line_search_matches_a_dense_grid():
     for _ in range(10):
         w, rs, omega, u, lam = random_instance(rng)
         a = RankHOperator(u, lam, w)
-        u2, lam2 = geodesic_step(u, lam, rs, omega)
+        u2, lam2 = n_row_step(u, lam, rs, omega)
         order = np.argsort(-lam2, kind="stable")
         b = RankHOperator(u2[:, order], lam2[order], w)
         tau, op = arc_line_search(a, b, rs, omega)
@@ -200,7 +200,7 @@ def test_geodesic_average_of_one_or_identical_inputs_is_exact():
     same = rank_h_average_geodesic([r, r, r], 2)
     assert same.converged
     assert np.allclose(dense(same), dense(r), atol=1e-8)
-    assert geodesic_objective(same, [r, r, r]) == pytest.approx(0.0, abs=1e-12)
+    assert n_row_objective(same, [r, r, r]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_geodesic_average_improves_on_the_chord_start():
@@ -215,8 +215,8 @@ def test_geodesic_average_improves_on_the_chord_start():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ConvergenceWarning)
             avg = rank_h_average_geodesic(rs, h)
-        g0 = geodesic_objective(start, rs)
-        g1 = geodesic_objective(avg, rs)
+        g0 = n_row_objective(start, rs)
+        g1 = n_row_objective(avg, rs)
         assert g1 >= g0 - 1e-12
         assert np.all(np.diff(avg.lam) <= 1e-12)
         assert np.linalg.norm(avg.lam) == pytest.approx(1.0)
@@ -233,7 +233,7 @@ def test_converged_averages_sit_at_their_own_fixed_point():
             avg = rank_h_average_geodesic(rs, 2)
         if avg.converged:
             assert not any(issubclass(c.category, ConvergenceWarning) for c in caught)
-            assert fixed_point_residual(avg, rs) <= 1e-6
+            assert n_row_residual(avg, rs) <= 1e-6
             count += 1
         else:
             assert any(issubclass(c.category, ConvergenceWarning) for c in caught)
@@ -250,7 +250,7 @@ def test_iteration_cap_warns_and_reports_non_convergence():
 
 
 def test_manual_ascent_reaches_the_fixed_point_monotonically():
-    # replay the iteration with the public pieces: the step value, safeguarded
+    # replay the iteration with the package's step: the step value, safeguarded
     # by the arc search, must climb without ever dipping until the point stops
     # moving, and the final point must satisfy the fixed-point equations
     rng = np.random.default_rng(29)
@@ -263,7 +263,7 @@ def test_manual_ascent_reaches_the_fixed_point_monotonically():
         values = [reference_objective(u, lam, rs, omega)]
         done = False
         for _ in range(1000):
-            u2, lam2 = geodesic_step(u, lam, rs, omega)
+            u2, lam2 = n_row_step(u, lam, rs, omega)
             order = np.argsort(-lam2, kind="stable")
             u2, lam2 = u2[:, order], lam2[order]
             cand = reference_objective(u2, lam2, rs, omega)
@@ -275,7 +275,7 @@ def test_manual_ascent_reaches_the_fixed_point_monotonically():
             values.append(cand)
         assert done, "iteration failed to settle within 1000 rounds"
         final = RankHOperator(u2, lam2, w)
-        assert fixed_point_residual(final, rs, omega) <= 1e-5
+        assert n_row_residual(final, rs, omega) <= 1e-5
         assert np.all(np.diff(values) >= -1e-9)
 
 
@@ -289,7 +289,7 @@ def test_geodesic_average_weight_mismatch_is_rejected():
     from varsphere import ValidationError
 
     with pytest.raises(ValidationError):
-        geodesic_objective(avg, other)
+        n_row_objective(avg, other)
 
 
 def test_shipped_ascent_never_loses_ground_round_by_round():
@@ -306,7 +306,7 @@ def test_shipped_ascent_never_loses_ground_round_by_round():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", ConvergenceWarning)
                 avg = rank_h_average_geodesic(rs, h, max_iter=m)
-            g = geodesic_objective(avg, rs)
+            g = n_row_objective(avg, rs)
             assert g >= previous - 1e-12, f"instance {inst}: g fell by {previous - g:.2e} at m={m}"
             previous = g
             if avg.converged:
@@ -322,7 +322,7 @@ def test_a_failing_step_reports_its_own_error():
     x = rng.standard_normal(20)
     rs = [resultant(encode_numeric(v, w), w) for v in (x, x + 1e-3 * rng.standard_normal(20))]
     start = rank_h_average_euclidean(rs, 2)
-    assert np.linalg.norm(geodesic_gradients(start.U, start.lam, rs)[0]) > 1.0
+    assert np.linalg.norm(n_row_gradients(start.U, start.lam, rs)[0]) > 1.0
     with pytest.warns(ConvergenceWarning) as caught:
         avg = rank_h_average_geodesic(rs, 2)
     assert not avg.converged
@@ -343,9 +343,9 @@ def test_frame_ascent_meets_the_n_row_residual_far_above_sum_q(uniform, h):
     avg = rank_h_average_geodesic(rs, h)
     oracle = refit_average(rs, RankCriterion.fixed(h), "geodesic")
     assert avg.converged and oracle.converged
-    assert fixed_point_residual(avg, rs) <= 1e-6
-    assert geodesic_objective(avg, rs) == pytest.approx(geodesic_objective(oracle, rs),
-                                                         rel=0.0, abs=1e-12)
+    assert n_row_residual(avg, rs) <= 1e-6
+    assert n_row_objective(avg, rs) == pytest.approx(n_row_objective(oracle, rs),
+                                                     rel=0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(("seed", "h", "capped"), [(3, 2, -0.2887472880611751),
@@ -361,5 +361,5 @@ def test_slow_tails_converge_within_the_cap(seed, h, capped):
         warnings.simplefilter("error", ConvergenceWarning)
         avg = rank_h_average_geodesic(members, h)
     assert avg.converged
-    assert fixed_point_residual(avg, members) <= 1e-6
-    assert geodesic_objective(avg, members) >= capped
+    assert n_row_residual(avg, members) <= 1e-6
+    assert n_row_objective(avg, members) >= capped

@@ -114,8 +114,9 @@ def test_sim_config_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValidationError, match=repr(bad)):
             SimConfig(n=30, beta=np.pi / 2.0, sigma2=bad)
-    with pytest.raises(ValidationError):
-        SimConfig(n=30, beta=np.pi / 2.0, sigma2=0.1, replications=0)
+    for bad in (0, 2.5):
+        with pytest.raises(ValidationError, match="replications must be an integer"):
+            SimConfig(n=30, beta=np.pi / 2.0, sigma2=0.1, replications=bad)
     with pytest.raises(ValidationError):
         SimConfig(n=30, beta=np.pi / 2.0, sigma2=0.1, theta_grid=(0.0, 1.5))
 

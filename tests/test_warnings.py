@@ -12,7 +12,6 @@ import pytest
 import varsphere
 from varsphere import (
     ClusteringConfig,
-    ConvergenceWarning,
     RankCriterion,
     SimConfig,
     ValidationError,
@@ -20,7 +19,6 @@ from varsphere import (
     classical_mds,
     encode_numeric,
     geodesic_inertia_profile,
-    inertia_ratio,
     kmeans,
     rank_h_average_geodesic,
     resultant,
@@ -52,14 +50,6 @@ def _kmeans_at_the_cap(monkeypatch):
     return lambda: kmeans(rs, ClusteringConfig(n_clusters=2, n_starts=1, max_iter=1, seed=0))
 
 
-def _inertia_ratio(monkeypatch):
-    rs = _near_pair()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConvergenceWarning)
-        model = kmeans(rs, _one_cluster())
-    return lambda: inertia_ratio(model, rs)
-
-
 def _failed_replication(monkeypatch):
     def fail(sample, weights=None):
         raise ValidationError("planted fault")
@@ -74,7 +64,6 @@ GEODESIC = "geodesic average did not converge"
 CASES = {
     "rank_h_average_geodesic": (lambda mp: lambda: rank_h_average_geodesic(_near_pair(), 2),
                                 GEODESIC),
-    "inertia_ratio": (_inertia_ratio, GEODESIC),
     "geodesic_inertia_profile": (lambda mp: lambda: geodesic_inertia_profile(_near_pair(), 2),
                                  GEODESIC),
     "kmeans_fit": (lambda mp: lambda: kmeans(_near_pair(), _one_cluster()), GEODESIC),
