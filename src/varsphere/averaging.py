@@ -17,20 +17,20 @@ formed once: the spectrum of a mean comes from its members' q_S x q_S block
 coefficients on its members' columns, found on at most q_S rows.  The frame
 serves K-means, the public averages, the inertia profile and the `average`
 command through one memoised fit, whose K cosines every report reads; every
-geodesic ascent runs there, and only returned averages are lifted to n rows.
+geodesic fit runs there, and only returned averages are lifted to n rows.
 
 The geodesic counterpart maximizes
     g(lam, U) = - sum_k omega_k arccos(h_k)^2,   h_k = tr(U' A_k U Lam),
 over W-orthonormal U and unit-length lam, where A_k = W R_k (arccos^2 is the
-geodesic branch of distances._sq_dist_from_cos).  It is computed
-by a fixed-point ascent (rescaled gradient for lam, weighted polar factor for
-U) accelerated by type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal.
-2011): each round combines the last ANDERSON_MEMORY differences of iterates
-and step residuals into one candidate, retracts it to the sphere (polar factor
-for U, clipped and normed lam) and keeps it only if it beats the plain step.
-The step commutes with the lift, and every fit stops by one rule, the n-row
-fixed-point residual <= 1e-6, met in the frame by scaling the residual's U
-part by max_i w_i^-1/2 (see _Frame).
+geodesic branch of distances._sq_dist_from_cos).  At the numerical rank of
+the members' mean g is concave, and its maximizer is a combination of the
+members (see _Frame).  Below that rank a fixed-point ascent (rescaled gradient
+for lam, weighted polar factor for U) climbs it, accelerated by type-II
+Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 2011) of the last
+ANDERSON_MEMORY iterates, whose retracted candidate is kept only if it beats
+the plain step.  The step commutes with the lift, and every ascent stops by
+one rule, the n-row fixed-point residual <= 1e-6, met in the frame by scaling
+the residual's U part by max_i w_i^-1/2.
 """
 
 from __future__ import annotations
@@ -60,6 +60,8 @@ H_SINGULAR = 1e-9
 TOL = 1e-10
 # Most differences of past iterates and their step residuals one Anderson round combines.
 ANDERSON_MEMORY = 5
+# A full-rank geodesic fit has converged once its gap, which bounds g* - g, is at most this.
+GAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,9 @@ class RankCriterion:
             object.__setattr__(self, "h", count(self.h, "fixed rank h"))
         elif self.kind != "cattell":
             raise ValidationError(f"unknown rank criterion {self.kind!r}")
+        for name, kind in (("theta", "trace_ratio"), ("h", "fixed")):
+            if getattr(self, name) is not None and self.kind != kind:
+                raise ValidationError(f"a {self.kind} criterion takes no {name}")
 
     @property
     def full(self) -> bool:
@@ -196,19 +201,21 @@ def _objective_value(h: np.ndarray, omega: np.ndarray):
     return -_sq_dist_from_cos(h, "geodesic") @ omega
 
 
+def _factors(h: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """f = omega d(arccos^2)/dh at the cosines h, unsigned: 2 arccos(h)/sqrt(1-h^2), or its
+    limit 2 once h is within H_SINGULAR of 1 (the clamp also shields round-off above 1)."""
+    c = np.clip(h, -1.0 + H_SINGULAR, 1.0 - H_SINGULAR)
+    return omega * np.where(h > 1.0 - H_SINGULAR, 2.0, 2.0 * np.arccos(c) / np.sqrt(1.0 - c * c))
+
+
 def _gradients(z, widths, starts, omega: np.ndarray, u: np.ndarray, lam: np.ndarray):
     """The exact gradient (gamma, Gamma) of g at (lam, U), on whitened blocks Z
     of widths q_k and starts and a whitened basis U:
         gamma = sum_k f_k eta_k,   Gamma = sum_k f_k 2 Z_k Z_k' U Lam,
-    the partial derivatives in lam and U.  Gamma is one product
-    2 Z (f o T) Lam, f repeating each coefficient over its block.
-    f_k = omega_k d(arccos^2)/dh at h_k, without the sign:
-    2 arccos(h)/sqrt(1-h^2) tends to 2 as h -> 1, so it takes that limit once
-    h is within H_SINGULAR of 1 (the clamp also shields round-off above 1)."""
+    the partial derivatives in lam and U, f = _factors(h).  Gamma is one
+    product 2 Z (f o T) Lam, f repeating each coefficient over its block."""
     t, eta = _loadings(z, starts, u)
-    h = eta @ lam
-    c = np.clip(h, -1.0 + H_SINGULAR, 1.0 - H_SINGULAR)
-    factors = omega * np.where(h > 1.0 - H_SINGULAR, 2.0, 2.0 * np.arccos(c) / np.sqrt(1.0 - c * c))
+    factors = _factors(eta @ lam, omega)
     gamma = factors @ eta
     f_col = np.repeat(factors, widths)
     return gamma, 2.0 * (z @ (f_col[:, None] * t)) * lam[None, :]
@@ -299,23 +306,18 @@ def _ascend(
 def rank_h_average_geodesic(
     resultants: list[Resultant], h: int | RankCriterion, omega=None, max_iter: int = 500,
 ) -> RankHOperator:
-    """Geodesic rank-h average of unit-norm resultants.
-
-    Starts from the chord-optimal rank-h average (`h` is a rank or a
-    RankCriterion, as for rank_h_average_euclidean).  Each round takes the
-    fixed-point step S from the current point and mixes it with the last
-    ANDERSON_MEMORY rounds by type-II Anderson mixing, which collapses the
-    slow linear tail of the fixed-point map.  The mixed point, retracted to
-    the sphere, replaces S only if it beats it by 1e-13, else the mixing
-    restarts; a round that cannot ascend stops, so g never decreases.  It is
-    the frame's fit of the whole set, the same fit a K-means centroid gets,
-    lifted to the n observations, and converges once g moves by under TOL
-    and the lifted point's n-row fixed-point residual is at most 1e-6.
-    Otherwise the last iterate comes back with converged=False and a
-    ConvergenceWarning naming the rounds and the reason: the iteration cap,
-    no ascent with residual above 1e-6, or the NumericalError that stopped
-    a step.
-    """
+    """Geodesic rank-h average of unit-norm resultants: the frame's fit of
+    the whole set, the one a K-means centroid gets, lifted to the n rows, from
+    the chord-optimal rank-h average (`h` as for rank_h_average_euclidean).
+    At the mean's numerical rank it is the weighted spherical mean, the fixed
+    point of the member-weight map (see _Frame), converged once the map's gap,
+    a bound on how far g lies below its maximum, is at most GAP.  Below that
+    rank it is the Anderson-mixed ascent, which never lets g fall, converged
+    once g moves by under TOL with the lifted point's n-row fixed-point
+    residual at most 1e-6.  Otherwise the last iterate comes back with
+    converged=False and a ConvergenceWarning naming the rounds and the reason:
+    the iteration cap, no ascent with residual above 1e-6, or the
+    NumericalError that stopped a step."""
     frame = _Frame(resultants, omega, max_iter)
     return frame.lift(frame.fit(h, "geodesic"))
 
@@ -337,7 +339,7 @@ def _geodesic_from(
 
 class _Frame:
     """The Gram of the resultants' whitened factors: the one place an
-    average's spectrum is taken and truncated, and every geodesic ascent runs.
+    average's spectrum is taken and truncated, and every geodesic fit runs.
 
     The frame forms the whitened stack Z = W^1/2 [Z_1 ... Z_K] and its Gram
     G = Z'Z once, and fits every centroid, chord or geodesic, as coefficients
@@ -349,30 +351,36 @@ class _Frame:
     V', D = sqrt(omega_k) over the set's columns, held as (columns, D V
     lam^-1/2) and lam; under (key, distance, rank h or criterion), the fit
     ((columns, P), lam_h, converged, cosines to all K resultants), lam_h =
-    lam[:h] / ||lam[:h]||.  Criteria that choose the same rank share one fit.
+    lam[:h] / ||lam[:h]||; under (key, "geodesic"), a full-rank geodesic fit's
+    member weights.  Criteria that choose the same rank share one fit.
 
     Q_S = Z_S D V lam^-1/2 is an orthonormal basis of the members' span.  A
     chord P is the first h columns of D V lam^-1/2.  A geodesic P is D V
-    lam^-1/2 c, for c the ascent from the first h unit vectors on the members
-    in that basis, Y = Q_S' Z_S = (D V lam^-1/2)' G_SS, at most q_S rows.  The
-    fixed-point step commutes with Q_S, so that ascent is the n-row one, and
-    every fit stops by the n-row rule: its residual's U part is scaled by
-    s = max_i w_i^-1/2, since ||U - U_S|| <= s ||Q_S|| ||c - c_S|| and ||Q_S||
-    = 1.  The frame holds s and the ascent's max_iter.  G squares the
-    condition number, so Q_S is orthonormal only to rounding (a column of
-    eigenvalue near RANK_TOL lam_1 to ~1e-6, its weight in a cosine ~1e-10):
-    lift() takes the polar factor C (C'C)^-1/2, and signs the columns, which
-    eigh and the ascent leave as they fall (the cosines ignore them).  Only a
-    lift has n rows.  A request's new sets are settled together: one stacked
-    eigh per block size, and one product G P lam^1/2 = Z'C lam^1/2, the
-    whitened Z' W times the centroids' factors, for all their cosines.
+    lam^-1/2 c on the members in that basis, Y = Q_S' Z_S = (D V lam^-1/2)'
+    G_SS, at most q_S rows: at full rank c is the top h eigenvectors of
+    Y diag(a) Y' for the member weights a below, else the ascent from the
+    first h unit vectors.  The fixed-point step commutes with Q_S, so that
+    ascent is the n-row one, and stops by the n-row rule: its residual's U
+    part is scaled by s = max_i w_i^-1/2, as ||U - U_S|| <= s ||c - c_S||
+    (||Q_S|| = 1).  The frame holds s and max_iter.  G squares the condition
+    number, so Q_S is orthonormal only to rounding (a column of eigenvalue
+    near RANK_TOL lam_1 to ~1e-6, its weight in a cosine ~1e-10): lift()
+    takes the polar factor C (C'C)^-1/2, and signs the columns, which eigh
+    and the ascent leave as they fall (the cosines ignore them).  Only a lift
+    has n rows.  A request's new sets are settled together: one stacked eigh
+    per block size, and one product G P lam^1/2 = Z'C lam^1/2, the whitened
+    Z' W times the centroids' factors, for all their cosines.
 
-    The full-rank (RankCriterion.full) chord centroid is the normalised mean
-    M_S/||M_S||, whose cosines fit_cosines reads with no spectrum from the
-    K x K cosine matrix A_km = [R_k | R_m] = ||R_k' R_m||_F^2 of ClustOfVar
-    (Chavent et al., JSS 2012), built once from G; its rank is the mean's
-    numerical rank, and the eigenvalues under RANK_TOL of lam_1 that the fit
-    drops move each cosine by at most their sum / lam_1.
+    A centroid at the mean's numerical rank (RankCriterion.full's) is X =
+    sum_k a_k R_k / ||.||, whose cosines h = A a / sqrt(a'A a) fit_cosines
+    reads with no spectrum from the K x K cosine matrix A_km = ||R_k' R_m||_F^2
+    of ClustOfVar (Chavent et al., JSS 2012), built once from G.  In chord
+    a = omega.  In geodesic, where g is concave, a is the fixed point of the
+    Frank-Wolfe vertex step a <- f = _factors(h) from a = omega, X the
+    spherical mean of Buss & Fillmore (ACM TOG 2001); the fit has converged
+    once the step's gap sqrt(f'A f) - f'h, a bound on g* - g (Jaggi, ICML
+    2013), is at most GAP.  A lift drops the eigenvalues under RANK_TOL of
+    lam_1, which moves each cosine by at most their sum / lam_1.
     """
 
     def __init__(self, resultants: list[Resultant], omega=None, max_iter: int = 500):
@@ -417,13 +425,39 @@ class _Frame:
         return _block_sums(self._gram, self._starts, self._starts)
 
     def fit_cosines(self, chosen: np.ndarray, distance: str, h: int | RankCriterion) -> np.ndarray:
-        """Each member set's K cosines to its centroid; at full rank in chord,
-        (a A)_k / sqrt(a A a') for a = the set's row, uniform as in K-means."""
-        if distance != "chord" or not isinstance(h, RankCriterion) or not h.full:
+        """Each member set's K cosines to its centroid; at full rank (a A)_k / sqrt(a A a')
+        for its member weights a: its row in chord, as in K-means, else member_weights()."""
+        if not isinstance(h, RankCriterion) or not h.full:
             return np.array([fit[3] for fit in self.centroids(chosen, distance, h)])
-        share = chosen.astype(float)  # a float row: mixed types would cast through ufunc buffers
+        share = (chosen.astype(float) if distance == "chord"  # a float row: no ufunc buffer casts
+                 else np.array([a for a, _ in self.member_weights(chosen)]))
         dots = share @ self._cosine_matrix
         return dots / np.sqrt(np.sum(dots * share, axis=1))[:, None]
+
+    def member_weights(self, chosen: np.ndarray) -> list[tuple]:
+        """(a, converged) of each member set's full-rank geodesic fit, memoised
+        under its key: the new sets iterate a <- f as one B x K array, each row
+        until its gap is at most GAP; one still open after max_iter rounds warns."""
+        keys = [row.tobytes() for row in np.packbits(chosen, axis=1)]
+        todo = {key: row for key, row in zip(keys, chosen) if (key, "geodesic") not in self._memo}
+        rows = np.array(list(todo.values()), dtype=bool).reshape(-1, self.k)
+        omega = rows / np.count_nonzero(rows, axis=1)[:, None]
+        if self.omega is not None:
+            omega[rows.all(axis=1)] = self.omega
+        a, open_, cos = omega.copy(), np.ones(len(omega), dtype=bool), self._cosine_matrix
+        for rounds in range(self._stop[0] + 1):
+            h = (dots := a @ cos) / np.sqrt(np.sum(dots * a, axis=1))[:, None]
+            f = _factors(h, omega)
+            open_ &= np.sqrt(np.sum((f @ cos) * f, axis=1)) - np.sum(f * h, axis=1) > GAP
+            if rounds == self._stop[0] or not open_.any():
+                break
+            a[open_] = f[open_]  # a closed row keeps its weights: it has retired
+        for key, weights, capped in zip(todo, a, open_):
+            if capped:
+                warn(f"geodesic average did not converge after {rounds} rounds: "
+                     "the iteration cap was reached", ConvergenceWarning)
+            self._memo[key, "geodesic"] = weights, not capped
+        return [self._memo[key, "geodesic"] for key in keys]
 
     def centroids(self, chosen: np.ndarray, distance: str, h: int | RankCriterion) -> list[tuple]:
         """The rank-h fit ((columns, P), lam, converged, K cosines) of each
@@ -453,14 +487,19 @@ class _Frame:
             fit, lam_h = self._memo.get((key, distance, rank)), kept / math.sqrt(kept.dot(kept))
             if fit is not None:
                 self._memo[key, distance, h] = fit
-            elif distance == "geodesic":  # the ascent on Y = Q_S' Z_S from the chord fit
-                c, lam_h, converged = _geodesic_from(
-                    scaled.T @ self._gram[cols[:, None], cols], self._widths[row],
-                    as_weight_system(self.omega, int(row.sum())), np.eye(lam.size, rank), lam_h,
-                    *self._stop)
-                new[key, rank] = (cols, scaled @ c), lam_h, converged
-            else:
+            elif distance == "chord":
                 new[key, rank] = (cols, scaled[:, :rank]), lam_h, True
+            else:  # on Y = Q_S' Z_S: at full rank the eigenpairs of Y diag(a) Y', else the ascent
+                y = scaled.T @ self._gram[cols[:, None], cols]
+                if rank == numerical_rank(lam, RANK_TOL):
+                    a, converged = self.member_weights(row[None])[0]
+                    mu, c = np.linalg.eigh((y * np.repeat(a[row], self._widths[row])) @ y.T)
+                    c, lam_h = c[:, :-rank - 1:-1], mu[:-rank - 1:-1] / np.linalg.norm(mu[-rank:])
+                else:
+                    c, lam_h, converged = _geodesic_from(
+                        y, self._widths[row], as_weight_system(self.omega, int(row.sum())),
+                        np.eye(lam.size, rank), lam_h, *self._stop)
+                new[key, rank] = (cols, scaled @ c), lam_h, converged
         at = np.cumsum([0] + [lam.size for _, lam, _ in new.values()])
         p = np.zeros((self._gram.shape[0], at[-1]))
         for ((cols, coef), lam, _), start in zip(new.values(), at):

@@ -15,7 +15,7 @@ whatever the number of starts and iterations, as the public averages fit
 the whole set, under one stop rule; a geodesic fit's ConvergenceWarning is
 emitted once per member set.  Every inertia, cosine and assignment
 reported is read from the fits' K cosines.
-At trace ratio 1 a chord centroid is the normalised mean of its members,
+At trace ratio 1 a centroid of either distance is a combination of its members
 read from the frame's K x K cosine matrix with no spectrum, and only the best
 start's L centroids are fitted, for their lifts and ranks (numerical ranks,
 which drop eigenvalues under RANK_TOL of the largest; see _Frame).  The
@@ -54,8 +54,8 @@ class ClusteringConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_clusters", "max_iter", "n_starts"):
-            object.__setattr__(self, name, count(getattr(self, name), name))
+        for name, least in (("n_clusters", 1), ("max_iter", 1), ("n_starts", 1), ("seed", 0)):
+            object.__setattr__(self, name, count(getattr(self, name), name, least))
         if self.distance not in DISTANCES:
             raise ValidationError(f"distance must be one of {DISTANCES}")
 
@@ -137,8 +137,8 @@ def kmeans(resultants: list[Resultant], config: ClusteringConfig) -> ClusterMode
     for all of them at a time, but each follows exactly the path it would
     follow alone.  Every centroid is fitted from the Gram of the
     resultants' factors, once per member set across all starts and the
-    global fit of `between_over_total` (a full-rank chord run fits only the
-    L centroids returned); only those are lifted back to the n observations.
+    global fit of `between_over_total` (a full-rank run takes spectra only
+    for the L centroids returned); only those are lifted back to the n observations.
     """
     return _kmeans(_Frame(resultants), config)
 

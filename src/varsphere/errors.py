@@ -22,11 +22,11 @@ class ConvergenceWarning(UserWarning):
     """An iterative routine stopped before reaching its target tolerance."""
 
 
-def count(value, field: str) -> int:
-    """A count of at least 1, a Python or numpy integer (not a bool), as a
-    Python int; anything else raises ValidationError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValidationError(f"{field} must be an integer of at least 1 (got {value!r})")
+def count(value, field: str, least: int = 1) -> int:
+    """A count of at least `least` (a seed's is 0), a Python or numpy integer
+    (not a bool), as a Python int; anything else raises ValidationError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(f"{field} must be an integer of at least {least} (got {value!r})")
     return int(value)
 
 

@@ -46,13 +46,12 @@ class SimConfig:
     theta_grid: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
 
     def __post_init__(self):
-        if self.n < 5:
-            raise ValidationError("need at least 5 observations for quintile cuts")
+        for name, least in (("n", 5), ("seed", 0), ("replications", 1)):  # n: the quintile cuts
+            object.__setattr__(self, name, count(getattr(self, name), name, least))
         if not 0.0 < self.beta <= np.pi / 2.0 + 1e-12:
             raise ValidationError("beta must lie in (0, pi/2]")
         if not 0.0 < self.sigma2 < np.inf:
             raise ValidationError(f"sigma2 must be positive and finite (got {self.sigma2!r})")
-        object.__setattr__(self, "replications", count(self.replications, "replications"))
         for theta in self.theta_grid:
             if not 0.0 <= theta <= 1.0:
                 raise ValidationError("theta values must lie in [0, 1]")
@@ -314,19 +313,21 @@ def run_benchmark(
     Each replication draws one sample, encodes it once, and clusters it into
     the design's three bundles at every theta of the cell's grid (criterion
     trace_ratio(theta)), so scores across theta are paired.  The theta runs
-    share one averaging frame and one draw of start partitions: a member
-    set's spectrum is computed once, thetas below 1 that choose the same rank
-    share its centroid, and theta = 1 reads the K x K cosine matrix with no
+    share one averaging frame and one draw of start partitions: a member set's
+    spectrum is computed once, thetas below 1 that choose the same rank share
+    its centroid, and theta = 1 reads the K x K cosine matrix with no
     spectrum.  A replication runs only the K-means rounds and scores each
     theta's best partition.  Replication seeds derive from the cell seed by
-    counter, so results do not depend on grid order.  A replication that
-    raises a VarsphereError is counted as failed, reported with a warning
-    naming the reason, and excluded from the cell statistics; any other
-    exception is a defect and propagates.  The replications run on w =
-    min(usable cores, replications) processes, each claiming the next one as
-    it finishes its last, and every warning reaches the caller once, in
-    replication order, so the rows, warnings and errors do not depend on w.
+    counter, so results do not depend on grid order.  A replication that raises
+    a VarsphereError is counted as failed, reported with a warning naming the
+    reason, and excluded from the cell statistics; any other exception is a
+    defect and propagates.  A bad n_starts or distance is refused up front.  The
+    replications run on w = min(usable cores, replications) processes, each
+    claiming the next one as it finishes its last, and every warning reaches
+    the caller once, in replication order, so the rows, warnings and errors do
+    not depend on w.
     """
+    ClusteringConfig(int(TRUTH.max()) + 1, distance=distance, n_starts=n_starts)  # bad arguments fail once, here
     outcomes = iter(_outcomes(grid, n_starts, distance))
     rows: list[BenchmarkRow] = []
     for config in grid:

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 
 from varsphere import (
     NumericalError,
+    RankCriterion,
     RankHOperator,
     Resultant,
     Weights,
@@ -276,22 +277,64 @@ def arc_line_search(r_prev, r_next, resultants, omega=None):
     return tau, op / np.sqrt(1.0 + tau * (tau - 1.0) * d2)
 
 
+def member_map_gap(x, resultants, omega=None):
+    """(G, gap) at a dense unit-norm operator X: the gradient G = sum_k f_k R_k
+    of g, f_k = omega_k grad_factor([R_k | X]), and the Frank-Wolfe gap
+    ||G|| - [G | X], which bounds how far g(X) lies below its maximum over the
+    full-rank points of the sphere."""
+    weights = _gather(resultants)
+    ops = [dense(r) for r in resultants]
+    f = as_weight_system(omega, len(ops)) * np.array(
+        [grad_factor(operator_dot(op, x, weights)) for op in ops])
+    g = sum(fk * op for fk, op in zip(f, ops))
+    return g, operator_norm(g, weights) - operator_dot(g, x, weights)
+
+
+def dense_member_map(resultants, omega=None, max_iter=500):
+    """The full-rank geodesic average on the n x n operators: from the
+    normalised weighted mean, X <- G / ||G|| (member_map_gap) until the gap is
+    at most 1e-12 or max_iter rounds have run: (X, gap)."""
+    weights = _gather(resultants)
+    x = dense(weighted_mean(resultants, omega))
+    x = x / operator_norm(x, weights)
+    for _ in range(max_iter):
+        g, gap = member_map_gap(x, resultants, omega)
+        if gap <= 1e-12:
+            return x, gap
+        x = g / operator_norm(g, weights)
+    return x, member_map_gap(x, resultants, omega)[1]
+
+
+def n_row_ascent(start, members, omega=None):
+    """The shipped ascent (averaging._geodesic_from) from a rank-h start on
+    the n rows of the members, with no column-space frame."""
+    w = start.weights.w
+    root = np.sqrt(w)[:, None]
+    u, lam, converged = _geodesic_from(*_stack(members)[:2], as_weight_system(omega, len(members)),
+                                       root * start.U, start.lam, 500, 1.0 / np.sqrt(w.min()))
+    return RankHOperator(u / root, lam, start.weights, converged=converged)
+
+
 def refit_average(members, criterion, distance):
     """The uniform rank-h average of the members on the n rows, with no
     column-space frame: one SVD of their mean, the rank the criterion picks
     from its spectrum, the chord truncation and, for the geodesic distance,
-    the ascent from it."""
+    the ascent from it below the mean's numerical rank, or at that rank the
+    top eigenpairs of dense_member_map's operator, converged if its gap is
+    at most 1e-12."""
     mean = weighted_mean(members)
     u, lam = eigen(mean)
     kept = lam[:choose_rank(lam, criterion)]
     start = RankHOperator(u[:, :kept.size], kept / np.linalg.norm(kept), mean.weights)
     if distance == "chord":
         return start
-    w = mean.weights.w
-    root = np.sqrt(w)[:, None]
-    u, lam, converged = _geodesic_from(*_stack(members)[:2], as_weight_system(None, len(members)),
-                                       root * start.U, start.lam, 500, 1.0 / np.sqrt(w.min()))
-    return RankHOperator(u / root, lam, mean.weights, converged=converged)
+    if kept.size < choose_rank(lam, RankCriterion.trace_ratio(1.0)):
+        return n_row_ascent(start, members)
+    x, gap = dense_member_map(members)
+    u, lam = w_spsd_eigen(x, mean.weights)
+    kept = lam[:kept.size]
+    return RankHOperator(u[:, :kept.size], kept / np.linalg.norm(kept), mean.weights,
+                         converged=gap <= 1e-12)
 
 
 def refit_kmeans(resultants, config):

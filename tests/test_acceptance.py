@@ -16,6 +16,7 @@ import pytest
 
 from varsphere import (
     ClusteringConfig,
+    ConvergenceWarning,
     NumericalError,
     RankCriterion,
     RankHOperator,
@@ -263,7 +264,8 @@ def test_criterion_5_geodesic_ascent_is_monotone_and_converges():
     _check(5, ok, detail)
 
 
-def test_criterion_6_benchmark_reproduces_the_reference_cells():
+def _criterion_6(distance):
+    """Criterion 6's cells at the given distance: (every check holds, the detail line)."""
     reps = 30
     seed = 23
     grid = [
@@ -276,9 +278,7 @@ def test_criterion_6_benchmark_reproduces_the_reference_cells():
         SimConfig(n=30, beta=math.pi / 2.0, sigma2=0.1, seed=seed,
                   replications=reps, theta_grid=(1.0,)),
     ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rows = run_benchmark(grid)
+    rows = run_benchmark(grid, distance=distance)
     by_key = {(r.n, round(r.beta, 6), r.theta): r.mean_rand for r in rows}
     t0 = by_key[(40, round(math.pi / 2, 6), 0.0)]
     t1 = by_key[(40, round(math.pi / 2, 6), 1.0)]
@@ -301,7 +301,24 @@ def test_criterion_6_benchmark_reproduces_the_reference_cells():
         f"n=30 theta=1 across beta: {b45:.3f} > {b60:.3f} > {b90:.3f} "
         f"(targets 0.134, 0.046, 0.008 +/- 0.05); {failures} failed replications"
     )
-    _check(6, all(checks), detail)
+    return all(checks), detail
+
+
+def test_criterion_6_benchmark_reproduces_the_reference_cells():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ok, detail = _criterion_6("chord")
+    _check(6, ok, detail)
+
+
+def test_criterion_6_holds_in_geodesic_with_no_convergence_warning():
+    # the same cells, bounds and ordering with geodesic centroids; every fit
+    # at theta = 1 is a full-rank one, and none may stop short
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ok, detail = _criterion_6("geodesic")
+    stopped = sum(issubclass(w.category, ConvergenceWarning) for w in caught)
+    _check(6, ok and stopped == 0, f"geodesic: {detail}; {stopped} convergence warnings")
 
 
 def test_criterion_7_wine_inertia_profile_and_two_cluster_fit():

@@ -197,6 +197,11 @@ def test_rank_criterion_validation():
         RankCriterion.fixed(0)
     with pytest.raises(ValidationError):
         RankCriterion("nonsense")
+    # a field the kind ignores is refused, not kept and written by describe()
+    for kind, extra in (("trace_ratio", {"theta": 0.5, "h": 3}), ("fixed", {"h": 2, "theta": 0.5}),
+                        ("cattell", {"h": 2}), ("cattell", {"theta": 0.5})):
+        with pytest.raises(ValidationError, match=f"a {kind} criterion takes no"):
+            RankCriterion(kind, **extra)
     assert RankCriterion.trace_ratio(0.5).describe() == {
         "kind": "trace_ratio",
         "theta": 0.5,

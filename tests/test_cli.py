@@ -295,6 +295,15 @@ def test_exit_codes_for_bad_input(data_csv, tmp_path, capsys):
     assert main(["no-such-command"]) == 2
 
 
+def test_a_negative_seed_exits_2(data_csv, tmp_path, capsys):
+    # the seed goes through the count rule, not into numpy's SeedSequence
+    for argv in (["cluster", "--data", data_csv, "--L", "2"],
+                 ["simulate", "--n", "30", "--beta", "pi/4", "--sigma2", "0.1", "--reps", "1"]):
+        assert main([*argv, "--seed", "-1", "--out-dir", str(tmp_path / "x")]) == 2
+        assert "error: seed must be an integer of at least 0 (got -1)" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_mds_input_validation(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["mds", str(missing), "--out-dir", str(tmp_path)]) == 2

@@ -257,8 +257,14 @@ def test_clustering_config_validation():
         for bad in (0, -1, 2.5, 2.0, True, "3"):
             with pytest.raises(ValidationError, match=f"{field} must be an integer"):
                 ClusteringConfig(**{"n_clusters": 2, field: bad})
-    config = ClusteringConfig(n_clusters=np.int64(2), max_iter=np.int32(5), n_starts=np.uint8(3))
-    assert [type(v) for v in (config.n_clusters, config.max_iter, config.n_starts)] == [int] * 3
+    # a seed is a count of at least 0, checked before numpy's SeedSequence sees it
+    for bad in (-1, 2.5, 2.0, True, "3", None):
+        with pytest.raises(ValidationError, match="seed must be an integer of at least 0"):
+            ClusteringConfig(n_clusters=2, seed=bad)
+    config = ClusteringConfig(n_clusters=np.int64(2), max_iter=np.int32(5), n_starts=np.uint8(3),
+                              seed=np.int64(0))
+    assert [type(v) for v in (config.n_clusters, config.max_iter, config.n_starts, config.seed)] \
+        == [int] * 4
     assert config == ClusteringConfig(n_clusters=2, max_iter=5, n_starts=3)
     with pytest.raises(ValidationError):
         kmeans([], ClusteringConfig(n_clusters=1))

@@ -249,9 +249,10 @@ def test_no_fit_takes_a_qr(tmp_path, monkeypatch):
 def test_geodesic_averages_of_near_copies_match_the_n_row_fit(criterion):
     # numeric pairs x, x + eps y under random weights: the mean's spectrum
     # spans eigenvalues down to ~eps^2 of the largest, where the Gram block's
-    # basis is orthonormal only to rounding.  The frame's ascent on at most
-    # q_S rows must reach the objective, rank and stop of the ascent on the
-    # n rows from an SVD of the mean, with no frame
+    # basis is orthonormal only to rounding.  The frame's fit on at most q_S
+    # rows must reach the objective, rank and stop of the fit on the n rows
+    # from an SVD of the mean, with no frame: the ascent below the numerical
+    # rank, and at it (theta 0.9 at eps <= 1e-6) the dense member-weight map
     for seed in range(5):
         for eps in (1e-2, 1e-4, 1e-6, 1e-8):
             rng = np.random.default_rng([seed, round(-np.log10(eps))])
@@ -342,14 +343,16 @@ def test_full_rank_chord_kmeans_fits_only_the_returned_centroids(monkeypatch):
 
 def test_a_full_rank_chord_replication_takes_no_spectrum(monkeypatch):
     # a replication scores only each theta's best partition: at trace ratio 1
-    # every round reads the K x K cosine matrix and no centroid is lifted
+    # every round reads the K x K cosine matrix and no centroid is lifted, in
+    # chord and, through the member-weight map, in geodesic
     spectra = []
     spectrum = averaging._Frame.spectra
     monkeypatch.setattr(averaging._Frame, "spectra",
                         lambda self, *a: spectra.append(1) or spectrum(self, *a))
-    rows = run_benchmark([SimConfig(n=30, beta=np.pi / 3, sigma2=0.1, seed=4, replications=1,
-                                    theta_grid=(1.0,))], n_starts=10)
-    assert [(r.replications, r.failures) for r in rows] == [(1, 0)] and not spectra
+    for distance in ("chord", "geodesic"):
+        rows = run_benchmark([SimConfig(n=30, beta=np.pi / 3, sigma2=0.1, seed=4, replications=1,
+                                        theta_grid=(1.0,))], n_starts=10, distance=distance)
+        assert [(r.replications, r.failures) for r in rows] == [(1, 0)] and not spectra
 
 
 def test_inertia_profile_takes_one_svd(monkeypatch):
@@ -403,8 +406,9 @@ def test_kmeans_global_fit_is_the_public_average():
 
 @pytest.mark.parametrize("n", [30, 40])
 def test_full_rank_chord_cosines_match_the_spectrum_path(n):
-    # at trace ratio 1 a chord centroid's cosines come from the K x K cosine
-    # matrix; the spectrum path truncates the same normalised mean at its
+    # at trace ratio 1 a centroid's cosines come from the K x K cosine
+    # matrix; the spectrum path truncates the same member combination (the
+    # normalised mean in chord, the member-weight map's in geodesic) at its
     # numerical rank, which here drops only round-off.  At n = 30, sum q = 33
     # exceeds n, so the stacked blocks are rank-deficient
     rs = _simulated(n, 3)
@@ -413,10 +417,11 @@ def test_full_rank_chord_cosines_match_the_spectrum_path(n):
     chosen = np.random.default_rng(n).random((200, k)) < 0.4
     chosen = np.vstack([chosen[chosen.any(axis=1)], np.eye(k, dtype=bool), np.ones(k, bool)])
     full = RankCriterion.trace_ratio(1.0)
-    frame = averaging._Frame(rs)
-    got = frame.fit_cosines(chosen, "chord", full)
-    want = np.array([fit[3] for fit in frame.centroids(chosen, "chord", full)])
-    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    for distance in ("chord", "geodesic"):
+        frame = averaging._Frame(rs)
+        got = frame.fit_cosines(chosen, distance, full)
+        want = np.array([fit[3] for fit in frame.centroids(chosen, distance, full)])
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12), distance
 
 
 def test_full_rank_cosines_differ_by_at_most_the_dropped_eigenvalues():

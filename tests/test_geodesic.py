@@ -12,6 +12,7 @@ from varsphere import (
     RankHOperator,
     SimConfig,
     Weights,
+    averaging,
     encode_numeric,
     rank_h_average_euclidean,
     rank_h_average_geodesic,
@@ -26,10 +27,14 @@ from _support import (
     _span_forms,
     arc_line_search,
     dense,
+    dense_member_map,
+    member_map_gap,
+    n_row_ascent,
     n_row_gradients,
     n_row_objective,
     n_row_residual,
     n_row_step,
+    operator_dot,
     operator_norm,
     random_normed_resultant,
     random_rank_h,
@@ -313,14 +318,21 @@ def test_shipped_ascent_never_loses_ground_round_by_round():
                 break
 
 
-def test_a_failing_step_reports_its_own_error():
-    # two numeric variables a hair apart: their mean has lam_2 ~ 1.7e-7, so at
-    # H = 2 the polar factor refuses the rank-deficient Gamma' W^-1 Gamma,
-    # while the gradient is far from vanishing
+def _near_copies(m):
+    """m numeric variables x, x + 1e-3 y, x + 1e-3 z, ...: their mean has
+    eigenvalues ~1e-7 of the largest beyond the first."""
     rng = np.random.default_rng(0)
     w = Weights.uniform(20)
     x = rng.standard_normal(20)
-    rs = [resultant(encode_numeric(v, w), w) for v in (x, x + 1e-3 * rng.standard_normal(20))]
+    return [resultant(encode_numeric(v, w), w)
+            for v in [x] + [x + 1e-3 * rng.standard_normal(20) for _ in range(m - 1)]]
+
+
+def test_a_failing_step_reports_its_own_error():
+    # three near copies, of numerical rank 3: at H = 2, below it, the ascent's
+    # polar factor refuses the rank-deficient Gamma' W^-1 Gamma, while the
+    # gradient is far from vanishing
+    rs = _near_copies(3)
     start = rank_h_average_euclidean(rs, 2)
     assert np.linalg.norm(n_row_gradients(start.U, start.lam, rs)[0]) > 1.0
     with pytest.warns(ConvergenceWarning) as caught:
@@ -363,3 +375,78 @@ def test_slow_tails_converge_within_the_cap(seed, h, capped):
     assert avg.converged
     assert n_row_residual(avg, members) <= 1e-6
     assert n_row_objective(avg, members) >= capped
+
+
+def _full_rank_sets(seed, count):
+    """Random member sets with random weights, each with its omega."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        w = random_weights(rng, int(rng.integers(4, 9)))
+        k = int(rng.integers(1, 6))
+        rs = [random_normed_resultant(rng, w, rank=int(rng.integers(1, 4))) for _ in range(k)]
+        yield rs, rng.dirichlet(np.ones(k)) if rng.random() < 0.5 else None
+
+
+def test_full_rank_fits_follow_the_dense_member_map():
+    # at the mean's numerical rank a geodesic fit is the member-weight map on
+    # the K x K cosine matrix: the public average (_settle) and the cosines of
+    # random member sets (fit_cosines) against the same map run on the n x n
+    # operators, and every fit's gap, recomputed on them, is within 1e-12
+    full = RankCriterion.trace_ratio(1.0)
+    for rs, omega in _full_rank_sets(61, 30):
+        x, gap = dense_member_map(rs, omega)
+        assert gap <= 1e-12
+        avg = rank_h_average_geodesic(rs, full, omega)
+        assert avg.converged
+        assert np.abs(dense(avg) - x).max() <= 1e-10
+        assert member_map_gap(dense(avg), rs, omega)[1] <= 1e-12
+        frame = averaging._Frame(rs)
+        chosen = np.random.default_rng(len(rs)).random((8, len(rs))) < 0.6
+        chosen = chosen[chosen.any(axis=1)]
+        got = frame.fit_cosines(chosen, "geodesic", full)
+        for row, cos, (a, converged) in zip(chosen, got, frame.member_weights(chosen)):
+            members = [r for r, keep in zip(rs, row) if keep]
+            x_s = dense_member_map(members)[0]
+            assert converged
+            assert np.allclose(cos, [operator_dot(dense(r), x_s, r.weights) for r in rs],
+                               rtol=0.0, atol=1e-10)
+            ops = sum(share * dense(r) for share, r in zip(a[row], members))
+            assert member_map_gap(ops / operator_norm(ops, rs[0].weights), members)[1] <= 1e-12
+
+
+def test_full_rank_fits_never_fall_below_the_ascent():
+    # the ascent from the same chord start is a lower bound on a full-rank
+    # fit's g; two near copies pin a set that it leaves unconverged at H = 2,
+    # where its first step is refused as numerically rank-deficient
+    full = RankCriterion.trace_ratio(1.0)
+    sets = [(rs, None) for rs in (_near_copies(2),)] + list(_full_rank_sets(67, 20))
+    for i, (rs, omega) in enumerate(sets):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ConvergenceWarning)
+            ascent = n_row_ascent(rank_h_average_euclidean(rs, full, omega), rs, omega)
+        avg = rank_h_average_geodesic(rs, full, omega)
+        assert avg.converged
+        assert n_row_objective(avg, rs, omega) >= n_row_objective(ascent, rs, omega) - 1e-12
+        if i == 0:
+            assert avg.rank == 2 and not ascent.converged
+            assert "numerically rank-deficient" in str(caught[-1].message)
+
+
+def test_a_capped_full_rank_fit_warns_once_per_member_set():
+    # eight numeric variables take more than 5 rounds of the map: capped at 5,
+    # the set warns once with the ascent's text, however often it is asked
+    # for and by either stage, and its fit and lift stay flagged unconverged
+    rng = np.random.default_rng(3)
+    w = Weights.uniform(12)
+    rs = [resultant(encode_numeric(rng.standard_normal(12), w), w) for _ in range(8)]
+    frame = averaging._Frame(rs, max_iter=5)
+    full = RankCriterion.trace_ratio(1.0)
+    with pytest.warns(ConvergenceWarning) as caught:
+        cos = frame.fit_cosines(np.ones((3, 8), dtype=bool), "geodesic", full)
+        frame.fit_cosines(np.ones((1, 8), dtype=bool), "geodesic", full)
+        fit = frame.fit(full, "geodesic")
+    assert [str(c.message) for c in caught] == [
+        "geodesic average did not converge after 5 rounds: the iteration cap was reached"]
+    assert not fit[2] and not frame.lift(fit).converged
+    assert np.allclose(cos, fit[3], rtol=0.0, atol=1e-12)
+    assert rank_h_average_geodesic(rs, full, max_iter=10).converged

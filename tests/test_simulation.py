@@ -119,6 +119,20 @@ def test_sim_config_validation():
             SimConfig(n=30, beta=np.pi / 2.0, sigma2=0.1, replications=bad)
     with pytest.raises(ValidationError):
         SimConfig(n=30, beta=np.pi / 2.0, sigma2=0.1, theta_grid=(0.0, 1.5))
+    # n and the seed take the count rule: n at least 5, for the quintile cuts
+    for field, least, bad in (("n", 5, 30.5), ("n", 5, 4), ("seed", 0, -1), ("seed", 0, 2.5)):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer of at least {least}"):
+            SimConfig(**{"n": 30, "beta": np.pi / 2.0, "sigma2": 0.1, field: bad})
+    config = SimConfig(n=np.int64(30), beta=np.pi / 2.0, sigma2=0.1, seed=np.uint32(7))
+    assert (type(config.n), type(config.seed)) == (int, int)
+    # run_benchmark refuses a bad start count or distance once, before any
+    # replication runs, rather than failing every replication with a warning
+    grid = [SimConfig(n=30, beta=1.0, sigma2=0.1, replications=2, theta_grid=(0.0,))]
+    for kwargs, text in (({"n_starts": 0}, "n_starts must be"), ({"distance": "manhattan"}, "distance")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=text):
+                run_benchmark(grid, **kwargs)
 
 
 def test_rand_discrepancy_worked_examples():

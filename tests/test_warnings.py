@@ -29,13 +29,15 @@ from varsphere import (
 SRC = os.path.dirname(varsphere.__file__)
 
 
-def _near_pair():
-    """Two numeric variables a hair apart: at H = 2 the polar factor refuses
-    the rank-deficient Gamma' W^-1 Gamma, so every fit of both at H = 2 warns."""
+def _near_triple():
+    """Numeric variables x, x + 1e-3 y, x + 1e-3 z, of numerical rank 3: at
+    H = 2, below it, the ascent's polar factor refuses the rank-deficient
+    Gamma' W^-1 Gamma, so every fit of all three at H = 2 warns."""
     rng = np.random.default_rng(0)
     w = Weights.uniform(20)
     x = rng.standard_normal(20)
-    return [resultant(encode_numeric(v, w), w) for v in (x, x + 1e-3 * rng.standard_normal(20))]
+    return [resultant(encode_numeric(v, w), w)
+            for v in (x, x + 1e-3 * rng.standard_normal(20), x + 1e-3 * rng.standard_normal(20))]
 
 
 def _one_cluster():
@@ -62,11 +64,11 @@ def _failed_replication(monkeypatch):
 # each case: its setup, which returns the call to make, and a text its warnings must include
 GEODESIC = "geodesic average did not converge"
 CASES = {
-    "rank_h_average_geodesic": (lambda mp: lambda: rank_h_average_geodesic(_near_pair(), 2),
+    "rank_h_average_geodesic": (lambda mp: lambda: rank_h_average_geodesic(_near_triple(), 2),
                                 GEODESIC),
-    "geodesic_inertia_profile": (lambda mp: lambda: geodesic_inertia_profile(_near_pair(), 2),
+    "geodesic_inertia_profile": (lambda mp: lambda: geodesic_inertia_profile(_near_triple(), 2),
                                  GEODESIC),
-    "kmeans_fit": (lambda mp: lambda: kmeans(_near_pair(), _one_cluster()), GEODESIC),
+    "kmeans_fit": (lambda mp: lambda: kmeans(_near_triple(), _one_cluster()), GEODESIC),
     "kmeans_cap": (_kmeans_at_the_cap,
                    "k-means stopped on an assignment cycle or the iteration cap"),
     "classical_mds": (lambda mp: lambda: classical_mds(np.array([[0.0, 1.0], [1.0, 0.0]]), 3),
