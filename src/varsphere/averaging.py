@@ -341,15 +341,14 @@ class _Frame:
     """The Gram of the resultants' whitened factors: the one place an
     average's spectrum is taken and truncated, and every geodesic fit runs.
 
-    The frame forms the whitened stack Z = W^1/2 [Z_1 ... Z_K] and its Gram
-    G = Z'Z once, and fits every centroid, chord or geodesic, as coefficients
-    P on its members' columns: C = Z_S P, lifted to U = W^-1/2 C.  A member
-    set S is a boolean row over the K resultants, weighted uniformly, or by
-    the frame's omega, which only the whole set takes.  One memo holds plain
-    arrays, keyed by the set's packed row: under the bare key, the spectrum of
-    the members' mean, from the eigh of the scaled block D G_SS D = V diag(lam)
-    V', D = sqrt(omega_k) over the set's columns, held as (columns, D V
-    lam^-1/2) and lam; under (key, distance, rank h or criterion), the fit
+    The frame forms the whitened stack Z = W^1/2 [Z_1 ... Z_K] and its Gram G =
+    Z'Z once, and fits every centroid, chord or geodesic, as coefficients P on
+    its members' columns: C = Z_S P, lifted to U = W^-1/2 C.  A member set S is
+    a boolean row over the K resultants.  One memo holds plain arrays, keyed by
+    the set's packed row: under the bare key, the spectrum of the members'
+    mean, from the eigh of the scaled block D G_SS D = V diag(lam) V', D =
+    sqrt(a_k) over the set's columns for its chord weights a, held as (columns,
+    D V lam^-1/2) and lam; under (key, distance, rank h or criterion), the fit
     ((columns, P), lam_h, converged, cosines to all K resultants), lam_h =
     lam[:h] / ||lam[:h]||; under (key, "geodesic"), a full-rank geodesic fit's
     member weights.  Criteria that choose the same rank share one fit.
@@ -371,12 +370,13 @@ class _Frame:
     per block size, and one product G P lam^1/2 = Z'C lam^1/2, the whitened
     Z' W times the centroids' factors, for all their cosines.
 
-    A centroid at the mean's numerical rank (RankCriterion.full's) is X =
-    sum_k a_k R_k / ||.||, whose cosines h = A a / sqrt(a'A a) fit_cosines
-    reads with no spectrum from the K x K cosine matrix A_km = ||R_k' R_m||_F^2
-    of ClustOfVar (Chavent et al., JSS 2012), built once from G.  In chord
-    a = omega.  In geodesic, where g is concave, a is the fixed point of the
-    Frank-Wolfe vertex step a <- f = _factors(h) from a = omega, X the
+    A centroid at the mean's numerical rank (RankCriterion.full's) is X = sum_k
+    a_k R_k / ||.||, whose cosines h = A a / sqrt(a'A a) fit_cosines reads with
+    no spectrum from the K x K cosine matrix A_km = ||R_k' R_m||_F^2 of
+    ClustOfVar (Chavent et al., JSS 2012), built once from G.  member_weights()
+    forms a: in chord the mean's shares, uniform over the members or omega for
+    the whole set.  In geodesic, where g is concave, a is the fixed point of
+    the Frank-Wolfe vertex step a <- f = _factors(h) from those shares, X the
     spherical mean of Buss & Fillmore (ACM TOG 2001); the fit has converged
     once the step's gap sqrt(f'A f) - f'h, a bound on g* - g (Jaggi, ICML
     2013), is at most GAP.  A lift drops the eigenvalues under RANK_TOL of
@@ -386,7 +386,7 @@ class _Frame:
     def __init__(self, resultants: list[Resultant], omega=None, max_iter: int = 500):
         self.weights = _gather(resultants)
         self.k = len(resultants)
-        self.omega = None if omega is None else as_weight_system(omega, self.k)
+        self.omega = as_weight_system(omega, self.k)
         self._z, self._widths, self._starts = _stack(resultants)
         self._gram = self._z.T @ self._z
         self._stop = count(max_iter, "max_iter"), 1.0 / math.sqrt(float(self.weights.w.min()))
@@ -406,11 +406,11 @@ class _Frame:
         todo = {key: row for key, row in zip(keys, chosen) if key not in self._memo}
         keys, rows = list(todo), np.array(list(todo.values()), dtype=bool).reshape(-1, self.k)
         sizes = np.count_nonzero(rows[:, self._owner], axis=1)
+        roots = np.sqrt(self.member_weights(rows, "chord")[0])[:, self._owner]  # D, column by column
         for m in sorted(set(sizes.tolist())):
             group = np.flatnonzero(sizes == m)
             idx = np.nonzero(rows[group][:, self._owner])[1].reshape(group.size, m)  # each set's columns
-            root = (np.sqrt(1.0 / np.count_nonzero(rows[group], axis=1))[:, None] if self.omega is None
-                    else np.repeat(np.sqrt(self.omega), self._widths)[idx])  # D, or its one value
+            root = roots[group[:, None], idx]
             lam, v = np.linalg.eigh(self._gram[idx[:, :, None], idx[:, None, :]]
                                     * (root[:, :, None] * root[:, None, :]))
             lam, v = lam[:, ::-1], v[:, :, ::-1]  # descending
@@ -426,24 +426,26 @@ class _Frame:
 
     def fit_cosines(self, chosen: np.ndarray, distance: str, h: int | RankCriterion) -> np.ndarray:
         """Each member set's K cosines to its centroid; at full rank (a A)_k / sqrt(a A a')
-        for its member weights a: its row in chord, as in K-means, else member_weights()."""
+        for the member weights a that member_weights() gives it, in either distance."""
         if not isinstance(h, RankCriterion) or not h.full:
             return np.array([fit[3] for fit in self.centroids(chosen, distance, h)])
-        share = (chosen.astype(float) if distance == "chord"  # a float row: no ufunc buffer casts
-                 else np.array([a for a, _ in self.member_weights(chosen)]))
+        share = self.member_weights(chosen, distance)[0]
         dots = share @ self._cosine_matrix
         return dots / np.sqrt(np.sum(dots * share, axis=1))[:, None]
 
-    def member_weights(self, chosen: np.ndarray) -> list[tuple]:
-        """(a, converged) of each member set's full-rank geodesic fit, memoised
-        under its key: the new sets iterate a <- f as one B x K array, each row
-        until its gap is at most GAP; one still open after max_iter rounds warns."""
+    def member_weights(self, chosen: np.ndarray, distance: str) -> tuple[np.ndarray, list]:
+        """(a, converged) of each member set, a B x K array of weights and B flags: the one rule
+        for a set's weights.  In chord, a is the shares of the set's mean: uniform over its members,
+        or the frame's omega for the whole set.  In geodesic, a is the full-rank fit's fixed point of
+        a <- f from those shares, memoised under the set's key: the new sets iterate as one B x K
+        array, each row until its gap is at most GAP; one still open after max_iter rounds warns."""
+        shares = (marks := chosen.astype(float)) / marks.sum(axis=1, keepdims=True)  # no bool casts
+        shares[chosen.all(axis=1)] = self.omega
+        if distance == "chord":
+            return shares, [True] * len(shares)
         keys = [row.tobytes() for row in np.packbits(chosen, axis=1)]
-        todo = {key: row for key, row in zip(keys, chosen) if (key, "geodesic") not in self._memo}
-        rows = np.array(list(todo.values()), dtype=bool).reshape(-1, self.k)
-        omega = rows / np.count_nonzero(rows, axis=1)[:, None]
-        if self.omega is not None:
-            omega[rows.all(axis=1)] = self.omega
+        todo = {key: i for i, key in enumerate(keys) if (key, "geodesic") not in self._memo}
+        omega = shares[list(todo.values())]
         a, open_, cos = omega.copy(), np.ones(len(omega), dtype=bool), self._cosine_matrix
         for rounds in range(self._stop[0] + 1):
             h = (dots := a @ cos) / np.sqrt(np.sum(dots * a, axis=1))[:, None]
@@ -457,7 +459,8 @@ class _Frame:
                 warn(f"geodesic average did not converge after {rounds} rounds: "
                      "the iteration cap was reached", ConvergenceWarning)
             self._memo[key, "geodesic"] = weights, not capped
-        return [self._memo[key, "geodesic"] for key in keys]
+        fits = [self._memo[key, "geodesic"] for key in keys]
+        return np.array([a for a, _ in fits]).reshape(-1, self.k), [c for _, c in fits]
 
     def centroids(self, chosen: np.ndarray, distance: str, h: int | RankCriterion) -> list[tuple]:
         """The rank-h fit ((columns, P), lam, converged, K cosines) of each
@@ -491,14 +494,14 @@ class _Frame:
                 new[key, rank] = (cols, scaled[:, :rank]), lam_h, True
             else:  # on Y = Q_S' Z_S: at full rank the eigenpairs of Y diag(a) Y', else the ascent
                 y = scaled.T @ self._gram[cols[:, None], cols]
-                if rank == numerical_rank(lam, RANK_TOL):
-                    a, converged = self.member_weights(row[None])[0]
+                full = rank == numerical_rank(lam, RANK_TOL)
+                (a,), (converged,) = self.member_weights(row[None], "geodesic" if full else "chord")
+                if full:
                     mu, c = np.linalg.eigh((y * np.repeat(a[row], self._widths[row])) @ y.T)
                     c, lam_h = c[:, :-rank - 1:-1], mu[:-rank - 1:-1] / np.linalg.norm(mu[-rank:])
                 else:
-                    c, lam_h, converged = _geodesic_from(
-                        y, self._widths[row], as_weight_system(self.omega, int(row.sum())),
-                        np.eye(lam.size, rank), lam_h, *self._stop)
+                    c, lam_h, converged = _geodesic_from(y, self._widths[row], a[row],
+                                                         np.eye(lam.size, rank), lam_h, *self._stop)
                 new[key, rank] = (cols, scaled @ c), lam_h, converged
         at = np.cumsum([0] + [lam.size for _, lam, _ in new.values()])
         p = np.zeros((self._gram.shape[0], at[-1]))

@@ -410,18 +410,39 @@ def test_full_rank_chord_cosines_match_the_spectrum_path(n):
     # matrix; the spectrum path truncates the same member combination (the
     # normalised mean in chord, the member-weight map's in geodesic) at its
     # numerical rank, which here drops only round-off.  At n = 30, sum q = 33
-    # exceeds n, so the stacked blocks are rank-deficient
+    # exceeds n, so the stacked blocks are rank-deficient.  A frame built with
+    # omega weighs the whole set (the last row) by it in both paths
     rs = _simulated(n, 3)
     k = len(rs)
     assert (sum(r.factor.shape[1] for r in rs) > n) == (n == 30)
     chosen = np.random.default_rng(n).random((200, k)) < 0.4
     chosen = np.vstack([chosen[chosen.any(axis=1)], np.eye(k, dtype=bool), np.ones(k, bool)])
     full = RankCriterion.trace_ratio(1.0)
+    for omega in (None, np.random.default_rng(n + 1).dirichlet(np.ones(k))):
+        for distance in ("chord", "geodesic"):
+            frame = averaging._Frame(rs, omega)
+            got = frame.fit_cosines(chosen, distance, full)
+            want = np.array([fit[3] for fit in frame.centroids(chosen, distance, full)])
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12), (distance, omega is None)
+
+
+def test_a_weighted_frame_fits_a_proper_subset_as_the_uniform_frame_does():
+    # omega weighs only the whole set: a proper subset's mean is uniform over
+    # its members, so its rank-1 fit on a frame built with omega is the one
+    # on the uniform frame, bit for bit, in both distances
+    rs = _simulated(40, 3)
+    k = len(rs)
+    omega = np.random.default_rng(7).dirichlet(np.ones(k))
+    chosen = np.random.default_rng(8).random((30, k)) < 0.4
+    chosen = chosen[chosen.any(axis=1) & ~chosen.all(axis=1)]
     for distance in ("chord", "geodesic"):
-        frame = averaging._Frame(rs)
-        got = frame.fit_cosines(chosen, distance, full)
-        want = np.array([fit[3] for fit in frame.centroids(chosen, distance, full)])
-        assert np.allclose(got, want, rtol=0.0, atol=1e-12), distance
+        weighted, uniform = (averaging._Frame(rs, w).centroids(chosen, distance, 1)
+                             for w in (omega, None))
+        for ((cols, coef), lam, converged, cos), ((cols_u, coef_u), lam_u, converged_u, cos_u) in zip(
+                weighted, uniform):
+            assert converged == converged_u
+            for ours, theirs in ((cols, cols_u), (coef, coef_u), (lam, lam_u), (cos, cos_u)):
+                assert np.array_equal(ours, theirs), distance
 
 
 def test_full_rank_cosines_differ_by_at_most_the_dropped_eigenvalues():

@@ -404,7 +404,7 @@ def test_full_rank_fits_follow_the_dense_member_map():
         chosen = np.random.default_rng(len(rs)).random((8, len(rs))) < 0.6
         chosen = chosen[chosen.any(axis=1)]
         got = frame.fit_cosines(chosen, "geodesic", full)
-        for row, cos, (a, converged) in zip(chosen, got, frame.member_weights(chosen)):
+        for row, cos, a, converged in zip(chosen, got, *frame.member_weights(chosen, "geodesic")):
             members = [r for r, keep in zip(rs, row) if keep]
             x_s = dense_member_map(members)[0]
             assert converged
