@@ -121,7 +121,7 @@ class RankHOperator(Resultant):
             raise ValidationError("eigenvalues must be non-negative and sorted descending")
         if abs(float(np.linalg.norm(lam)) - 1.0) > 1e-8:
             raise ValidationError("eigenvalue vector must have unit euclidean norm")
-        super().__init__(U * np.sqrt(np.clip(lam, 0.0, None)), weights, True, _scaled=True)
+        super().__init__(U * np.sqrt(np.clip(lam, 0.0, None)), weights, _scaled=True)
         self.U, self.lam, self.converged = U, lam, converged
 
     @property
@@ -136,8 +136,6 @@ def _gather(resultants: list[Resultant]) -> Weights:
     for r in resultants:
         if not r.weights.same_as(weights):
             raise ValidationError("resultants live on different weight systems")
-        if not r.normed:
-            raise ValidationError("expected unit-norm resultants")
     return weights
 
 

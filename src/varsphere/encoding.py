@@ -8,12 +8,14 @@ becomes a point on the unit sphere of operator space, which is the common
 representation this package clusters and averages.  A rank-H average is a
 point of the same sphere, the resultant whose factor is U Lam^1/2.
 
-A resultant is held only as its factor (over sqrt(||R||) when normed), and no
-n x n operator is ever formed: ||R|| = ||Z' W Z||_F (_gram_norm) and
-[R_a|R_b] = ||Z_a' W Z_b||_F^2, both in O(n q^2).  Every trace product is one
-kernel: `cosines` stacks the whitened factors (_stack) and sums the squared
-product block by block (_block_sums); Resultant.dot is its 1 x 1 case, and
-the averaging frame applies _block_sums to the Gram of the same stack.
+Every resultant has unit norm: `resultant` divides the factor by sqrt(||R||),
+and the constructor refuses a factor of any other norm.  A resultant is held
+only as its factor, and no n x n operator is ever formed:
+||R|| = ||Z' W Z||_F (_gram_norm) and [R_a|R_b] = ||Z_a' W Z_b||_F^2, both in
+O(n q^2).  Every trace product is one kernel: `cosines` stacks the whitened
+factors (_stack) and sums the squared product block by block (_block_sums);
+Resultant.dot is its 1 x 1 case, and the averaging frame applies _block_sums
+to the Gram of the same stack.
 
 Every encoder returns that factor, so `resultant` only norms it; a metric is
 given only through `encode_block`, which takes its one square root.
@@ -64,16 +66,15 @@ def _gram_norm(z: np.ndarray, weights: Weights) -> float:
 
 
 class Resultant:
-    """An operator Z Z' W, optionally scaled to unit trace norm, held as its
-    n x q factor Z.  Any factor gives a weighted-spsd operator, so the
-    constructor only checks the shape, the entries and, for a normed
-    resultant, ||Z' W Z||_F = 1, which `resultant` skips (_scaled) for the
-    factors it divides by their own norm.  The factor is held C-contiguous:
-    BLAS rounds products by memory layout, so results would otherwise depend
-    on how the caller built it."""
+    """A unit-norm operator Z Z' W, held as its n x q factor Z.  Any factor
+    gives a weighted-spsd operator, so the constructor only checks the shape,
+    the entries and ||Z' W Z||_F = 1 within 1e-8, which `resultant` and
+    RankHOperator skip (_scaled) for the factors they have just divided by
+    their own norm.  The factor is held C-contiguous: BLAS rounds products by
+    memory layout, so results would otherwise depend on how the caller built
+    it."""
 
-    def __init__(self, factor, weights: Weights, normed: bool, label: str = "",
-                 *, _scaled: bool = False):
+    def __init__(self, factor, weights: Weights, label: str = "", *, _scaled: bool = False):
         z = np.ascontiguousarray(factor, dtype=float)
         if z.ndim != 2 or z.shape[0] != weights.n:
             raise ValidationError(
@@ -81,20 +82,16 @@ class Resultant:
             )
         if not np.isfinite(z).all():
             raise ValidationError("factor contains non-finite entries")
-        if normed and not _scaled and abs((nrm := _gram_norm(z, weights)) - 1.0) > 1e-8:
-            raise ValidationError(f"resultant flagged as normed has norm {nrm!r}")
-        self.factor, self.weights, self.normed, self.label = z, weights, bool(normed), label
-
-    def norm(self) -> float:
-        return 1.0 if self.normed else _gram_norm(self.factor, self.weights)
+        if not _scaled and abs((nrm := _gram_norm(z, weights)) - 1.0) > 1e-8:
+            raise ValidationError(f"resultant has norm {nrm!r}, not 1")
+        self.factor, self.weights, self.label = z, weights, label
 
     def dot(self, other: "Resultant") -> float:
         """Trace scalar product ||Z_a' W Z_b||_F^2 with another resultant."""
         return float(cosines([self], [other])[0, 0])
 
     def __repr__(self) -> str:  # pragma: no cover
-        tag = "normed" if self.normed else "raw"
-        return f"Resultant({self.label or 'unnamed'}, n={self.weights.n}, {tag})"
+        return f"Resultant({self.label or 'unnamed'}, n={self.weights.n})"
 
 
 def _stack(resultants: list[Resultant]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -119,17 +116,16 @@ def cosines(a: list[Resultant], b: list[Resultant]) -> np.ndarray:
     return _block_sums(za.T @ zb, rows, cols)
 
 
-def resultant(structure: VariableStructure, weights: Weights, normed: bool = True) -> Resultant:
-    """R = X X' W for a structure's factor X, normed to unit norm by default."""
+def resultant(structure: VariableStructure, weights: Weights) -> Resultant:
+    """The unit-norm resultant X X' W / ||X X' W|| of a structure's factor X."""
     if structure.X.shape[0] != weights.n:
         raise ValidationError("structure and weights disagree on the number of observations")
     nrm = _gram_norm(structure.X, weights)
     if nrm <= 1e-300:
         raise NumericalError(f"structure {structure.label!r} has a zero resultant")
-    if nrm == np.inf:  # dividing by it would leave a zero factor flagged normed
+    if nrm == np.inf:  # dividing by it would leave a zero factor
         raise NumericalError(f"structure {structure.label!r} has a resultant too large to norm")
-    z = structure.X / np.sqrt(nrm) if normed else structure.X
-    return Resultant(z, weights, normed=normed, label=structure.label, _scaled=True)
+    return Resultant(structure.X / np.sqrt(nrm), weights, structure.label, _scaled=True)
 
 
 def _center_columns(x: np.ndarray, weights: Weights) -> np.ndarray:
@@ -211,12 +207,12 @@ def encode_block(x, m, weights: Weights, label: str = "") -> VariableStructure:
 def compound_structure(
     structures: list[VariableStructure], omega, weights: Weights, label: str = ""
 ) -> VariableStructure:
-    """Bundle several structures into one block whose normed resultant is the
-    normed weighted average of the members' unit-norm resultants.
+    """Bundle several structures into one block whose resultant is the
+    weighted average of the members' resultants, scaled back to unit norm.
 
     Each member contributes its factor's columns scaled by
-    sqrt(omega_h / ||R_h||), so the compound resultant expands to
-    sum_h omega_h R_h / ||R_h||.
+    sqrt(omega_h / ||X_h X_h' W||), so the compound's factor has the operator
+    sum_h omega_h R_h, which `resultant` norms.
     """
     if not structures:
         raise ValidationError("need at least one structure to compound")

@@ -56,10 +56,17 @@ def count_spectrum_eigensolves(monkeypatch, calls: list | None = None) -> list:
 
 
 def dense(x):
-    """The n x n operator of a Resultant (Z Z' W) or a RankHOperator (U Lam U' W)."""
+    """The n x n operator of a Resultant (Z Z' W), a RankHOperator (U Lam U' W)
+    or a weighted_mean (Z Z' W)."""
     if isinstance(x, RankHOperator):
         return (x.U * x.lam[None, :]) @ x.U.T * x.weights.w[None, :]
     return (x.factor @ x.factor.T) * x.weights.w[None, :]
+
+
+def raw_operator(structure, weights):
+    """The n x n operator X X' W of a structure's factor X, before `resultant`
+    scales it to unit norm."""
+    return (structure.X @ structure.X.T) * weights.w[None, :]
 
 
 def centred(x, weights):
@@ -152,12 +159,14 @@ def eigen(r):
 
 
 def weighted_mean(resultants, omega=None):
-    """The convex combination sum_k omega_k R_k, inside the ball: the
-    resultant whose factor stacks the columns sqrt(omega_k) Z_k."""
+    """The convex combination sum_k omega_k R_k, inside the ball, held as its
+    factor, the columns sqrt(omega_k) Z_k side by side: (factor, weights).
+    It is not a Resultant, since a Resultant has unit norm; dense() and
+    eigen() read it."""
     weights = _gather(resultants)
     omega = as_weight_system(omega, len(resultants))
     z = np.hstack([np.sqrt(share) * r.factor for share, r in zip(omega, resultants)])
-    return Resultant(z, weights, normed=False, label="average")
+    return SimpleNamespace(factor=z, weights=weights)
 
 
 def n_row_objective(avg, resultants, omega=None):
@@ -422,8 +431,7 @@ def random_normed_resultant(rng, weights, rank=None):
     n = weights.n
     q = int(rank) if rank is not None else int(rng.integers(1, n))
     x = rng.standard_normal((n, q))
-    return Resultant(x / np.sqrt(np.linalg.norm(x.T @ (weights.w[:, None] * x))), weights,
-                     normed=True)
+    return Resultant(x / np.sqrt(np.linalg.norm(x.T @ (weights.w[:, None] * x))), weights)
 
 
 def weighted_polar(g, weights):

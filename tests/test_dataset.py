@@ -24,6 +24,7 @@ from _support import (
     inverse_gram,
     inverse_variances,
     operator_norm,
+    raw_operator,
     structure_operator,
 )
 
@@ -290,7 +291,7 @@ def test_encode_dataset_orders_and_blocks(tmp_path):
     assert structures[-1].kind == "block"
     assert structures[-1].q == 2
     for s in structures:
-        assert resultant(s, ds.weights).norm() == pytest.approx(1.0)
+        assert operator_norm(dense(resultant(s, ds.weights)), ds.weights) == pytest.approx(1.0)
 
 
 def test_block_metrics_standardized_and_projector(tmp_path):
@@ -303,21 +304,21 @@ def test_block_metrics_standardized_and_projector(tmp_path):
     _, path = write_toy(tmp_path, manifest_text=text)
     ds = ingest(load_manifest(str(path)))
     block = encode_dataset(ds)[-1]
-    raw = resultant(block, ds.weights, normed=False)
-    # projector metric makes the resultant idempotent with norm sqrt(q)
-    assert np.allclose(dense(raw) @ dense(raw), dense(raw), atol=1e-8)
-    assert raw.norm() == pytest.approx(np.sqrt(2.0), abs=1e-8)
+    raw = raw_operator(block, ds.weights)
+    # projector metric makes the operator idempotent with norm sqrt(q)
+    assert np.allclose(raw @ raw, raw, atol=1e-8)
+    assert operator_norm(raw, ds.weights) == pytest.approx(np.sqrt(2.0), abs=1e-8)
     # standardized-diagonal equals the sum of the members' unit projectors
     text2 = text.replace("block.b.metric = projector\n", "")
     _, path2 = write_toy(tmp_path, manifest_text=text2)
     ds2 = ingest(load_manifest(str(path2)))
     block2 = encode_dataset(ds2)[-1]
-    raw2 = resultant(block2, ds2.weights, normed=False)
+    raw2 = raw_operator(block2, ds2.weights)
     parts = [
-        resultant(encode_numeric(ds2.numeric[c], ds2.weights), ds2.weights, normed=False)
+        raw_operator(encode_numeric(ds2.numeric[c], ds2.weights), ds2.weights)
         for c in ("height", "width")
     ]
-    assert np.allclose(dense(raw2), dense(parts[0]) + dense(parts[1]), atol=1e-10)
+    assert np.allclose(raw2, parts[0] + parts[1], atol=1e-10)
 
 
 @pytest.mark.parametrize("metric", ["standardized-diagonal", "projector"])
@@ -333,12 +334,12 @@ def test_blocks_are_factors_under_the_identity_metric(tmp_path, monkeypatch, met
     roots = []
     monkeypatch.setattr(encoding, "sqrt_spd", lambda m: roots.append(1) or sqrt_spd(m))
     block = encode_dataset(ds)[-1]
-    raw = resultant(block, w, normed=False)
+    raw = raw_operator(block, w)
     assert not roots
     x = np.column_stack([ds.numeric["height"], centred(indicators(ds.categorical["color"]), w),
                          ds.numeric["width"]])
     m = inverse_variances(x, w) if metric == "standardized-diagonal" else inverse_gram(x, w)
-    assert np.allclose(dense(raw), structure_operator(x, m, w), atol=1e-10)
+    assert np.allclose(raw, structure_operator(x, m, w), atol=1e-10)
 
 
 def _collinear_block(tmp_path, eps, scale=1.0):
@@ -367,7 +368,7 @@ def test_accepted_projector_blocks_are_projectors(tmp_path, eps, scale):
     # near-collinear columns above the rule, and independent columns whose
     # scales differ by 1e6 either way (b about 1e6 or 1e-6 times the noise)
     ds = _collinear_block(tmp_path, eps, scale)
-    raw = dense(resultant(encode_dataset(ds)[-1], ds.weights, normed=False))
+    raw = raw_operator(encode_dataset(ds)[-1], ds.weights)
     assert float(np.max(np.abs(raw @ raw - raw))) <= 1e-12
     assert operator_norm(raw, ds.weights) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from varsphere import (
-    NumericalError,
+    Resultant,
     ValidationError,
     chord_dist,
     encode_categorical,
@@ -14,7 +14,6 @@ from varsphere import (
     rv_cos,
     tschuprow,
 )
-from varsphere.distances import clamped_cosine
 
 from _support import (
     dense,
@@ -25,6 +24,7 @@ from _support import (
     random_rank_h,
     random_structure,
     random_weights,
+    raw_operator,
 )
 
 
@@ -84,43 +84,46 @@ def test_chord_triangle_inequality():
 
 
 def test_distances_require_matching_unit_norm_operands():
+    # every operand has unit norm by type: a raw operator is refused when it
+    # is built (see also test_resultant_validation_and_dot)
     rng = np.random.default_rng(7)
     w = random_weights(rng, 8)
     a = random_normed_resultant(rng, w)
     s = random_structure(rng, w, "categorical")
-    raw = resultant(s, w, normed=False)
-    with pytest.raises(ValidationError):
-        chord_dist(a, raw)
-    with pytest.raises(ValidationError):
-        geodesic_dist(raw, a)
+    with pytest.raises(ValidationError, match="norm"):
+        Resultant(s.X, w)
     w2 = random_weights(rng, 8)
     b = random_normed_resultant(rng, w2)
     with pytest.raises(ValidationError):
         chord_dist(a, b)
 
 
-def test_clamped_cosine_guards():
-    assert clamped_cosine(1.0 + 5e-9) == 1.0
-    assert clamped_cosine(-5e-9) == pytest.approx(-5e-9)
-    assert clamped_cosine(0.5) == 0.5
-    with pytest.raises(NumericalError):
-        clamped_cosine(1.1)
-    with pytest.raises(NumericalError):
-        clamped_cosine(-0.1)
+def test_both_distances_take_a_resultant_the_constructor_accepts():
+    # a factor of norm 1 + 0.9e-8 passes the constructor's 1e-8 check, and
+    # its cosine with itself, 1 + 1.8e-8, is a distance of 0 in either metric
+    rng = np.random.default_rng(23)
+    w = random_weights(rng, 8)
+    r = random_normed_resultant(rng, w)
+    r = Resultant(r.factor * np.sqrt(1.0 + 0.9e-8), w)
+    assert r.dot(r) > 1.0 + 1e-8
+    assert chord_dist(r, r) == 0.0
+    assert geodesic_dist(r, r) == 0.0
 
 
-def test_rv_cos_accepts_raw_operators():
+def test_rv_cos_is_the_rv_coefficient_of_the_raw_operators():
+    # rv_cos of the unit-norm resultants is [S|T] / (||S|| ||T||) of the
+    # structures' raw operators X X' W
     rng = np.random.default_rng(11)
     w = random_weights(rng, 10)
     s = random_structure(rng, w, "block")
     t = random_structure(rng, w, "numeric")
-    raw_s = resultant(s, w, normed=False)
-    raw_t = resultant(t, w, normed=False)
+    raw_s, raw_t = raw_operator(s, w), raw_operator(t, w)
     unit_s = resultant(s, w)
     unit_t = resultant(t, w)
-    assert rv_cos(raw_s, raw_t) == pytest.approx(unit_s.dot(unit_t), abs=1e-10)
-    assert rv_cos(unit_s, unit_t) == pytest.approx(unit_s.dot(unit_t), abs=1e-10)
-    assert rv_cos(raw_s, raw_s) == pytest.approx(1.0)
+    rv = operator_dot(raw_s, raw_t, w) / (operator_norm(raw_s, w) * operator_norm(raw_t, w))
+    assert rv_cos(unit_s, unit_t) == pytest.approx(rv, abs=1e-10)
+    assert rv_cos(unit_s, unit_t) == unit_s.dot(unit_t)
+    assert rv_cos(unit_s, unit_s) == pytest.approx(1.0)
 
 
 def test_phi2_matches_the_contingency_oracle():
@@ -153,9 +156,14 @@ def test_tschuprow_is_the_projector_cosine():
     for _ in range(20):
         n = int(rng.integers(12, 40))
         w = random_weights(rng, n)
-        sx = encode_categorical(random_labels(rng, n, int(rng.integers(2, 5))), w)
-        sy = encode_categorical(random_labels(rng, n, int(rng.integers(2, 5))), w)
+        lx = random_labels(rng, n, int(rng.integers(2, 5)))
+        ly = random_labels(rng, n, int(rng.integers(2, 5)))
+        sx, sy = encode_categorical(lx, w), encode_categorical(ly, w)
         t = tschuprow(sx, sy, w)
         assert -1e-12 <= t <= 1.0 + 1e-9
         cos = resultant(sx, w).dot(resultant(sy, w))
         assert t == pytest.approx(cos, abs=1e-10)
+        # phi2 over sqrt((r - 1)(s - 1)), from the contingency table
+        r, c = len(set(lx)), len(set(ly))
+        assert t == pytest.approx(contingency_phi2(lx, ly, w) / np.sqrt((r - 1.0) * (c - 1.0)),
+                                  abs=1e-10)

@@ -30,6 +30,7 @@ from _support import (
     random_spd,
     random_structure,
     random_weights,
+    raw_operator,
     structure_operator,
     weighted_mean,
 )
@@ -42,7 +43,7 @@ def test_numeric_resultant_is_a_unit_rank_one_projector():
         w = random_weights(rng, n)
         x = rng.standard_normal(n)
         r = resultant(encode_numeric(x, w), w)
-        assert r.norm() == pytest.approx(1.0)
+        assert operator_norm(dense(r), w) == pytest.approx(1.0)
         _, lam = eigen(r)
         assert lam.size == 1
         # R equals the outer product of the standardized variable
@@ -84,7 +85,7 @@ def test_one_column_factors_skip_the_eigensolve_and_the_norm_recheck(monkeypatch
     for bad in (0.0, -1.0):
         with pytest.raises(ValidationError, match="not positive definite"):
             encode_block(s.X, np.array([[bad]]), w)
-    # a norm that overflows would leave a zero factor flagged normed
+    # a norm that overflows would leave a zero factor
     with pytest.raises(NumericalError, match="too large to norm"), np.errstate(over="ignore"):
         resultant(encode_block(rng.standard_normal((12, 2)) * 1e200, np.eye(2), w), w)
 
@@ -118,16 +119,16 @@ def test_categorical_projector_properties():
         labels = random_labels(rng, n, m)
         s = encode_categorical(labels, w, label="g")
         assert s.levels == tuple(dict.fromkeys(labels))
-        raw = resultant(s, w, normed=False)
+        raw = raw_operator(s, w)
         # projector: idempotent with norm sqrt(m - 1)
-        assert np.allclose(dense(raw) @ dense(raw), dense(raw), atol=1e-8)
-        assert raw.norm() == pytest.approx(np.sqrt(m - 1.0), abs=1e-8)
+        assert np.allclose(raw @ raw, raw, atol=1e-8)
+        assert operator_norm(raw, w) == pytest.approx(np.sqrt(m - 1.0), abs=1e-8)
         # it fixes every centred indicator column
         for level in s.levels:
             ind = np.array([1.0 if v == level else 0.0 for v in labels])
             ind -= np.sum(w.w * ind)
-            assert np.allclose(dense(raw) @ ind, ind, atol=1e-8)
-        assert resultant(s, w).norm() == pytest.approx(1.0)
+            assert np.allclose(raw @ ind, ind, atol=1e-8)
+        assert np.allclose(dense(resultant(s, w)), raw / np.sqrt(m - 1.0), atol=1e-8)
 
 
 def test_categorical_drop_level_invariance():
@@ -140,7 +141,7 @@ def test_categorical_drop_level_invariance():
         # a factor whose operator is the projector X (X'WX)^-1 X'W of the
         # centred indicators kept
         kept = indicators(labels, d)
-        assert np.allclose(dense(resultant(s, w, normed=False)),
+        assert np.allclose(raw_operator(s, w),
                            structure_operator(kept, inverse_gram(kept, w), w), atol=1e-10)
         ops.append(dense(resultant(s, w)))
     for op in ops[1:]:
@@ -168,7 +169,7 @@ def test_a_level_with_a_vanishing_weight_is_a_projector_direction():
     x = centred(indicators(labels, 2), light)
     assert np.allclose(b.T @ (w * b), np.eye(2), atol=1e-12, rtol=0)
     assert np.allclose(b @ (b.T @ (w * x)), x, atol=1e-12, rtol=0)
-    raw = dense(resultant(s, light, normed=False))
+    raw = raw_operator(s, light)
     assert float(np.max(np.abs(raw @ raw - raw))) <= 1e-12
     assert operator_norm(raw, light) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
@@ -227,8 +228,8 @@ def test_compound_is_the_weighted_average_of_member_spheres():
         omega /= omega.sum()
         comp = resultant(compound_structure(members, omega, w, label="bundle"), w)
         mean = weighted_mean([resultant(s, w) for s in members], omega)
-        assert np.allclose(dense(comp), dense(mean) / mean.norm(), atol=1e-9)
-        assert comp.norm() == pytest.approx(1.0)
+        assert np.allclose(dense(comp), dense(mean) / operator_norm(dense(mean), w), atol=1e-9)
+        assert operator_norm(dense(comp), w) == pytest.approx(1.0)
 
 
 def test_compound_weight_validation():
@@ -251,7 +252,8 @@ def test_compound_without_weights_takes_uniform_shares():
     plain = compound_structure(members, None, w)
     assert np.array_equal(plain.X, compound_structure(members, np.full(3, 1.0 / 3.0), w).X)
     mean = weighted_mean([resultant(s, w) for s in members])
-    assert np.allclose(dense(resultant(plain, w)), dense(mean) / mean.norm(), atol=1e-9)
+    assert np.allclose(dense(resultant(plain, w)), dense(mean) / operator_norm(dense(mean), w),
+                       atol=1e-9)
 
 
 def test_resultant_validation_and_dot():
@@ -259,20 +261,23 @@ def test_resultant_validation_and_dot():
     w = random_weights(rng, 9)
     s = encode_categorical(random_labels(rng, 9, 3), w, label="g")
     r = resultant(s, w)
-    raw = resultant(s, w, normed=False)
+    raw = raw_operator(s, w)
     assert r.dot(r) == pytest.approx(1.0)
-    assert r.dot(raw) == pytest.approx(raw.norm(), abs=1e-9)
-    assert operator_dot(dense(r), dense(raw), w) == pytest.approx(r.dot(raw), abs=1e-10)
+    assert operator_dot(dense(r), dense(r), w) == pytest.approx(r.dot(r), abs=1e-10)
+    # the normed projector pairs with the raw one at the raw norm, sqrt(m - 1)
+    assert operator_dot(dense(r), raw, w) == pytest.approx(np.sqrt(2.0), abs=1e-9)
+    assert encoding._gram_norm(s.X, w) == pytest.approx(operator_norm(raw, w))
     w2 = random_weights(rng, 9)
     other = resultant(random_structure(rng, w2, "numeric"), w2)
     with pytest.raises(ValidationError):
         r.dot(other)
+    # a raw factor is refused: the W-orthonormal basis of m = 3 levels has
+    # norm sqrt(m - 1), and every resultant has norm 1
+    with pytest.raises(ValidationError, match=r"norm 1\.41421356"):
+        Resultant(s.X, w)
     with pytest.raises(ValidationError):
-        Resultant(raw.factor, w, normed=True)  # norm is sqrt(m - 1), not 1
+        Resultant(np.ones((3, 3)), w)  # wrong shape
     with pytest.raises(ValidationError):
-        Resultant(np.ones((3, 3)), w, normed=False)  # wrong shape
+        Resultant(np.ones(9), w)  # not 2-d
     with pytest.raises(ValidationError):
-        Resultant(np.ones(9), w, normed=False)  # not 2-d
-    with pytest.raises(ValidationError):
-        Resultant(np.full((9, 2), np.nan), w, normed=False)
-    assert raw.norm() == pytest.approx(operator_norm(dense(raw), w))
+        Resultant(np.full((9, 2), np.nan), w)

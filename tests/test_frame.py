@@ -123,7 +123,7 @@ def _diagonal(seed, k=7, d=4):
 
 def _unit(x, w):
     """The unit-norm resultant with factor proportional to x."""
-    return Resultant(x / np.sqrt(np.linalg.norm(x.T @ (w.w[:, None] * x))), w, True)
+    return Resultant(x / np.sqrt(np.linalg.norm(x.T @ (w.w[:, None] * x))), w)
 
 
 @pytest.mark.parametrize("distance", ["chord", "geodesic"])

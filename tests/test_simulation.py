@@ -85,7 +85,7 @@ def test_sample_layout_and_truth():
     assert len(rs) == 21
     assert [r.label for r in rs] == [f"x{j}" for j in range(1, 22)]
     for r in rs:
-        assert r.normed
+        assert r.dot(r) == pytest.approx(1.0)
         assert r.weights.same_as(Weights.uniform(40))
 
 
