@@ -42,17 +42,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .distances import _sq_dist_from_cos
-from .encoding import Resultant, _block_sums, _stack
+from .encoding import Resultant, _block_sums, _common_weights, _stack
 from .errors import ConvergenceWarning, NumericalError, ValidationError, count, warn
-from .geometry import (
-    EIGEN_DROP_TOL,
-    RANK_TOL,
-    Weights,
-    _fix_column_signs,
-    _polar,
-    as_weight_system,
-    numerical_rank,
-)
+from .geometry import RANK_TOL, Weights, _fix_column_signs, _polar, as_weight_system, numerical_rank
 
 # h values this close to 1 switch the gradient factor to its analytic limit.
 H_SINGULAR = 1e-9
@@ -129,16 +121,6 @@ class RankHOperator(Resultant):
         return self.lam.size
 
 
-def _gather(resultants: list[Resultant]) -> Weights:
-    if not resultants:
-        raise ValidationError("need at least one resultant")
-    weights = resultants[0].weights
-    for r in resultants:
-        if not r.weights.same_as(weights):
-            raise ValidationError("resultants live on different weight systems")
-    return weights
-
-
 def rank_h_average_euclidean(
     resultants: list[Resultant], h: int | RankCriterion, omega=None
 ) -> RankHOperator:
@@ -165,7 +147,7 @@ def choose_rank(eigenvalues, criterion: RankCriterion) -> int:
     theta = criterion.theta
     if criterion.kind == "trace_ratio" and theta <= 1e-12:
         return 1
-    r = numerical_rank(lam, RANK_TOL)
+    r = numerical_rank(lam)
     if criterion.full:
         return r
     if criterion.kind == "trace_ratio":
@@ -320,6 +302,11 @@ def rank_h_average_geodesic(
     return frame.lift(frame.fit(h, "geodesic"))
 
 
+def _warn_unconverged(rounds: int, reason: str) -> None:
+    """The ConvergenceWarning of a geodesic fit that stopped short, naming its rounds and why."""
+    warn(f"geodesic average did not converge after {rounds} rounds: {reason}", ConvergenceWarning)
+
+
 def _geodesic_from(
     z, widths, omega: np.ndarray, u: np.ndarray, lam: np.ndarray,
     max_iter: int, u_scale: float,
@@ -329,8 +316,7 @@ def _geodesic_from(
     u, lam, rounds, reason = _ascend(z, widths, np.cumsum(widths) - widths, omega,
                                      u, lam, max_iter, u_scale)
     if reason is not None:
-        warn(f"geodesic average did not converge after {rounds} rounds: {reason}",
-             ConvergenceWarning)
+        _warn_unconverged(rounds, reason)
     order = np.argsort(-lam, kind="stable")
     return u[:, order], lam[order], reason is None
 
@@ -343,13 +329,14 @@ class _Frame:
     Z'Z once, and fits every centroid, chord or geodesic, as coefficients P on
     its members' columns: C = Z_S P, lifted to U = W^-1/2 C.  A member set S is
     a boolean row over the K resultants.  One memo holds plain arrays, keyed by
-    the set's packed row: under the bare key, the spectrum of the members'
-    mean, from the eigh of the scaled block D G_SS D = V diag(lam) V', D =
-    sqrt(a_k) over the set's columns for its chord weights a, held as (columns,
-    D V lam^-1/2) and lam; under (key, distance, rank h or criterion), the fit
-    ((columns, P), lam_h, converged, cosines to all K resultants), lam_h =
-    lam[:h] / ||lam[:h]||; under (key, "geodesic"), a full-rank geodesic fit's
-    member weights.  Criteria that choose the same rank share one fit.
+    the set's packed row (_keys): under the bare key, the spectrum of the
+    members' mean, from the eigh of the scaled block D G_SS D = V diag(lam) V',
+    D = sqrt(a_k) over the set's columns for its chord weights a, held as
+    (columns, D V lam^-1/2) and lam, the eigenvalues above RANK_TOL of lam_1,
+    as many as the numerical rank; under (key, distance, rank h or criterion),
+    the fit ((columns, P), lam_h, converged, cosines to all K resultants), lam_h
+    = lam[:h] / ||lam[:h]||; under (key, "geodesic"), a full-rank geodesic
+    fit's member weights.  Criteria that choose the same rank share one fit.
 
     Q_S = Z_S D V lam^-1/2 is an orthonormal basis of the members' span.  A
     chord P is the first h columns of D V lam^-1/2.  A geodesic P is D V
@@ -382,7 +369,7 @@ class _Frame:
     """
 
     def __init__(self, resultants: list[Resultant], omega=None, max_iter: int = 500):
-        self.weights = _gather(resultants)
+        self.weights = _common_weights(resultants)
         self.k = len(resultants)
         self.omega = as_weight_system(omega, self.k)
         self._z, self._widths, self._starts = _stack(resultants)
@@ -392,17 +379,19 @@ class _Frame:
         self.everyone = np.ones(self.k, dtype=bool)
         self._memo: dict = {}
 
-    def spectrum(self, chosen: np.ndarray) -> tuple:
-        """((columns, D V lam^-1/2), lam) of the mean of the members marked in `chosen`."""
-        self.spectra(chosen[None], [key := np.packbits(chosen).tobytes()])
-        return self._memo[key]
+    def _keys(self, chosen: np.ndarray) -> list[bytes]:
+        """The memo key of each member set, a row of the B x K `chosen`, from one packbits call."""
+        width, packed = -(-self.k // 8), np.packbits(chosen, axis=1).tobytes()
+        return [packed[i:i + width] for i in range(0, len(packed), width)]
 
-    def spectra(self, chosen: np.ndarray, keys: list) -> None:
-        """Memoise each new member set's spectrum (a row of `chosen`, under its
-        key), one stacked eigh per block size q_S, eigenvalues under
-        EIGEN_DROP_TOL of the largest dropped before any square root."""
+    def spectra(self, chosen: np.ndarray) -> list[tuple]:
+        """((columns, D V lam^-1/2), lam) of the mean of each member set, a row
+        of `chosen`; the new sets take one stacked eigh per block size q_S, and
+        their eigenvalues at most RANK_TOL of the largest are dropped before any
+        square root, so a spectrum's length is its numerical rank."""
+        keys = self._keys(chosen)
         todo = {key: row for key, row in zip(keys, chosen) if key not in self._memo}
-        keys, rows = list(todo), np.array(list(todo.values()), dtype=bool).reshape(-1, self.k)
+        todo_keys, rows = list(todo), np.array(list(todo.values()), dtype=bool).reshape(-1, self.k)
         sizes = np.count_nonzero(rows[:, self._owner], axis=1)
         roots = np.sqrt(self.member_weights(rows, "chord")[0])[:, self._owner]  # D, column by column
         for m in sorted(set(sizes.tolist())):
@@ -412,11 +401,12 @@ class _Frame:
             lam, v = np.linalg.eigh(self._gram[idx[:, :, None], idx[:, None, :]]
                                     * (root[:, :, None] * root[:, None, :]))
             lam, v = lam[:, ::-1], v[:, :, ::-1]  # descending
-            kept = lam > EIGEN_DROP_TOL * lam[:, :1]
+            kept = lam > RANK_TOL * lam[:, :1]
             scaled = v * (root[:, :, None] * (1.0 / np.sqrt(np.where(kept, lam, 1.0)))[:, None, :])
             for i, keep, cols, coef, eig in zip(group.tolist(), np.count_nonzero(kept, axis=1).tolist(),
                                                 idx, scaled, lam):
-                self._memo[keys[i]] = (cols, coef[:, :keep]), eig[:keep]  # the kept D V lam^-1/2, lam
+                self._memo[todo_keys[i]] = (cols, coef[:, :keep]), eig[:keep]  # the kept D V lam^-1/2, lam
+        return [self._memo[key] for key in keys]
 
     @functools.cached_property
     def _cosine_matrix(self) -> np.ndarray:  # A, the block sums of the squared Gram Z'Z
@@ -441,7 +431,7 @@ class _Frame:
         shares[chosen.all(axis=1)] = self.omega
         if distance == "chord":
             return shares, [True] * len(shares)
-        keys = [row.tobytes() for row in np.packbits(chosen, axis=1)]
+        keys = self._keys(chosen)
         todo = {key: i for i, key in enumerate(keys) if (key, "geodesic") not in self._memo}
         omega = shares[list(todo.values())]
         a, open_, cos = omega.copy(), np.ones(len(omega), dtype=bool), self._cosine_matrix
@@ -454,36 +444,30 @@ class _Frame:
             a[open_] = f[open_]  # a closed row keeps its weights: it has retired
         for key, weights, capped in zip(todo, a, open_):
             if capped:
-                warn(f"geodesic average did not converge after {rounds} rounds: "
-                     "the iteration cap was reached", ConvergenceWarning)
+                _warn_unconverged(rounds, "the iteration cap was reached")
             self._memo[key, "geodesic"] = weights, not capped
         fits = [self._memo[key, "geodesic"] for key in keys]
         return np.array([a for a, _ in fits]).reshape(-1, self.k), [c for _, c in fits]
 
     def centroids(self, chosen: np.ndarray, distance: str, h: int | RankCriterion) -> list[tuple]:
         """The rank-h fit ((columns, P), lam, converged, K cosines) of each
-        member set, one boolean row of `chosen` per set; one packbits call keys
-        them all, and the new ones are settled together.  An integer h must lie
-        in [1, numerical rank]."""
+        member set, one boolean row of `chosen` per set; the new ones are
+        settled together.  An integer h must lie in [1, numerical rank]."""
         if not isinstance(h, RankCriterion):
             h = count(h, "rank")
-        width = -(-self.k // 8)
-        packed = np.packbits(chosen, axis=1).tobytes()
-        keys = [packed[i:i + width] for i in range(0, len(packed), width)]
-        if new := [i for i, key in enumerate(keys) if (key, distance, h) not in self._memo]:
-            self._settle(chosen[new], [keys[i] for i in new], distance, h)
+        keys = self._keys(chosen)
+        if new := {key: i for i, key in enumerate(keys) if (key, distance, h) not in self._memo}:
+            self._settle(chosen[list(new.values())], list(new), distance, h)
         return [self._memo[key, distance, h] for key in keys]
 
     def _settle(self, chosen: np.ndarray, keys: list, distance: str, h: int | RankCriterion):
         """Memoise each set's fit under h and under the rank h picks from its
         spectrum; the new fits read their cosines from one product G P lam^1/2."""
-        self.spectra(chosen, keys)
         new = {}  # (key, rank) of each new fit: ((columns, P), lam_h, converged)
-        for key, row in dict(zip(keys, chosen)).items():
-            (cols, scaled), lam = self._memo[key]
+        for key, row, ((cols, scaled), lam) in zip(keys, chosen, self.spectra(chosen)):
             rank = choose_rank(lam, h) if isinstance(h, RankCriterion) else h
-            if not isinstance(h, RankCriterion) and not (top := numerical_rank(lam, RANK_TOL)) >= h >= 1:
-                raise ValidationError(f"rank {h} is outside the numerical rank {top} of the average")
+            if not isinstance(h, RankCriterion) and h > lam.size:
+                raise ValidationError(f"rank {h} is outside the numerical rank {lam.size} of the average")
             kept = lam[:rank]
             fit, lam_h = self._memo.get((key, distance, rank)), kept / math.sqrt(kept.dot(kept))
             if fit is not None:
@@ -492,7 +476,7 @@ class _Frame:
                 new[key, rank] = (cols, scaled[:, :rank]), lam_h, True
             else:  # on Y = Q_S' Z_S: at full rank the eigenpairs of Y diag(a) Y', else the ascent
                 y = scaled.T @ self._gram[cols[:, None], cols]
-                full = rank == numerical_rank(lam, RANK_TOL)
+                full = rank == lam.size
                 (a,), (converged,) = self.member_weights(row[None], "geodesic" if full else "chord")
                 if full:
                     mu, c = np.linalg.eigh((y * np.repeat(a[row], self._widths[row])) @ y.T)

@@ -32,10 +32,10 @@ from .clustering import (
     cluster_summary,
     kmeans,
 )
-from .dataset import _read_csv, encode_dataset, infer_manifest, ingest, load_manifest
+from .dataset import _read_csv, _split_list, encode_dataset, infer_manifest, ingest, load_manifest
 from .distances import _sq_dist_from_cos
 from .encoding import Resultant, resultant
-from .errors import ConvergenceWarning, NumericalError, ValidationError
+from .errors import ConvergenceWarning, NumericalError, ValidationError, count
 from .geometry import Weights
 from .simulation import SimConfig, run_benchmark
 
@@ -77,54 +77,40 @@ def parse_angle(text: str) -> float:
     return num * math.pi / den
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse float list {text!r}") from exc
+def _usage(parse):
+    """An argparse type: parse(text), whose ValueError or ValidationError
+    becomes a usage error (exit 2) that names the flag and quotes the text."""
 
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse integer list {text!r}") from exc
-
-
-def _angle_list(text: str) -> list[float]:
-    return [parse_angle(part) for part in text.split(",") if part.strip()]
-
-
-def _nonempty(parse):
-    """An argparse type: the non-empty list parse(text), else a usage error
-    (exit 2) that names the flag."""
-
-    def typed(text: str) -> list:
+    def typed(text: str):
         try:
-            values = parse(text)
-        except ValidationError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from exc
-        if not values:
-            raise argparse.ArgumentTypeError(f"empty list {text!r}")
-        return values
+            return parse(text)
+        except (ValueError, ValidationError) as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
 
     return typed
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type for a count of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1 (got {value})")
-    return value
+def _list_of(item):
+    """An argparse type: the non-empty comma-separated list (_split_list) of item(part)."""
+
+    def parse(text: str) -> list:
+        if not (parts := _split_list(text)):
+            raise ValidationError("empty list")
+        return [item(part) for part in parts]
+
+    return _usage(parse)
+
+
+_count = _usage(lambda text: count(int(text), "count"))  # an argparse type for a count of at least 1
 
 
 def _criterion(args) -> RankCriterion:
+    """The criterion the flags name; --H goes only with fixed and --theta only with trace."""
+    for flag, value, kind in (("--H", args.H, "fixed"), ("--theta", args.theta, "trace")):
+        if value is not None and args.criterion != kind:
+            raise ValidationError(f"{flag} applies only to --criterion {kind}")
     if args.criterion == "trace":
-        return RankCriterion.trace_ratio(args.theta)
+        return RankCriterion.trace_ratio(0.5 if args.theta is None else args.theta)
     if args.criterion == "cattell":
         return RankCriterion.cattell()
     if args.H is None:
@@ -149,16 +135,20 @@ def _load_resultants(args) -> tuple[list[Resultant], Weights]:
 
 
 def _out_dir(args) -> str:
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot use {args.out_dir!r} as the output directory: {exc}") from exc
     return args.out_dir
 
 
 def _cmd_cluster(args) -> None:
+    criterion = _criterion(args)
     resultants, weights = _load_resultants(args)
     config = ClusteringConfig(
         n_clusters=args.L,
         distance=args.distance,
-        criterion=_criterion(args),
+        criterion=criterion,
         n_starts=args.starts,
         seed=args.seed,
     )
@@ -210,11 +200,11 @@ def _cmd_cluster(args) -> None:
 
 
 def _cmd_average(args) -> None:
+    criterion = _criterion(args)
     resultants, weights = _load_resultants(args)
     # one frame, one spectrum: the scree, every rank's chord fit and geodesic start,
     # and one memo, so the profile's rank h is the average fitted here
     frame = _Frame(resultants)
-    criterion = _criterion(args)
     fit = frame.fit(criterion, args.distance)
     avg = frame.lift(fit)
     h = avg.rank
@@ -222,7 +212,7 @@ def _cmd_average(args) -> None:
     _write_csv(
         os.path.join(out, "scree.csv"),
         ["component", "eigenvalue"],
-        [(i + 1, v) for i, v in enumerate(frame.spectrum(frame.everyone)[1])],
+        [(i + 1, v) for i, v in enumerate(frame.spectra(frame.everyone[None])[0][1])],
     )
     _write_csv(
         os.path.join(out, "factors_lambda.csv"),
@@ -265,8 +255,8 @@ def _cmd_simulate(args) -> None:
         for s2 in args.sigma2
         for beta in args.beta
     ]
+    out = _out_dir(args)  # before the grid runs, which an unusable directory would waste
     rows = run_benchmark(grid, n_starts=args.starts, distance=args.distance)
-    out = _out_dir(args)
     _write_csv(
         os.path.join(out, "benchmark.csv"),
         ["n", "beta", "sigma2", "theta", "mean_rand", "sd_rand", "replications", "failures"],
@@ -350,9 +340,9 @@ def _add_input_flags(sub) -> None:
 
 def _add_criterion_flags(sub) -> None:
     sub.add_argument("--criterion", choices=("trace", "cattell", "fixed"), default="trace")
-    sub.add_argument("--theta", type=float, default=0.5,
-                     help="trace-ratio threshold for --criterion trace")
-    sub.add_argument("--H", type=_positive_int, default=None, help="rank for --criterion fixed")
+    sub.add_argument("--theta", type=float, default=None,
+                     help="trace-ratio threshold for --criterion trace (default 0.5)")
+    sub.add_argument("--H", type=_count, default=None, help="rank for --criterion fixed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,37 +355,37 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("cluster", help="K-means over encoded variables")
     _add_input_flags(p)
     _add_criterion_flags(p)
-    p.add_argument("--L", type=_positive_int, required=True, help="number of clusters")
-    p.add_argument("--distance", choices=("chord", "geodesic"), default="chord")
+    p.add_argument("--L", type=_count, required=True, help="number of clusters")
+    p.add_argument("--distance", choices=DISTANCES, default="chord")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--starts", type=_positive_int, default=10, help="number of random restarts")
+    p.add_argument("--starts", type=_count, default=10, help="number of random restarts")
     p.set_defaults(func=_cmd_cluster)
 
     p = subs.add_parser("average", help="rank-H average of encoded variables")
     _add_input_flags(p)
     _add_criterion_flags(p)
-    p.add_argument("--distance", choices=("chord", "geodesic"), default="chord")
+    p.add_argument("--distance", choices=DISTANCES, default="chord")
     p.set_defaults(func=_cmd_average)
 
     p = subs.add_parser("simulate", help="run the clustering benchmark grid")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--n", type=_nonempty(_int_list), default="30,40",
+    p.add_argument("--n", type=_list_of(int), default="30,40",
                    help="comma-separated sample sizes")
-    p.add_argument("--beta", type=_nonempty(_angle_list), default="pi/4,pi/3,pi/2",
+    p.add_argument("--beta", type=_list_of(parse_angle), default="pi/4,pi/3,pi/2",
                    help="comma-separated angles (floats or pi fractions)")
-    p.add_argument("--sigma2", type=_nonempty(_float_list), default="0.1,0.15",
+    p.add_argument("--sigma2", type=_list_of(float), default="0.1,0.15",
                    help="comma-separated noise variances")
-    p.add_argument("--theta-grid", type=_nonempty(_float_list), default="0,0.25,0.5,0.75,1",
+    p.add_argument("--theta-grid", type=_list_of(float), default="0,0.25,0.5,0.75,1",
                    help="comma-separated trace-ratio thresholds")
-    p.add_argument("--reps", type=_positive_int, default=10, help="replications per cell")
+    p.add_argument("--reps", type=_count, default=10, help="replications per cell")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--starts", type=_positive_int, default=10)
-    p.add_argument("--distance", choices=("chord", "geodesic"), default="chord")
+    p.add_argument("--starts", type=_count, default=10)
+    p.add_argument("--distance", choices=DISTANCES, default="chord")
     p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("mds", help="classical MDS of the centroids of a fitted model")
     p.add_argument("model", help="model.json written by the cluster command")
-    p.add_argument("--dims", type=_positive_int, default=2)
+    p.add_argument("--dims", type=_count, default=2)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_mds)
 

@@ -108,10 +108,20 @@ def _block_sums(t: np.ndarray, rows, cols) -> np.ndarray:
     return np.add.reduceat(np.add.reduceat(t * t, rows, axis=0), cols, axis=1)
 
 
+def _common_weights(*groups: list[Resultant]) -> Weights:
+    """The one weight system of the resultants in every group; an empty group,
+    or resultants on different systems, raise ValidationError."""
+    if not all(groups):
+        raise ValidationError("need at least one resultant")
+    weights = groups[0][0].weights
+    if not all(r.weights.same_as(weights) for group in groups for r in group):
+        raise ValidationError("resultants live on different weight systems")
+    return weights
+
+
 def cosines(a: list[Resultant], b: list[Resultant]) -> np.ndarray:
     """Trace scalar products [A_k | B_l] = ||Z_k' W Z_l||_F^2, len(a) x len(b)."""
-    if not all(x.weights.same_as(a[0].weights) for x in (*a, *b)):
-        raise ValidationError("operands live on different weight systems")
+    _common_weights(a, b)
     (za, _, rows), (zb, _, cols) = _stack(a), _stack(b)
     return _block_sums(za.T @ zb, rows, cols)
 

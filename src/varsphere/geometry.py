@@ -20,12 +20,10 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 
-# Tolerance used when counting meaningfully non-zero eigenvalues.
+# Eigenvalues above this fraction of the largest make the numerical rank; the rest are round-off.
 RANK_TOL = 1e-10
 # Relative floor under which the polar factor refuses a Gram's smallest eigenvalue.
 INV_SQRT_FLOOR = 1e-12
-# Eigenvalues below this fraction of the largest are dropped as round-off.
-EIGEN_DROP_TOL = 1e-12
 # Variance below this fraction of the second moment counts as constant:
 # centring a constant vector leaves residuals of order eps * magnitude, so
 # the spurious variance sits around eps^2 ~ 1e-32 relative.
@@ -90,13 +88,13 @@ def _fix_column_signs(u: np.ndarray) -> np.ndarray:
     return u * signs[None, :]
 
 
-def numerical_rank(eigenvalues, tol: float = RANK_TOL) -> int:
-    """Number of eigenvalues exceeding tol times the largest one."""
+def numerical_rank(eigenvalues) -> int:
+    """Number of eigenvalues exceeding RANK_TOL times the largest one."""
     lam = np.asarray(eigenvalues, dtype=float)
     top = float(lam.max()) if lam.size else 0.0
     if top <= 0.0:
         return 0
-    return int(np.count_nonzero(lam > tol * top))
+    return int(np.count_nonzero(lam > RANK_TOL * top))
 
 
 def sqrt_spd(m) -> np.ndarray:

@@ -53,8 +53,7 @@ class SimConfig:
         if not 0.0 < self.sigma2 < np.inf:
             raise ValidationError(f"sigma2 must be positive and finite (got {self.sigma2!r})")
         for theta in self.theta_grid:
-            if not 0.0 <= theta <= 1.0:
-                raise ValidationError("theta values must lie in [0, 1]")
+            RankCriterion.trace_ratio(theta)  # checks theta in [0, 1]
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from varsphere import (
 from varsphere.averaging import (
     H_SINGULAR,
     _Frame,
-    _gather,
     _geodesic_from,
     _gradients,
     _objective_value,
@@ -31,8 +30,11 @@ from varsphere.averaging import (
 )
 from varsphere.clustering import _assign_from_cos, _repair_empty, _within
 from varsphere.distances import _sq_dist_from_cos
-from varsphere.encoding import _stack, cosines
-from varsphere.geometry import EIGEN_DROP_TOL, _fix_column_signs, _polar, as_weight_system
+from varsphere.encoding import _common_weights, _stack, cosines
+from varsphere.geometry import _fix_column_signs, _polar, as_weight_system
+
+# The dense oracles drop eigenvalues under this fraction of the largest as round-off.
+EIGEN_DROP_TOL = 1e-12
 
 
 def count_spectrum_eigensolves(monkeypatch, calls: list | None = None) -> list:
@@ -163,7 +165,7 @@ def weighted_mean(resultants, omega=None):
     factor, the columns sqrt(omega_k) Z_k side by side: (factor, weights).
     It is not a Resultant, since a Resultant has unit norm; dense() and
     eigen() read it."""
-    weights = _gather(resultants)
+    weights = _common_weights(resultants)
     omega = as_weight_system(omega, len(resultants))
     z = np.hstack([np.sqrt(share) * r.factor for share, r in zip(omega, resultants)])
     return SimpleNamespace(factor=z, weights=weights)
@@ -171,14 +173,14 @@ def weighted_mean(resultants, omega=None):
 
 def n_row_objective(avg, resultants, omega=None):
     """g = - sum_k omega_k arccos([R_k | avg])^2, from the package's cosines."""
-    _gather(resultants)
+    _common_weights(resultants)
     omega = as_weight_system(omega, len(resultants))
     return float(_objective_value(cosines(resultants, [avg])[:, 0], omega))
 
 
 def _whitened(u, resultants, omega):
     """(W^1/2 as a column, the arguments of the ascent kernels up to lam)."""
-    root = np.sqrt(_gather(resultants).w)[:, None]
+    root = np.sqrt(_common_weights(resultants).w)[:, None]
     return root, (*_stack(resultants), as_weight_system(omega, len(resultants)),
                   root * np.asarray(u, dtype=float))
 
@@ -275,7 +277,7 @@ def arc_line_search(r_prev, r_next, resultants, omega=None):
     endpoints are always probed, so g(op) is never below either of them.
     The search runs on closed-form cosines; op is built only for the caller.
     """
-    _gather(resultants)
+    _common_weights(resultants)
     omega = as_weight_system(omega, len(resultants))
     ends = cosines(resultants, [r_prev, r_next])
     root = np.sqrt(r_prev.weights.w)[:, None]
@@ -291,7 +293,7 @@ def member_map_gap(x, resultants, omega=None):
     of g, f_k = omega_k grad_factor([R_k | X]), and the Frank-Wolfe gap
     ||G|| - [G | X], which bounds how far g(X) lies below its maximum over the
     full-rank points of the sphere."""
-    weights = _gather(resultants)
+    weights = _common_weights(resultants)
     ops = [dense(r) for r in resultants]
     f = as_weight_system(omega, len(ops)) * np.array(
         [grad_factor(operator_dot(op, x, weights)) for op in ops])
@@ -303,7 +305,7 @@ def dense_member_map(resultants, omega=None, max_iter=500):
     """The full-rank geodesic average on the n x n operators: from the
     normalised weighted mean, X <- G / ||G|| (member_map_gap) until the gap is
     at most 1e-12 or max_iter rounds have run: (X, gap)."""
-    weights = _gather(resultants)
+    weights = _common_weights(resultants)
     x = dense(weighted_mean(resultants, omega))
     x = x / operator_norm(x, weights)
     for _ in range(max_iter):

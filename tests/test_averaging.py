@@ -265,8 +265,9 @@ def test_cosines_match_the_dense_oracle():
     assert ranks_seen == {1, 2, 3}
     assert sides_seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
     stranger = random_normed_resultant(rng, random_weights(rng, w.n))
-    with pytest.raises(ValidationError):
-        cosines([stranger], cs)
+    for a, b in (([stranger], cs), ([cs[0], stranger], cs), ([], cs)):  # foreign, mixed, empty
+        with pytest.raises(ValidationError):
+            cosines(a, b)
 
 
 @pytest.mark.parametrize("fit", [rank_h_average_euclidean, rank_h_average_geodesic])

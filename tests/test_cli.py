@@ -289,10 +289,30 @@ def test_exit_codes_for_bad_input(data_csv, tmp_path, capsys):
         assert main([*argv, "--out-dir", out]) == 2
         assert f"argument {argv[-2]}:" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+    # an output directory that is an existing file is refused by path, before the grid runs
+    (taken := tmp_path / "taken").write_text("")
+    assert main(["simulate", "--out-dir", str(taken), "--n", "30", "--beta", "pi/4",
+                 "--sigma2", "0.1", "--reps", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(str(taken)) in err and "Traceback" not in err
     # argparse errors also surface as exit code 2
     assert main(["cluster", "--data", data_csv, "--out-dir", out]) == 2
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
+
+
+def test_a_criterion_flag_its_criterion_ignores_exits_2(data_csv, tmp_path, capsys):
+    # --H belongs to --criterion fixed and --theta to --criterion trace (the default, theta 0.5)
+    for extra, flag in ((["--H", "3"], "--H"), (["--criterion", "cattell", "--H", "1"], "--H"),
+                        (["--criterion", "fixed", "--H", "1", "--theta", "0.9"], "--theta"),
+                        (["--criterion", "cattell", "--theta", "0.5"], "--theta")):
+        for command in (["cluster", "--L", "2"], ["average"]):
+            assert main([*command, "--data", data_csv, *extra, "--out-dir", str(tmp_path / "x")]) == 2
+            assert f"error: {flag} applies only to" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    assert main(["cluster", "--data", data_csv, "--L", "2", "--out-dir", str(tmp_path / "y")]) == 0
+    with open(tmp_path / "y" / "model.json") as fh:
+        assert json.load(fh)["criterion"] == {"kind": "trace_ratio", "theta": 0.5}
 
 
 def test_a_negative_seed_exits_2(data_csv, tmp_path, capsys):

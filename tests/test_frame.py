@@ -29,10 +29,10 @@ from varsphere import (
 )
 
 from varsphere.encoding import cosines
-from varsphere.geometry import EIGEN_DROP_TOL, RANK_TOL
+from varsphere.geometry import RANK_TOL
 
 from _support import (
-    count_spectrum_eigensolves, dense, n_row_objective, n_row_residual,
+    EIGEN_DROP_TOL, count_spectrum_eigensolves, dense, eigen, n_row_objective, n_row_residual,
     random_normed_resultant, random_weights, refit_average, refit_kmeans,
 )
 
@@ -446,11 +446,11 @@ def test_a_weighted_frame_fits_a_proper_subset_as_the_uniform_frame_does():
 
 
 def test_full_rank_cosines_differ_by_at_most_the_dropped_eigenvalues():
-    # a member whose operator has an eigenvalue between EIGEN_DROP_TOL and
-    # RANK_TOL of its largest: the spectrum keeps it, the full rank drops it
-    # from the centroid, and the K x K cosines keep it.  Each cosine may then
-    # move by the dropped eigenvalues' sum over lam_1, and one along the
-    # dropped direction does
+    # a member whose operator has an eigenvalue between the dense oracle's
+    # EIGEN_DROP_TOL and RANK_TOL of its largest: the oracle keeps it, the
+    # frame's spectrum and the full-rank centroid drop it, and the K x K
+    # cosines keep it.  Each cosine may then move by the dropped eigenvalues'
+    # sum over lam_1, and one along the dropped direction does
     n = 10
     w = Weights.uniform(n)
     rng = np.random.default_rng(5)
@@ -461,9 +461,9 @@ def test_full_rank_cosines_differ_by_at_most_the_dropped_eigenvalues():
     frame = averaging._Frame(rs)
     planted = np.eye(len(rs), dtype=bool)[:1]
     full = RankCriterion.trace_ratio(1.0)
-    lam = frame.spectrum(planted[0])[1]
+    lam = eigen(rs[0])[1]
     assert lam.size == 2 and EIGEN_DROP_TOL < lam[1] / lam[0] < RANK_TOL
-    assert choose_rank(lam, full) == 1
+    assert choose_rank(lam, full) == 1 and frame.spectra(planted)[0][1].size == 1
     fit = frame.centroids(planted, "chord", full)[0]
     gap = np.abs(frame.fit_cosines(planted, "chord", full)[0] - fit[3])
     bound = lam[1:].sum() / lam[0]
