@@ -192,10 +192,14 @@ def _present(path: str, name: str, cells: list[str]) -> list[str]:
 
 def infer_manifest(csv_path: str, *, table=None) -> DatasetManifest:
     """Type every column of a bare CSV: numeric when all cells parse as floats.
+    A column with an empty or whitespace-only name is refused.
 
     `table` is csv_path as read by _read_csv when the caller has already read
     it; otherwise the file is read here."""
     header, _, columns, floats = table if table is not None else _read_csv(csv_path)
+    for j, name in enumerate(header, start=1):
+        if not name.strip():
+            raise ValidationError(f"{csv_path}:1: column {j} has no name")
     numeric, categorical = [], []
     for name, cells, parsed in zip(header, columns, floats):
         if isinstance(parsed, np.ndarray):
@@ -294,10 +298,21 @@ def _block_structure(dataset: Dataset, block: BlockSpec) -> VariableStructure:
     x = np.concatenate([dataset.numeric[name][:, None] if name in dataset.numeric
                         else _centred_indicators(dataset.categorical[name], w, name)[1]
                         for name in block.columns], axis=1)
+    return _block_factor(x, w, block)
+
+
+def _block_factor(x: np.ndarray, w: Weights, block: BlockSpec) -> VariableStructure:
+    """The block structure of the columns x, each column tested for constancy
+    as encode_numeric tests one: neither metric depends on a column's scale."""
     xc = _center_columns(x, w)
-    var = np.sum(w.w[:, None] * xc * xc, axis=0)
-    if np.any(var <= ZERO_VARIANCE_REL * np.sum(w.w[:, None] * x * x, axis=0)):
-        raise ValidationError(f"block {block.name!r} has a zero-variance column")
+    with np.errstate(over="ignore"):  # an overflow refuses, and is rescaled below
+        var = np.sum(w.w[:, None] * xc * xc, axis=0)
+        low = var <= ZERO_VARIANCE_REL * np.sum(w.w[:, None] * x * x, axis=0)
+    if np.any(low):
+        top = np.max(np.abs(x), axis=0)
+        if np.any((top[low] == 0.0) | (top[low] == 1.0)):  # constant at unit scale
+            raise ValidationError(f"block {block.name!r} has a zero-variance column")
+        return _block_factor(x / np.where(low, top, 1.0), w, block)
     if block.metric == "standardized-diagonal":
         factor = xc * np.sqrt(1.0 / var)
     else:

@@ -146,7 +146,10 @@ def encode_numeric(x, weights: Weights, label: str = "") -> VariableStructure:
     """Encode one numeric variable as its standardised column c / sqrt(v).
 
     Its resultant R = c c' W / v is the rank-one line projector of unit norm,
-    invariant under any affine rescaling a*x + b (a != 0).
+    invariant under any affine rescaling a*x + b (a != 0).  A column whose
+    variance is at most ZERO_VARIANCE_REL of its second moment is tested again
+    divided by its largest magnitude, so squares that over- or underflow do
+    not refuse it; at that scale it is constant.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != weights.n:
@@ -154,9 +157,13 @@ def encode_numeric(x, weights: Weights, label: str = "") -> VariableStructure:
     if not np.all(np.isfinite(x)):
         raise ValidationError(f"numeric variable {label!r} contains non-finite values")
     c = x - np.sum(weights.w * x)
-    v = float(np.sum(weights.w * c * c))
-    if v <= ZERO_VARIANCE_REL * float(np.sum(weights.w * x * x)):
-        raise ValidationError(f"numeric variable {label!r} has zero variance")
+    with np.errstate(over="ignore"):  # an overflow refuses, and is rescaled below
+        v = float(np.sum(weights.w * c * c))
+        constant = v <= ZERO_VARIANCE_REL * float(np.sum(weights.w * x * x))
+    if constant:
+        if (top := float(np.max(np.abs(x)))) in (0.0, 1.0):  # constant at unit scale
+            raise ValidationError(f"numeric variable {label!r} has zero variance")
+        return encode_numeric(x / top, weights, label)  # its largest magnitude is then 1
     return VariableStructure(c[:, None] * np.sqrt(1.0 / v), label, "numeric")
 
 

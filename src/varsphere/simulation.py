@@ -8,8 +8,8 @@ categorical variables are carved from the latents by quintile cuts.  The
 benchmark clusters each simulated sample and scores the recovered partition
 against the ground truth.  Its replications are independent, so they run on
 min(usable cores, replications) processes, this one and workers forked from
-it, each claiming the next replication when it finishes its last, with
-results, warnings and errors that do not depend on that number.
+it, each claiming the next ticket of replications from a pipe filled before
+forking, with results, warnings and errors that do not depend on that number.
 """
 
 from __future__ import annotations
@@ -223,16 +223,21 @@ def _record(tasks: list, k: int, n_starts: int, distance: str) -> tuple:
             return exc, caught
 
 
-def _fork_worker(tasks: list, claims: int, feed: int, n_starts: int, distance: str):
-    """(pid, pipe) of a forked process that claims task numbers from the claim
-    pipe until it ends, pickling back each number, then its task's record."""
+def _claimed(claims: int, per: int, total: int):
+    """Task numbers from the claim pipe until it ends: ticket t is t, ..., t + per - 1 < total."""
+    while ticket := os.read(claims, 4):
+        yield from range(t := int.from_bytes(ticket, "little"), min(t + per, total))
+
+
+def _fork_worker(tasks: list, claims: int, per: int, n_starts: int, distance: str):
+    """(pid, pipe) of a forked process that runs the tasks it claims, pickling
+    back each task's number before its record."""
     read, write = os.pipe()
     if (pid := os.fork()) == 0:
         try:  # never return into the caller, nor flush its buffers
-            os.close(feed)  # the caller's feed is then the only one
             with os.fdopen(write, "wb") as out:
-                while ticket := os.read(claims, 4):
-                    pickle.dump(k := int.from_bytes(ticket, "little"), out)
+                for k in _claimed(claims, per, len(tasks)):
+                    pickle.dump(k, out)
                     out.flush()
                     outcome, caught = _record(tasks, k, n_starts, distance)
                     pickle.dump((outcome, [(str(w.message), w.category) for w in caught]), out)
@@ -246,28 +251,25 @@ def _fork_worker(tasks: list, claims: int, feed: int, n_starts: int, distance: s
 def _outcomes(grid: list[SimConfig], n_starts: int, distance: str) -> list:
     """Every replication's outcome, in grid order, from w = min(usable cores,
     replications) processes, this one and w - 1 forked workers, each claiming
-    the next replication from one pipe as it finishes its last.  The warnings,
-    defects and deaths of workers are then raised here in replication order."""
+    the next ticket of `per` replications as it finishes its last, from a pipe
+    filled by one write before the first fork.  Warnings, defects and deaths
+    of workers are then raised here in replication order."""
     import numpy.random  # noqa: F401  once, before forking: the workers inherit it
     tasks = [(config, rep) for config in grid for rep in range(config.replications)]
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    per = max(1, -(-len(tasks) // (select.PIPE_BUF // 4)))
     records, workers, statuses, claimant = {}, [], {}, {}
-    claims, feed = (open(fd, mode, buffering=0) for fd, mode in zip(os.pipe(), ("rb", "wb")))
-    try:
+    claims, feed = os.pipe()
+    try:  # at most PIPE_BUF bytes into an empty pipe: one write that cannot block
+        os.write(feed, np.arange(0, len(tasks), per, dtype="<u4").tobytes())
+        os.close(feed)  # so the pipe reads as ended once it is empty
         with warnings.catch_warnings():  # Python >= 3.12 warns of forking
             # beside threads; OpenBLAS, the only one that runs them, stops them
             warnings.simplefilter("ignore", DeprecationWarning)
             for _ in range(1, min(cores, len(tasks))):
-                workers.append(_fork_worker(tasks, claims.fileno(), feed.fileno(), n_starts, distance))
-        os.set_blocking(feed.fileno(), False)
-        tickets, fed = np.arange(len(tasks), dtype="<u4").tobytes(), 0
-        while fed < len(tickets):  # whole tickets; while the pipe is full, take the next unfed one
-            if (sent := feed.write(tickets[fed:fed + select.PIPE_BUF // 4 * 4])) is None:
-                records[fed // 4], sent = _record(tasks, fed // 4, n_starts, distance), 4
-            fed += sent
-        feed.close()  # the claimers stop once the pipe is empty
-        while ticket := claims.read(4):
-            records[k] = _record(tasks, k := int.from_bytes(ticket, "little"), n_starts, distance)
+                workers.append(_fork_worker(tasks, claims, per, n_starts, distance))
+        for k in _claimed(claims, per, len(tasks)):
+            records[k] = _record(tasks, k, n_starts, distance)
         for pid, reader in workers:
             try:
                 while True:
@@ -277,8 +279,7 @@ def _outcomes(grid: list[SimConfig], n_starts: int, distance: str) -> list:
                 pass  # the worker ended, having reported all it claimed or not
     finally:
         import signal  # only the workers need it: not imported with the package
-        claims.close()
-        feed.close()
+        os.close(claims)
         for pid, reader in workers:
             reader.close()
             os.kill(pid, signal.SIGKILL)  # every record is read, or the run failed
@@ -312,19 +313,18 @@ def run_benchmark(
     Each replication draws one sample, encodes it once, and clusters it into
     the design's three bundles at every theta of the cell's grid (criterion
     trace_ratio(theta)), so scores across theta are paired.  The theta runs
-    share one averaging frame and one draw of start partitions: a member set's
-    spectrum is computed once, thetas below 1 that choose the same rank share
-    its centroid, and theta = 1 reads the K x K cosine matrix with no
-    spectrum.  A replication runs only the K-means rounds and scores each
-    theta's best partition.  Replication seeds derive from the cell seed by
-    counter, so results do not depend on grid order.  A replication that raises
-    a VarsphereError is counted as failed, reported with a warning naming the
-    reason, and excluded from the cell statistics; any other exception is a
-    defect and propagates.  A bad n_starts or distance is refused up front.  The
-    replications run on w = min(usable cores, replications) processes, each
-    claiming the next one as it finishes its last, and every warning reaches
-    the caller once, in replication order, so the rows, warnings and errors do
-    not depend on w.
+    share one averaging frame and one draw of start partitions: thetas below 1
+    that choose the same rank share a centroid, and theta = 1 reads the K x K
+    cosine matrix with no spectrum.  Replication seeds derive from the cell
+    seed by counter, so results do not depend on grid order.  A replication
+    that raises a VarsphereError is counted as failed, reported with a warning
+    naming the reason, and excluded from the cell statistics; any other
+    exception is a defect and propagates.  A bad n_starts or distance is
+    refused up front.  The replications run on w = min(usable cores,
+    replications) processes, each claiming the next ticket of
+    ceil(replications / (PIPE_BUF / 4)) consecutive ones (one, up to 1,024 on
+    Linux) as it finishes its last, and every warning reaches the caller once,
+    in replication order, so the rows, warnings and errors do not depend on w.
     """
     ClusteringConfig(int(TRUTH.max()) + 1, distance=distance, n_starts=n_starts)  # bad arguments fail once, here
     outcomes = iter(_outcomes(grid, n_starts, distance))

@@ -390,6 +390,36 @@ def test_a_constant_block_column_is_refused_under_either_metric(tmp_path, metric
         encode_dataset(ds)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+@pytest.mark.parametrize("metric", ["standardized-diagonal", "projector"])
+def test_a_block_column_whose_squares_leave_double_range_is_encoded(tmp_path, metric, scale):
+    # its squares overflow or underflow, which must not refuse it as constant:
+    # the block is the one its column makes at unit scale
+    rng = np.random.default_rng(4)
+    a, b = rng.standard_normal(20), rng.standard_normal(20)
+    blocks = []
+    for factor in (1.0, scale):
+        csv_text = "a,b\n" + "".join(f"{u!r},{v!r}\n" for u, v in zip(a.tolist(), (factor * b).tolist()))
+        _, path = write_toy(tmp_path, csv_text=csv_text, manifest_text=(
+            f"data = toy.csv\nnumeric = a, b\nblock.ab = a, b\nblock.ab.metric = {metric}\n"))
+        ds = ingest(load_manifest(str(path)))
+        blocks.append(raw_operator(encode_dataset(ds)[-1], ds.weights))
+    assert np.allclose(blocks[1], blocks[0], atol=1e-12)
+
+
+def test_a_column_with_no_name_is_refused_when_typing(tmp_path):
+    # a bare header's empty or blank name, such as the unnamed index column a
+    # data frame writes first, would be clustered as a variable named ""
+    data = tmp_path / "noname.csv"
+    for header, j in (("a,,c", 2), (",a,b", 1), ("a,b, \t", 3)):
+        data.write_text(f"{header}\n1,2,3\n4,6,5\n")
+        with pytest.raises(ValidationError, match=rf"noname\.csv:1: column {j} has no name"):
+            infer_manifest(str(data))
+    # a manifest may leave it undeclared
+    ds = ingest(DatasetManifest(data_path=str(data), numeric=("a", "b")))
+    assert ds.order == ["a", "b"]
+
+
 def test_block_with_categorical_member_uses_indicators(tmp_path):
     text = (
         "data = toy.csv\n"

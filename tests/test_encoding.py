@@ -95,7 +95,8 @@ def test_numeric_affine_invariance():
     w = random_weights(rng, 10)
     x = rng.standard_normal(10)
     base = resultant(encode_numeric(x, w), w)
-    for a, b in [(2.5, 0.0), (-1.0, 3.0), (0.01, -7.0), (-300.0, 0.5)]:
+    # at 1e160 the squares overflow and at 1e-170 they underflow
+    for a, b in [(2.5, 0.0), (-1.0, 3.0), (0.01, -7.0), (-300.0, 0.5), (1e160, 0.0), (1e-170, 0.0)]:
         other = resultant(encode_numeric(a * x + b, w), w)
         assert np.allclose(dense(other), dense(base), atol=1e-9)
 

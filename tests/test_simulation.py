@@ -2,6 +2,7 @@
 
 import contextlib
 import os
+import select
 import signal
 import time
 import warnings
@@ -345,8 +346,8 @@ def test_a_failed_replication_in_a_worker_is_counted_warned_and_excluded(monkeyp
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="runs serially here")
 def test_more_replications_than_the_claim_pipe_holds_run_once_each(monkeypatch):
-    # 20,000 4-byte tickets overfill a 64 KiB pipe: the caller must take the
-    # tickets that do not fit itself, not block on the feed
+    # 20,000 replications would overfill a 64 KiB pipe at one 4-byte ticket
+    # each; at 20 per ticket, all 1,000 tickets go in before any replication runs
     monkeypatch.setattr(simulation, "_replicate", lambda config, rep, *_: [float(rep)])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     config = SimConfig(n=30, beta=np.pi / 2.0, sigma2=0.1, seed=3, replications=20_000,
@@ -354,6 +355,43 @@ def test_more_replications_than_the_claim_pipe_holds_run_once_each(monkeypatch):
     with _deadline(60):
         outcomes = simulation._outcomes([config], 2, "chord")
     assert outcomes == [[float(rep)] for rep in range(20_000)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="runs serially here")
+def test_a_ticket_stands_for_consecutive_replications(monkeypatch, tmp_path):
+    # a 16-byte PIPE_BUF holds 4 tickets, so 10 replications go 3 to a ticket:
+    # tickets 0, 3, 6 and 9, in one write before any replication runs
+    monkeypatch.setattr(select, "PIPE_BUF", 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    writes, write = [], os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: writes.append(bytes(data)) or write(fd, data))
+    logs = tmp_path / "logs"
+    logs.mkdir()
+
+    def replicate(config, rep, *_):  # each process logs its own; both take work
+        with open(logs / str(os.getpid()), "a") as fh:
+            fh.write(f"{rep}\n")
+        while len(list(logs.iterdir())) < 2:
+            time.sleep(0.001)
+        warnings.warn(f"planted warning {rep}", ConvergenceWarning)
+        return [float(rep)]
+
+    monkeypatch.setattr(simulation, "_replicate", replicate)
+    config = SimConfig(n=30, beta=np.pi / 2.0, sigma2=0.1, seed=3, replications=10,
+                       theta_grid=(1.0,))
+    with warnings.catch_warnings(record=True) as caught, _deadline(60):
+        warnings.simplefilter("always")
+        outcomes = simulation._outcomes([config], 2, "chord")
+    assert writes == [np.array([0, 3, 6, 9], dtype="<u4").tobytes()]
+    assert outcomes == [[float(rep)] for rep in range(10)]
+    assert [str(w.message) for w in caught] == [f"planted warning {rep}" for rep in range(10)]
+    runs = [[int(rep) for rep in log.read_text().split()] for log in logs.iterdir()]
+    assert sorted(sum(runs, [])) == list(range(10))  # each replication ran once
+    for ticket in (0, 3, 6, 9):  # and each ticket's replications in a row, in one process
+        reps = list(range(ticket, min(ticket + 3, 10)))
+        assert any(run[i:i + len(reps)] == reps for run in runs for i in range(len(run)))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
